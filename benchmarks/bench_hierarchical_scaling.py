@@ -16,15 +16,16 @@ acceptance contract on every grid with >= 10^4 elements:
 * at most 1/4 of the dense matrix memory,
 * GPR leakage-current solution within 1e-6 relative error of the dense one.
 
-``test_sharded_hierarchical`` additionally measures the **sharded block
-backend** (``HierarchicalControl(workers=...)``, see
-:mod:`repro.parallel.block_backend`) against the serial hierarchical engine:
+``test_sharded_hierarchical`` additionally measures the **block builder on
+forked workers** (``HierarchicalControl(workers=...)``, see
+:mod:`repro.parallel.block_backend`) against its in-process ``workers=0`` run:
 assemble+solve wall time per worker count, the oversubscription flag
 (consistent with ``measure_real_speedups`` — worker counts above the host's
 cores run time-sliced, their speed-up is reported but the ``<= 0.6x`` speed
 acceptance is only asserted on genuinely parallel hardware), and the
-deterministic-reduction contract (solutions identical across worker counts to
-1e-12).  Its committed snapshot is ``BENCH_sharded_hierarchical.json``.
+deterministic-reduction contract (solutions bitwise identical for every worker
+count, ``workers=0`` included).  Its committed snapshot is
+``BENCH_sharded_hierarchical.json``.
 
 Set ``BENCH_QUICK=1`` (or run ``python benchmarks/bench_hierarchical_scaling.py
 --quick``) for a reduced ~1.4k-element grid that checks the accuracy contract
@@ -44,6 +45,7 @@ from repro.cad.report import format_table
 from repro.cluster import HierarchicalControl
 from repro.geometry.builder import GridBuilder
 from repro.geometry.discretize import discretize_grid
+from repro.observe import Tracer, aggregate_trace
 from repro.soil.two_layer import TwoLayerSoil
 from repro.solvers import solve_system
 
@@ -85,9 +87,9 @@ def _synthetic_case(nx: int):
     return discretize_grid(grid, soil=soil), soil
 
 
-def _run_engine(mesh, soil, options: AssemblyOptions | None):
+def _run_engine(mesh, soil, options: AssemblyOptions | None, tracer=None):
     start = time.perf_counter()
-    system = assemble_system(mesh, soil, gpr=GPR, options=options)
+    system = assemble_system(mesh, soil, gpr=GPR, options=options, tracer=tracer)
     assemble_seconds = time.perf_counter() - start
     start = time.perf_counter()
     solved = solve_system(system.matrix, system.rhs, method="pcg")
@@ -103,9 +105,11 @@ def test_hierarchical_scaling(record_table, record_snapshot):
     rows = []
     for name, nx, assert_acceptance in cases:
         mesh, soil = _synthetic_case(nx)
+        tracer = Tracer()
         hier_system, hier_solved, hier_asm, hier_solve = _run_engine(
-            mesh, soil, AssemblyOptions(hierarchical=HierarchicalControl())
+            mesh, soil, AssemblyOptions(hierarchical=HierarchicalControl()), tracer
         )
+        durations = aggregate_trace(tracer.roots)["volatile"]["durations"]
         operator = hier_system.matrix
         dense_system, dense_solved, dense_asm, dense_solve = _run_engine(mesh, soil, None)
 
@@ -122,6 +126,22 @@ def test_hierarchical_scaling(record_table, record_snapshot):
         current_error = abs(hier_current - dense_current) / abs(dense_current)
 
         stats = operator.stats
+        hier_stats = {
+            key: stats[key]
+            for key in (
+                "n_near_blocks",
+                "n_far_blocks",
+                "n_fallback_blocks",
+                "total_rank",
+                "rank_mean",
+                "rank_max",
+                "near_pairs",
+                "near_nnz",
+                "compression",
+            )
+        }
+        for part in ("far", "near"):
+            hier_stats[f"{part}_seconds"] = durations[f"blocks.{part}"]["total_seconds"]
         record[name] = {
             "n_elements": mesh.n_elements,
             "n_dofs": hier_system.n_dofs,
@@ -136,22 +156,7 @@ def test_hierarchical_scaling(record_table, record_snapshot):
             "dof_solution_rel_error": dof_error,
             "leakage_current_rel_error": current_error,
             "pcg_iterations": [dense_solved.iterations, hier_solved.iterations],
-            "hier_stats": {
-                key: stats[key]
-                for key in (
-                    "n_near_blocks",
-                    "n_far_blocks",
-                    "n_fallback_blocks",
-                    "total_rank",
-                    "rank_mean",
-                    "rank_max",
-                    "near_pairs",
-                    "near_nnz",
-                    "compression",
-                    "far_seconds",
-                    "near_seconds",
-                )
-            },
+            "hier_stats": hier_stats,
         }
         rows.append(
             [
@@ -206,7 +211,7 @@ def test_hierarchical_scaling(record_table, record_snapshot):
 
 
 def test_sharded_hierarchical(record_table, record_snapshot):
-    """Sharded block backend vs the serial hierarchical engine at scale."""
+    """Block builder on forked workers vs its in-process run at scale."""
     from repro.parallel.speedup import measure_sharded_speedup
 
     cases = SHARDED_QUICK_CASES if QUICK else SHARDED_FULL_CASES
@@ -218,7 +223,6 @@ def test_sharded_hierarchical(record_table, record_snapshot):
             mesh, soil, worker_counts=worker_counts, gpr=GPR
         )
         serial_row = measured[0]
-        sharded_rows = measured[1:]
         record[name] = {
             "n_elements": mesh.n_elements,
             "worker_counts": list(worker_counts),
@@ -237,7 +241,7 @@ def test_sharded_hierarchical(record_table, record_snapshot):
                 ]
             )
 
-        two_worker = next((r for r in sharded_rows if r["n_workers"] == 2), None)
+        two_worker = next((r for r in measured if r["n_workers"] == 2), None)
         record[name]["acceptance"] = {
             "asserted": assert_acceptance,
             "n_elements_ge_1e4": mesh.n_elements >= 10_000,
@@ -247,25 +251,14 @@ def test_sharded_hierarchical(record_table, record_snapshot):
             "two_worker_wall_le_0.6x": None
             if two_worker is None
             else two_worker["wall_seconds"] <= 0.6 * serial_row["wall_seconds"],
-            # The deterministic-reduction contract: identical solutions across
-            # worker counts (bitwise, asserted at 1e-12)...
-            "solutions_identical_across_workers_1e-12": all(
-                r["solution_rel_error_vs_sharded"] <= 1.0e-12 for r in sharded_rows
-            ),
-            # ...and agreement with the serial engine inside the PCG solver
-            # tolerance (the two reduction trees round differently, so the
-            # iterates drift by rounding — ~1e-10 at 2e4 dofs, see
-            # measure_sharded_speedup).  Iterate-count equality rides on that
-            # drift staying clear of the PCG threshold at the deciding
-            # iteration; it holds on the reference container and on the small
-            # quick grid (drift ~1e-14), but a different BLAS could in
-            # principle flip it — if it ever does, the solution agreement
-            # below is the contract to trust.
-            "solutions_match_serial_1e-9": all(
-                r["solution_rel_error"] <= 1.0e-9 for r in sharded_rows
+            # The deterministic-reduction contract: every worker count
+            # reproduces the in-process solution bit for bit, iterates
+            # included.
+            "solutions_match_serial_bitwise": all(
+                r["solution_rel_error"] == 0.0 for r in measured
             ),
             "iterates_match_serial": all(
-                r["pcg_iterations"] == serial_row["pcg_iterations"] for r in sharded_rows
+                r["pcg_iterations"] == serial_row["pcg_iterations"] for r in measured
             ),
         }
 
@@ -292,16 +285,13 @@ def test_sharded_hierarchical(record_table, record_snapshot):
         entry = record[name]
         acceptance = entry["acceptance"]
         # Determinism contract, asserted at every size and worker count:
-        # identical solutions for any worker count (1e-12 — bitwise in
-        # practice), serial agreement within the solver tolerance, identical
-        # PCG iterate counts.
-        assert acceptance["solutions_identical_across_workers_1e-12"], entry["rows"]
-        assert acceptance["solutions_match_serial_1e-9"], entry["rows"]
+        # bitwise-identical solutions and identical PCG iterate counts.
+        assert acceptance["solutions_match_serial_bitwise"], entry["rows"]
         assert acceptance["iterates_match_serial"], entry["rows"]
         if assert_acceptance:
             assert entry["n_elements"] >= 10_000
             # Speed acceptance (>= 10^4 elements, 2 workers): wall-clock
-            # <= 0.6x the serial hierarchical engine — on hosts where the two
+            # <= 0.6x the in-process workers=0 run — on hosts where the two
             # workers are real cores.  Oversubscribed (e.g. 1-core) hosts
             # record the flagged row instead, as in measure_real_speedups.
             if acceptance["two_worker_oversubscribed"] is False:

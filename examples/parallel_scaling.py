@@ -9,9 +9,9 @@ generation, then:
 * replays the measured costs in the shared-memory machine simulator to produce
   the full 1–64 processor speed-up curves of Fig. 6.1 (outer vs inner loop) and
   the schedule comparison of Table 6.2;
-* optionally (``--sharded``) measures the sharded hierarchical block backend
-  (``HierarchicalControl(workers=...)``) against the serial hierarchical
-  engine — the block-level counterpart of the column study.
+* optionally (``--sharded``) measures the hierarchical block builder
+  (``HierarchicalControl(workers=...)``) against its in-process
+  ``workers=0`` run — the block-level counterpart of the column study.
 
 Run with::
 
@@ -116,13 +116,13 @@ def main() -> None:
         from repro.geometry.discretize import discretize_grid
         from repro.parallel.speedup import measure_sharded_speedup, sharded_speedup_table
 
-        print("\nSharded hierarchical block backend (serial hierarchical reference):")
+        print("\nHierarchical block builder (in-process workers=0 reference):")
         grid, soil, gpr = resolve_case(args.case, coarse=args.coarse)
         mesh = discretize_grid(grid, soil=soil)
         sharded_rows = measure_sharded_speedup(mesh, soil, worker_counts=(1, 2), gpr=gpr)
         print(format_table(*sharded_speedup_table(sharded_rows)))
         print(
-            "Solutions are bit-identical across worker counts (canonical matvec "
+            "Solutions are bit-identical for every worker count (canonical matvec "
             "segments, pairwise tree-sum reduction in fixed segment order)."
         )
 

@@ -44,12 +44,18 @@ echo "== hierarchical scaling benchmark (quick mode) =="
 BENCH_QUICK=1 python -m pytest -q -p no:randomly \
   benchmarks/bench_hierarchical_scaling.py::test_hierarchical_scaling
 
-echo "== sharded hierarchical benchmark (quick mode, workers 1+2) =="
-# Asserts the sharded/serial solution-agreement check (1e-9 vs the serial
-# engine with identical PCG iterate counts, and 1e-12 — bitwise in practice —
-# across the two worker counts) alongside the flagged-oversubscription rows.
+echo "== sharded hierarchical benchmark (quick mode, workers 0+1+2) =="
+# Asserts that workers 1 and 2 reproduce the in-process workers=0 solution
+# bit for bit (solution_rel_error == 0.0, identical PCG iterate counts)
+# alongside the flagged-oversubscription rows.
 BENCH_QUICK=1 python -m pytest -q -p no:randomly \
   benchmarks/bench_hierarchical_scaling.py::test_sharded_hierarchical
+
+echo "== perf harness (traced quick run of every benchmark workload) =="
+# The traced run resolves every layer wrapper of benchmarks/perf/layers.py, so
+# a renamed or moved entry point (e.g. the hierarchical block builder) fails
+# here instead of silently dropping a layer from the benchmark.
+python -m pytest -q -p no:randomly benchmarks/perf/test_perf_harness.py
 
 echo "== campaign mini-benchmark (quick mode, 6 scenarios, 2 pool workers) =="
 # Asserts every campaign scenario matches its standalone GroundingAnalysis to

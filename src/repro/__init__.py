@@ -75,7 +75,6 @@ from repro.parallel import (
     LoopLevel,
     MachineModel,
     ScheduleSimulator,
-    ShardedHierarchicalOperator,
     WorkerPool,
 )
 
@@ -164,7 +163,6 @@ __all__ = [
     "LoopLevel",
     "MachineModel",
     "ScheduleSimulator",
-    "ShardedHierarchicalOperator",
     "WorkerPool",
     # campaign engine
     "Campaign",

@@ -312,9 +312,9 @@ def assemble_system(
     pool:
         Optional persistent :class:`repro.parallel.pool.WorkerPool` shared
         across assemblies.  Requires the hierarchical engine (the pool's
-        task protocol is the sharded block-task protocol): the block assembly
-        then runs on the pool's spawn-once workers instead of forking a fresh
-        worker set for this call.
+        task protocol is the block-task protocol): the block assembly then
+        runs on the pool's spawn-once workers instead of a transient pool
+        created for this call.
     cluster_cache:
         Optional :class:`repro.cluster.block_assembly.ClusterPlanCache`
         reusing the geometry-determined cluster tree/partition across
@@ -333,7 +333,7 @@ def assemble_system(
     This is the blocking driver over :func:`assemble_system_steps`.
     """
     # Imported lazily: repro.parallel imports repro.bem at package load time.
-    from repro.parallel.executor import drive_pool_steps
+    from repro.parallel.pool import drive_pool_steps
 
     return drive_pool_steps(
         assemble_system_steps(
@@ -369,10 +369,10 @@ def assemble_system_steps(
     """Generator form of :func:`assemble_system`.
 
     The hierarchical engine's pool dispatches surface as yielded
-    :class:`~repro.parallel.executor.PoolJob` requests; the dense column
+    :class:`~repro.parallel.pool.PoolJob` requests; the dense column
     engine runs inline without yielding.  Returns the assembled
     :class:`~repro.bem.system.LinearSystem`; drive with
-    :func:`~repro.parallel.executor.drive_pool_steps` or a multiplexing
+    :func:`~repro.parallel.pool.drive_pool_steps` or a multiplexing
     scheduler (the campaign runner).
     """
     options = options or AssemblyOptions()

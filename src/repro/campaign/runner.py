@@ -20,7 +20,7 @@ The runner walks the cost-ordered groups of a
 Independent structure groups can execute **concurrently** on the pool
 (``Campaign.group_concurrency`` / the ``group_concurrency`` argument): each
 group runs as a coroutine that yields its assembly's
-:class:`~repro.parallel.executor.PoolJob` requests, and a single-threaded
+:class:`~repro.parallel.pool.PoolJob` requests, and a single-threaded
 scheduler multiplexes up to N groups over the pool's event loop
 (:meth:`~repro.parallel.pool.WorkerPool.submit` /
 :meth:`~repro.parallel.pool.WorkerPool.service`) — no helper threads, in the
@@ -160,7 +160,7 @@ def _group_steps(
 ):
     """Coroutine of one structure group: discretize, then restore or compute.
 
-    Yields the group's :class:`~repro.parallel.executor.PoolJob` requests
+    Yields the group's :class:`~repro.parallel.pool.PoolJob` requests
     (bubbled up from the assembly generators) and returns a
     :class:`_GroupOutcome` via ``StopIteration``.  Everything the group
     records lands on a *branch* tracer with its own span stack, so
@@ -656,7 +656,7 @@ def _run_structure_group(
     """Assemble + solve the group base, derive the rest by scalar algebra.
 
     A coroutine: the assembly's pool dispatches surface as yielded
-    :class:`~repro.parallel.executor.PoolJob` requests (none for the dense or
+    :class:`~repro.parallel.pool.PoolJob` requests (none for the dense or
     in-process engines), and the group's scenario results (campaign order)
     come back via ``StopIteration`` so the caller can fold them into the
     campaign — and persist them as one checkpoint unit.

@@ -16,8 +16,8 @@ builds a uniform or two-layer soil from the resistivity options, runs the BEM
 analysis (optionally in parallel) and prints the design report.  The
 ``barbera`` / ``balaidos`` commands run the paper's case studies, and
 ``scaling`` reproduces the parallel study on the local machine —
-``--hierarchical`` switches it to the sharded hierarchical block backend
-(assemble+solve vs the serial hierarchical engine).  ``campaign`` runs the
+``--hierarchical`` switches it to the hierarchical block builder
+(assemble+solve per block-worker count vs the in-process ``workers=0`` run).  ``campaign`` runs the
 demo batch grounding study of :mod:`repro.campaign` — many soil/injection/rod
 variants of one grid analysed with cross-scenario reuse, optionally on a
 persistent worker pool — and prints the per-scenario safety table plus the
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     scaling.add_argument(
         "--hierarchical",
         action="store_true",
-        help="measure the sharded hierarchical block backend instead of the column loop",
+        help="measure the hierarchical block builder instead of the column loop",
     )
     scaling.add_argument(
         "--trace",
@@ -369,7 +369,7 @@ def _scaling_body(args: argparse.Namespace) -> int:
         rows = measure_sharded_speedup(
             mesh, soil, worker_counts=[w for w in args.workers if w >= 1], gpr=gpr
         )
-        print("sharded hierarchical block backend (serial hierarchical reference):")
+        print("hierarchical block builder (in-process workers=0 reference):")
         print(format_table(*sharded_speedup_table(rows)))
         return 0
 

@@ -13,7 +13,8 @@ This package breaks that barrier with the classic H-matrix construction:
 * :mod:`repro.cluster.operator` — the matrix-free
   :class:`~repro.cluster.operator.HierarchicalOperator` combining a sparse
   near field with the aggregated low-rank far field, consumed directly by the
-  (generalised) conjugate-gradient solver.
+  (generalised) conjugate-gradient solver; its blocks are built by
+  :mod:`repro.parallel.block_backend`.
 
 Entry points: ``assemble_system(..., options=AssemblyOptions(hierarchical=
 HierarchicalControl()))`` or ``GroundingAnalysis(..., hierarchical=...)``.
@@ -29,7 +30,7 @@ from repro.cluster.blocks import Block, BlockClusterTree, is_admissible
 from repro.cluster.operator import (
     HierarchicalControl,
     HierarchicalOperator,
-    assemble_hierarchical_system,
+    pairwise_tree_sum,
 )
 from repro.cluster.tree import Cluster, ClusterTree, box_distance
 
@@ -45,7 +46,7 @@ __all__ = [
     "HierarchicalOperator",
     "LowRankFactors",
     "aca_lowrank",
-    "assemble_hierarchical_system",
     "box_distance",
     "is_admissible",
+    "pairwise_tree_sum",
 ]

@@ -2,9 +2,8 @@
 
 The hierarchical engine decomposes the Galerkin matrix into the blocks of a
 :class:`~repro.cluster.blocks.BlockClusterTree`.  This module provides the
-*per-block* assembly routines shared by the serial
-:class:`~repro.cluster.operator.HierarchicalOperator` builder and the sharded
-block backend of :mod:`repro.parallel.block_backend`:
+*per-block* assembly routines the hierarchical block builder of
+:mod:`repro.parallel.block_backend` runs inside its workers:
 
 * :func:`compress_far_block` — ACA low-rank factors of one admissible block
   (or ``None`` when the block must fall back to dense near-field assembly);
@@ -21,7 +20,7 @@ batch composition that depends only on the block itself (never on which shard
 or worker processes it, nor on what else sits in the same dispatch chunk).
 Per-pair kernel decisions are pure functions of the pair, so a block's output
 is bit-identical no matter how the block set is partitioned across workers —
-the property the sharded backend's cross-worker-count determinism rests on.
+the property the builder's cross-worker-count determinism rests on.
 """
 
 from __future__ import annotations
@@ -64,10 +63,8 @@ _NEAR_BATCH_PAIRS: int = 200_000
 class BlockAssemblyProfile:
     """Everything a hierarchical block assembly derives before touching blocks.
 
-    Built once by :func:`build_block_profile` and shared by the serial
-    :meth:`~repro.cluster.operator.HierarchicalOperator.build` and the sharded
-    backend of :mod:`repro.parallel.block_backend`, so the two engines cannot
-    drift apart in tree construction, stopping threshold or cost profile.
+    Built once per assembly by :func:`build_block_profile` in the master of
+    the block builder (:mod:`repro.parallel.block_backend`).
     """
 
     tree: ClusterTree
@@ -175,10 +172,8 @@ def build_block_profile(
 def emit_block_plan_span(tracer, profile: "BlockAssemblyProfile", control, seconds: float) -> None:
     """Record the ``blocks.plan`` span of one hierarchical assembly.
 
-    Shared by the serial :meth:`~repro.cluster.operator.HierarchicalOperator.build`
-    and the sharded backend so both engines report the identical deterministic
-    plan attributes (the plan is a pure function of geometry and partition
-    knobs — never of scheduling).
+    The plan attributes are deterministic: the plan is a pure function of
+    geometry and partition knobs — never of scheduling.
     """
     summary = profile.partition.summary()
     tracer.record_span(
@@ -201,9 +196,8 @@ def emit_far_block_spans(
     """Record the ``blocks.far`` span with one child span per admissible block.
 
     ``entries`` are ``(block_index, rows, cols, rank, seconds)`` tuples with
-    ``rank < 0`` marking an ACA fallback; they may arrive in any order (the
-    serial builder works in cost order, the sharded backend in collection
-    order) — emission sorts by block index, so the trace tree is a canonical
+    ``rank < 0`` marking an ACA fallback; they may arrive in any order —
+    emission sorts by block index, so the trace tree is a canonical
     function of the block partition, not of scheduling.  Per-block attributes
     are deterministic: stopping iterations and sampled entries derive from
     the accepted rank (one rank-1 term, one sampled row+column, per
@@ -255,9 +249,8 @@ def far_factor_entries(
     """COO entries of one far block's factors in the aggregated ``U``/``V``.
 
     ``base_term`` is the first free column of the aggregate; returns
-    ``(u_rows, u_cols, u_vals, v_rows, v_cols, v_vals)``.  Shared by the
-    serial builder and the sharded backend's segment construction, so a
-    scatter-convention change cannot diverge between them.
+    ``(u_rows, u_cols, u_vals, v_rows, v_cols, v_vals)``; used by the
+    block builder's segment construction.
     """
     rank = int(u.shape[1])
     term_ids = base_term + np.arange(rank)
@@ -280,8 +273,7 @@ def compress_far_block(
 ) -> LowRankFactors | None:
     """ACA low-rank factors of one admissible (far-field) block.
 
-    Entries are sampled exactly as the serial hierarchical builder does: with
-    the adaptive layer active (the default), rows and columns are fetched
+    With the adaptive layer active (the default), rows and columns are fetched
     through :meth:`~repro.bem.influence.ColumnAssembler.adaptive_far_column` —
     one *single-source* mixed-precision evaluation under the one distance bin
     selected by the block separation, so the sampled entries are smooth across

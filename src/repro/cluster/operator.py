@@ -8,7 +8,7 @@ where ``N`` is a sparse near-field matrix assembled densely from the
 inadmissible blocks of a :class:`~repro.cluster.blocks.BlockClusterTree`
 (through the existing batched — optionally adaptive — kernels of
 :class:`~repro.bem.influence.ColumnAssembler`), and ``U``/``V`` aggregate the
-ACA low-rank factors of every admissible far-field block into two tall sparse
+ACA low-rank factors of every admissible far-field block into tall sparse
 matrices (one column per rank-one term, rows living in the global dof space).
 The two rank-factor products apply every off-diagonal block together with its
 transpose, so the operator is symmetric by construction, exactly like the
@@ -19,12 +19,22 @@ Storage and matrix-vector cost are ``O(M log M)`` instead of the dense
 the dense engine to the >=10^4-element grids targeted by the scaling
 benchmark (``benchmarks/bench_hierarchical_scaling.py``).
 
+The operator is built by the block builder of
+:mod:`repro.parallel.block_backend` — in process, on forked workers or on a
+persistent :class:`~repro.parallel.pool.WorkerPool`.  The near field is
+stored once, as one upper-triangle matrix summed in ascending block order;
+the far factors are split into canonical matvec *segments*, each
+concatenating its blocks in ascending block order.  Deterministic-reduction
+contract: the matvec, diagonal and ``todense`` reduce the near-field partial
+and the per-segment partials with :func:`pairwise_tree_sum` in fixed order,
+so every result (and every PCG iterate) is bit-identical for any worker
+count.
+
 Error contract: near-field entries are evaluated by the dense engine's
-kernels one block at a time (see :mod:`repro.cluster.block_assembly` — the
-canonical per-block batches are the determinism anchor of the sharded block
-backend, and match the dense engine's full-column batches to reduction
-round-off, ~1e-12 of the reference entry scale); far-field blocks are sampled
-with the dense engine's min-index source orientation
+kernels one block at a time (see :mod:`repro.cluster.block_assembly`), and
+match the dense engine's full-column batches to reduction round-off, ~1e-12
+of the reference entry scale; far-field blocks are sampled with the dense
+engine's min-index source orientation
 (:meth:`ColumnAssembler.pair_block_row`) and truncated at
 ``tolerance * scale / safety`` with ``scale`` the mesh's reference entry
 magnitude — the same contract as the adaptive evaluation layer, so the
@@ -34,8 +44,9 @@ hierarchical operator matches the dense matrix entrywise to
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -44,14 +55,6 @@ from repro.bem.assembly import AssemblyOptions, assemble_rhs
 from repro.bem.elements import DofManager
 from repro.bem.influence import ColumnAssembler
 from repro.bem.system import LinearSystem
-from repro.cluster.block_assembly import (
-    build_block_profile,
-    compress_far_block,
-    emit_block_plan_span,
-    emit_far_block_spans,
-    far_factor_entries,
-    near_block_triplets,
-)
 from repro.constants import DEFAULT_GPR
 from repro.exceptions import ClusterError
 from repro.geometry.discretize import Mesh
@@ -60,13 +63,11 @@ from repro.observe import ensure_tracer
 from repro.soil.base import SoilModel
 from repro.timing import wall_clock
 
-# contracts: disable-file=OBS001 -- the operator's stats dict is a public diagnostics payload (tests and BENCH tables index its *_seconds keys); the tracer emits the span-tree view alongside
-
 __all__ = [
     "HierarchicalControl",
     "HierarchicalOperator",
     "assemble_hierarchical_steps",
-    "assemble_hierarchical_system",
+    "pairwise_tree_sum",
 ]
 
 
@@ -94,23 +95,13 @@ class HierarchicalControl:
         would store more than half the dense block) fall back to dense
         near-field assembly.
     workers:
-        ``0`` (default) assembles the blocks serially in-process
-        (:meth:`HierarchicalOperator.build`); any positive count switches to
-        the sharded block backend of :mod:`repro.parallel.block_backend`,
-        which partitions the block work with
-        :func:`repro.parallel.costs.partition_block_work` and assembles each
-        shard in a worker.  Results are bit-identical for every worker count
-        (see the deterministic-reduction contract of the sharded backend).
-    backend:
-        Shard execution backend of the sharded path: ``"process"`` (default,
-        fork-based worker processes), ``"thread"`` or ``"serial"``.
-    matvec_segments:
-        Number of canonical matvec segments of the sharded operator.  Fixed
-        independently of ``workers`` so the pairwise-tree reduction — and
-        therefore every PCG iterate — is bit-identical for any worker count.
-    matvec_workers:
-        Threads fanning out the per-segment matvec partials; ``0`` (default)
-        follows ``workers``.  Results do not depend on it.
+        Block-assembly workers when no persistent pool is passed: ``0``
+        (default) assembles every block in this process, any positive count
+        forks that many workers for the call.  Either way the blocks run
+        through :mod:`repro.parallel.block_backend` (the LPT partition of
+        :func:`repro.parallel.costs.partition_block_work`), and the result is
+        bit-identical for every worker count.  The matvec fans its partials
+        out over as many threads.
     """
 
     leaf_size: int = 64
@@ -119,9 +110,6 @@ class HierarchicalControl:
     safety: float = 4.0
     max_rank: int = 96
     workers: int = 0
-    backend: str = "process"
-    matvec_segments: int = 8
-    matvec_workers: int = 0
 
     def __post_init__(self) -> None:
         if self.leaf_size < 1:
@@ -138,246 +126,136 @@ class HierarchicalControl:
             raise ClusterError(f"max_rank must be at least 1, got {self.max_rank!r}")
         if self.workers < 0:
             raise ClusterError(f"workers must be >= 0, got {self.workers!r}")
-        if self.backend not in ("process", "thread", "serial"):
-            raise ClusterError(
-                f"backend must be 'process', 'thread' or 'serial', got {self.backend!r}"
-            )
-        if self.matvec_segments < 1:
-            raise ClusterError(
-                f"matvec_segments must be at least 1, got {self.matvec_segments!r}"
-            )
-        if self.matvec_workers < 0:
-            raise ClusterError(
-                f"matvec_workers must be >= 0, got {self.matvec_workers!r}"
-            )
+
+
+def pairwise_tree_sum(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Deterministic pairwise tree reduction of equally shaped arrays.
+
+    Adjacent partials are summed level by level in their given order —
+    ``((a0+a1)+(a2+a3))+...`` — so the floating-point result depends only on
+    the order and number of the partials, never on scheduling.  This is the
+    reduction of the operator's matvec (near field first, then the far
+    segments in fixed order).
+    """
+    items = list(arrays)
+    if not items:
+        raise ClusterError("pairwise_tree_sum needs at least one array")
+    while len(items) > 1:
+        items = [
+            items[k] + items[k + 1] if k + 1 < len(items) else items[k]
+            for k in range(0, len(items), 2)
+        ]
+    return items[0]
+
+
+def _sparse_bytes(matrix: sparse.csr_matrix) -> int:
+    return int(matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes)
+
+
+class _NearField:
+    """The symmetric near field, every dof pair stored once.
+
+    ``upper`` is the upper triangle (incl. diagonal); ``apply`` adds
+    ``N + N^T - diag(N)``, halving the stored entries.
+    """
+
+    def __init__(self, upper: sparse.csr_matrix) -> None:
+        self.upper = upper
+        self.upper_diagonal = upper.diagonal()
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        y = self.upper @ x
+        y = y + self.upper.T @ x
+        y = y - self.upper_diagonal * x
+        return np.asarray(y).ravel()
+
+    def diagonal_contribution(self) -> np.ndarray:
+        return self.upper_diagonal.copy()
+
+    def todense_contribution(self) -> np.ndarray:
+        upper = np.asarray(self.upper.todense(), dtype=float)
+        return upper + upper.T - np.diag(self.upper_diagonal)
+
+    def memory_bytes(self) -> int:
+        return self.upper_diagonal.nbytes + _sparse_bytes(self.upper)
+
+
+class _FarSegment:
+    """One canonical far-field matvec segment: the stacked factors of its blocks."""
+
+    def __init__(self, u: sparse.csr_matrix, v: sparse.csr_matrix) -> None:
+        self.u = u
+        self.v = v
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The segment's contribution ``U V^T x + V U^T x``."""
+        y = self.u @ (self.v.T @ x)
+        y = y + self.v @ (self.u.T @ x)
+        return np.asarray(y).ravel()
+
+    def diagonal_contribution(self) -> np.ndarray:
+        return 2.0 * np.asarray(self.u.multiply(self.v).sum(axis=1)).ravel()
+
+    def todense_contribution(self) -> np.ndarray:
+        u = np.asarray(self.u.todense(), dtype=float)
+        v = np.asarray(self.v.todense(), dtype=float)
+        return u @ v.T + v @ u.T
+
+    def memory_bytes(self) -> int:
+        return _sparse_bytes(self.u) + _sparse_bytes(self.v)
 
 
 class HierarchicalOperator:
-    """Symmetric matrix-free operator: sparse near field plus low-rank far field."""
+    """Symmetric matrix-free operator: sparse near field plus low-rank far field.
+
+    ``near`` is the upper triangle of the near field; ``far`` lists the
+    canonical far segments as ``(U, V)`` factor pairs.  ``matvec`` evaluates
+    the near-field partial and one partial per far segment — over a thread
+    pool when ``matvec_workers > 1`` — and reduces them with
+    :func:`pairwise_tree_sum` in fixed order, so the result is bit-identical
+    for any assembly worker count and any matvec thread count.
+    """
 
     def __init__(
         self,
         near: sparse.csr_matrix,
-        u_far: sparse.csr_matrix,
-        v_far: sparse.csr_matrix,
-        diagonal: np.ndarray,
+        far: Sequence[tuple[sparse.csr_matrix, sparse.csr_matrix]],
         stats: dict[str, Any],
+        matvec_workers: int = 1,
     ) -> None:
-        #: Upper triangle (incl. diagonal) of the symmetric near field; the
-        #: matvec applies ``N + N^T - diag(N)``, halving the stored entries.
-        self.near = near
-        self.u_far = u_far
-        self.v_far = v_far
-        self._near_diagonal = near.diagonal()
-        self._diagonal = np.asarray(diagonal, dtype=float)
+        self._parts: list[_NearField | _FarSegment] = [
+            _NearField(near),
+            *(_FarSegment(u, v) for u, v in far),
+        ]
         self.stats = stats
-        self.shape = tuple(near.shape)
+        self.shape = (int(near.shape[0]), int(near.shape[0]))
         self.dtype = np.dtype(float)
-
-    # ------------------------------------------------------------------ construction
-
-    @classmethod
-    def build(
-        cls,
-        assembler: ColumnAssembler,
-        control: HierarchicalControl | None = None,
-        cluster_cache=None,
-        tracer=None,
-    ) -> "HierarchicalOperator":
-        """Build the operator for a mesh through its column assembler.
-
-        The near-field blocks run through the assembler's (possibly adaptive)
-        batched kernels; the far-field blocks are ACA-compressed from exact
-        entry samples.  Blocks are processed in descending deterministic-cost
-        order (see :func:`repro.parallel.costs.hierarchical_block_costs`), the
-        profile a parallel runner would partition.  ``cluster_cache`` (a
-        :class:`~repro.cluster.block_assembly.ClusterPlanCache`) optionally
-        reuses the geometry-determined cluster tree/partition across repeated
-        assemblies of the same mesh.  ``tracer`` (a
-        :class:`repro.observe.Tracer`) records per-block far-field spans and
-        the plan/near aggregates; per-block spans are emitted in ascending
-        block-index order — the same canonical order the sharded backend
-        re-emits collected worker results in — so the trace tree is
-        engine-independent.
-        """
-        control = control or HierarchicalControl()
-        tracer = ensure_tracer(tracer)
-        start = wall_clock()
-        profile = build_block_profile(assembler, control, cluster_cache=cluster_cache)
-        tree, partition = profile.tree, profile.partition
-        scale, stopping = profile.scale, profile.stopping
-        dof_matrix, n_dofs, nb = profile.dof_matrix, profile.n_dofs, profile.nb
-        costs = profile.costs
-        block_order = np.lexsort((np.arange(costs.size), -costs))
-        if tracer.enabled:
-            emit_block_plan_span(tracer, profile, control, wall_clock() - start)
-
-        near_rows: list[np.ndarray] = []
-        near_cols: list[np.ndarray] = []
-        near_vals: list[np.ndarray] = []
-        u_rows: list[np.ndarray] = []
-        u_cols: list[np.ndarray] = []
-        u_vals: list[np.ndarray] = []
-        v_rows: list[np.ndarray] = []
-        v_cols: list[np.ndarray] = []
-        v_vals: list[np.ndarray] = []
-        total_rank = 0
-        ranks: list[int] = []
-        fallback_blocks: list[tuple[np.ndarray, np.ndarray]] = []
-
-        # --- far field: ACA-compress the admissible blocks (cost order) ---
-        # Per-block sampling and stopping logic live in
-        # :func:`repro.cluster.block_assembly.compress_far_block`, shared with
-        # the sharded block backend so shard factors equal the serial ones.
-        far_start = wall_clock()
-        far_trace: list[tuple[int, int, int, int, float]] = []
-        for block_index in block_order:
-            block = partition.blocks[int(block_index)]
-            if not block.admissible:
-                continue
-            rows_e = tree.elements_of(block.row)
-            cols_e = tree.elements_of(block.col)
-            block_start = wall_clock() if tracer.enabled else 0.0
-            factors = compress_far_block(assembler, tree, block, control, stopping)
-            if tracer.enabled:
-                far_trace.append(
-                    (
-                        int(block_index),
-                        rows_e.size * nb,
-                        cols_e.size * nb,
-                        -1 if factors is None else factors.rank,
-                        wall_clock() - block_start,
-                    )
-                )
-            if factors is None:
-                fallback_blocks.append((rows_e, cols_e))
-                continue
-            rank = factors.rank
-            ranks.append(rank)
-            if rank == 0:
-                continue
-            ur, uc, uv, vr, vc, vv = far_factor_entries(
-                factors.u,
-                factors.v,
-                dof_matrix[rows_e].ravel(),
-                dof_matrix[cols_e].ravel(),
-                total_rank,
-            )
-            u_rows.append(ur)
-            u_cols.append(uc)
-            u_vals.append(uv)
-            v_rows.append(vr)
-            v_cols.append(vc)
-            v_vals.append(vv)
-            total_rank += rank
-
-        far_seconds = wall_clock() - far_start
-        if tracer.enabled:
-            emit_far_block_spans(tracer, far_trace, far_seconds, int(total_rank))
-
-        # --- near field: dense-engine columns, one block at a time ---
-        # Each inadmissible (or fallback) block runs through
-        # :func:`repro.cluster.block_assembly.near_block_triplets` with a
-        # kernel batch consisting of exactly that block's pair columns.  This
-        # is deliberate: per-pair values must be a canonical function of the
-        # block (BLAS reductions block differently for different batch
-        # shapes), so the serial engine and every shard of the sharded
-        # backend produce bit-identical near entries.
-        near_start = wall_clock()
-        near_pairs = 0
-        for block in partition.near:
-            rows_e = tree.elements_of(block.row)
-            cols_e = tree.elements_of(block.col)
-            rr, cc, vv = near_block_triplets(
-                assembler, rows_e, cols_e, block.is_diagonal, dof_matrix
-            )
-            near_rows.append(rr)
-            near_cols.append(cc)
-            near_vals.append(vv)
-            size = rows_e.size
-            near_pairs += size * (size + 1) // 2 if block.is_diagonal else size * cols_e.size
-        for rows_e, cols_e in fallback_blocks:
-            rr, cc, vv = near_block_triplets(
-                assembler, rows_e, cols_e, False, dof_matrix
-            )
-            near_rows.append(rr)
-            near_cols.append(cc)
-            near_vals.append(vv)
-            near_pairs += rows_e.size * cols_e.size
-        near_seconds = wall_clock() - near_start
-        if tracer.enabled:
-            tracer.record_span(
-                "blocks.near",
-                duration_seconds=near_seconds,
-                n_blocks=len(partition.near) + len(fallback_blocks),
-                near_pairs=int(near_pairs),
-            )
-
-        def _csr(rows, cols, vals, shape) -> sparse.csr_matrix:
-            if not rows:
-                return sparse.csr_matrix(shape, dtype=float)
-            matrix = sparse.coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=shape,
-            ).tocsr()
-            matrix.sum_duplicates()
-            return matrix
-
-        near = _csr(near_rows, near_cols, near_vals, (n_dofs, n_dofs))
-        u_far = _csr(u_rows, u_cols, u_vals, (n_dofs, max(total_rank, 0)))
-        v_far = _csr(v_rows, v_cols, v_vals, (n_dofs, max(total_rank, 0)))
-
-        diagonal = near.diagonal()
-        if total_rank:
-            diagonal = diagonal + 2.0 * np.asarray(
-                u_far.multiply(v_far).sum(axis=1)
-            ).ravel()
-
-        rank_array = np.asarray(ranks, dtype=int)
-        stats: dict[str, Any] = {
-            **partition.summary(),
-            "leaf_size": control.leaf_size,
-            "tolerance": control.tolerance,
-            "safety": control.safety,
-            "max_rank": control.max_rank,
-            "reference_scale": scale,
-            "n_clusters": tree.n_clusters,
-            "tree_depth": tree.depth(),
-            "n_fallback_blocks": len(fallback_blocks),
-            "total_rank": int(total_rank),
-            "rank_min": int(rank_array.min()) if rank_array.size else 0,
-            "rank_max": int(rank_array.max()) if rank_array.size else 0,
-            "rank_mean": float(rank_array.mean()) if rank_array.size else 0.0,
-            "near_nnz": int(near.nnz),
-            "block_cost_units_total": float(costs.sum()),
-            "near_pairs": int(near_pairs),
-            "far_seconds": far_seconds,
-            "near_seconds": near_seconds,
-            "build_seconds": 0.0,  # filled below
-        }
-        operator = cls(near=near, u_far=u_far, v_far=v_far, diagonal=diagonal, stats=stats)
-        stats["memory_bytes"] = operator.memory_bytes()
-        stats["dense_bytes"] = 8 * n_dofs * n_dofs
-        stats["compression"] = stats["memory_bytes"] / max(stats["dense_bytes"], 1)
-        stats["build_seconds"] = wall_clock() - start
-        return operator
+        self.matvec_workers = max(1, int(matvec_workers))
+        self._diagonal = pairwise_tree_sum(
+            [part.diagonal_contribution() for part in self._parts]
+        )
+        self._pool: ThreadPoolExecutor | None = None
 
     # ------------------------------------------------------------------ linear algebra
 
+    def _partials(self, x: np.ndarray) -> list[np.ndarray]:
+        if self.matvec_workers > 1 and len(self._parts) > 1:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=min(self.matvec_workers, len(self._parts))
+                )
+            # Executor.map preserves part order, keeping the reduction fixed.
+            return list(self._pool.map(lambda part: part.apply(x), self._parts))
+        return [part.apply(x) for part in self._parts]
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Apply the operator: near field plus symmetrised far field."""
+        """Apply the operator: near and per-segment partials, pairwise-tree reduced."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.shape[0],):
             raise ClusterError(
                 f"operand shape {x.shape} does not match operator size {self.shape[0]}"
             )
-        y = self.near @ x
-        y = y + self.near.T @ x
-        y = y - self._near_diagonal * x
-        if self.u_far.shape[1]:
-            y = y + self.u_far @ (self.v_far.T @ x)
-            y = y + self.v_far @ (self.u_far.T @ x)
-        return np.asarray(y).ravel()
+        return pairwise_tree_sum(self._partials(x))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)
@@ -388,72 +266,38 @@ class HierarchicalOperator:
 
     def todense(self) -> np.ndarray:
         """Materialise the represented matrix (small problems / tests only)."""
-        upper = np.asarray(self.near.todense(), dtype=float)
-        dense = upper + upper.T - np.diag(self._near_diagonal)
-        if self.u_far.shape[1]:
-            u = np.asarray(self.u_far.todense(), dtype=float)
-            v = np.asarray(self.v_far.todense(), dtype=float)
-            dense = dense + u @ v.T + v @ u.T
-        return dense
+        return pairwise_tree_sum([part.todense_contribution() for part in self._parts])
 
     def memory_bytes(self) -> int:
         """Bytes stored by the operator (matrix data plus sparse index arrays)."""
-        total = self._diagonal.nbytes + self._near_diagonal.nbytes
-        for matrix in (self.near, self.u_far, self.v_far):
-            total += matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
-        return int(total)
+        return int(self._diagonal.nbytes + sum(part.memory_bytes() for part in self._parts))
+
+    # ------------------------------------------------------------------ lifecycle
+
+    def close(self) -> None:
+        """Shut the matvec thread pool down (idempotent)."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_pool"] = None  # thread pools stay process-local
+        return state
+
+    def __del__(self) -> None:  # pragma: no cover - interpreter-dependent
+        try:
+            self.close()
+        except Exception:  # contracts: disable=RES001 -- interpreter-teardown guard: __del__ must never raise
+            pass
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"HierarchicalOperator(n={self.shape[0]}, near_nnz={self.near.nnz}, "
-            f"total_rank={self.u_far.shape[1]}, "
+            f"HierarchicalOperator(n={self.shape[0]}, "
+            f"far_segments={len(self._parts) - 1}, "
+            f"workers={self.stats.get('workers')}, "
             f"memory={self.memory_bytes() / 1e6:.1f} MB)"
         )
-
-
-def assemble_hierarchical_system(
-    mesh: Mesh,
-    soil: SoilModel,
-    gpr: float = DEFAULT_GPR,
-    options: AssemblyOptions | None = None,
-    kernel: LayeredKernel | None = None,
-    pool=None,
-    cluster_cache=None,
-    tracer=None,
-) -> LinearSystem:
-    """Assemble the Galerkin system as a matrix-free hierarchical operator.
-
-    The returned :class:`~repro.bem.system.LinearSystem` carries the
-    :class:`HierarchicalOperator` in place of the dense matrix; the iterative
-    solvers of :mod:`repro.solvers` consume it directly.  Normally reached
-    through ``assemble_system(..., options=AssemblyOptions(hierarchical=...))``.
-
-    ``pool`` — a persistent :class:`repro.parallel.pool.WorkerPool` — routes
-    the block assembly through the sharded backend on spawn-once workers that
-    are reused across assemblies (campaigns, sweeps), instead of forking a
-    fresh worker set per call.  ``cluster_cache`` reuses the
-    geometry-determined cluster tree/partition across assemblies of the same
-    mesh.  ``tracer`` records the assembly span tree (plan, per-block far
-    field, near aggregate) — identical across engines and worker counts.
-
-    This is the blocking driver over :func:`assemble_hierarchical_steps`.
-    """
-    # Local import: repro.parallel imports repro.bem at package load time.
-    from repro.parallel.executor import drive_pool_steps
-
-    return drive_pool_steps(
-        assemble_hierarchical_steps(
-            mesh,
-            soil,
-            gpr=gpr,
-            options=options,
-            kernel=kernel,
-            pool=pool,
-            cluster_cache=cluster_cache,
-            tracer=tracer,
-        ),
-        pool,
-    )
 
 
 def assemble_hierarchical_steps(
@@ -466,19 +310,32 @@ def assemble_hierarchical_steps(
     cluster_cache=None,
     tracer=None,
 ):
-    """Generator form of :func:`assemble_hierarchical_system`.
+    """Assemble the Galerkin system as a matrix-free hierarchical operator.
 
-    Yields the sharded backend's :class:`~repro.parallel.executor.PoolJob`
-    requests (none when ``pool`` is ``None``) and returns the finished
-    :class:`~repro.bem.system.LinearSystem`; drive it with
-    :func:`~repro.parallel.executor.drive_pool_steps` or a multiplexing
-    scheduler (the campaign runner).
+    The returned :class:`~repro.bem.system.LinearSystem` carries the
+    :class:`HierarchicalOperator` in place of the dense matrix; the iterative
+    solvers of :mod:`repro.solvers` consume it directly.  Normally reached
+    through ``assemble_system(..., options=AssemblyOptions(hierarchical=...))``,
+    the blocking driver.
+
+    ``pool`` — a persistent :class:`repro.parallel.pool.WorkerPool` — runs
+    the block assembly on spawn-once workers that are reused across
+    assemblies (campaigns, sweeps); the generator then yields the block
+    builder's :class:`~repro.parallel.pool.PoolJob` request (none without a
+    pool) for :func:`~repro.parallel.pool.drive_pool_steps` or a multiplexing
+    scheduler (the campaign runner) to execute.  ``cluster_cache`` reuses the
+    geometry-determined cluster tree/partition across assemblies of the same
+    mesh.  ``tracer`` records the assembly span tree (plan, per-block far
+    field, near aggregate) — identical for every worker count.
     """
+    # Local import: repro.parallel imports repro.bem at package load time.
+    from repro.parallel.block_backend import sharded_operator_steps
+
     options = options or AssemblyOptions(hierarchical=HierarchicalControl())
     control = options.hierarchical
     if control is None:
         raise ClusterError(
-            "assemble_hierarchical_system needs AssemblyOptions.hierarchical to be set"
+            "the hierarchical assembly needs AssemblyOptions.hierarchical to be set"
         )
     if kernel is None:
         kernel = kernel_for_soil(soil, options.series_control)
@@ -497,21 +354,9 @@ def assemble_hierarchical_steps(
         n_gauss=options.n_gauss,
         soil_layers=soil.n_layers,
     ):
-        if pool is not None or control.workers:
-            # Sharded block backend: the block partition of
-            # repro.parallel.costs.partition_block_work is executed in parallel —
-            # on the shared persistent pool when one is passed, on per-call
-            # workers otherwise.
-            # Local import: repro.parallel imports repro.bem at package load time.
-            from repro.parallel.block_backend import sharded_operator_steps
-
-            operator = yield from sharded_operator_steps(
-                assembler, control, pool=pool, cluster_cache=cluster_cache, tracer=tracer
-            )
-        else:
-            operator = HierarchicalOperator.build(
-                assembler, control, cluster_cache=cluster_cache, tracer=tracer
-            )
+        operator = yield from sharded_operator_steps(
+            assembler, control, pool=pool, cluster_cache=cluster_cache, tracer=tracer
+        )
     generation_seconds = wall_clock() - start
     rhs = assemble_rhs(dof_manager, gpr)
 
@@ -522,9 +367,7 @@ def assemble_hierarchical_steps(
         "element_type": options.element_type.value,
         "n_gauss": options.n_gauss,
         "soil_layers": soil.n_layers,
-        "backend": "hierarchical-sharded"
-        if (pool is not None or control.workers)
-        else "hierarchical",
+        "backend": "hierarchical",
         "hierarchical": dict(operator.stats),
         "adaptive": None
         if options.adaptive is None

@@ -14,8 +14,8 @@ invariants that the runtime golden/hypothesis suites can only *sample*:
 * every long-lived :class:`threading.Lock` re-armed after ``fork()`` the way
   :mod:`repro.bem.geometry_cache` does (**FORK001**),
 * worker tasks dispatched to :class:`~repro.parallel.pool.WorkerPool` /
-  :meth:`~repro.parallel.executor.ScheduledExecutor.run_partition` must be
-  module-level callables, never closures (**MSG001**),
+  :class:`~repro.parallel.executor.ScheduledExecutor` must be module-level
+  callables, never closures (**MSG001**),
 * no exact floating-point ``==`` / ``!=`` outside tests (**API001**).
 
 :mod:`repro.contracts` enforces them *statically*, at CI time, over the whole

@@ -97,10 +97,10 @@ class WorkerTaskPurityRule(ContractRule):
         is_dispatch = False
         first_positional_is_task = False
         if isinstance(callee, ast.Attribute) and callee.attr in _DISPATCH_ATTRIBUTES:
-            # pool.run_partition(task, shards, ...) passes the task first;
-            # executor.run_partition(shards) carries callables only via
-            # keywords.  Inspecting both stays correct because a plain
-            # partition argument is neither a lambda nor a nested def.
+            # pool.run_partition(task, shards, ...) and pool.submit(task,
+            # shards, ...) pass the task first and the batch callable as a
+            # keyword.  A plain partition argument is neither a lambda nor a
+            # nested def, so inspecting every candidate stays correct.
             is_dispatch = True
             first_positional_is_task = True
         elif isinstance(callee, ast.Name) and callee.id in _DISPATCH_CONSTRUCTORS:

@@ -4,7 +4,7 @@ These encode the invariants behind the deterministic-reduction contract: the
 numeric pipeline must be a pure function of its inputs (no entropy, no
 clock-dependent values feeding results) and every floating-point reduction
 must run in a canonical order (the pairwise tree-sum of
-:func:`repro.parallel.block_backend.pairwise_tree_sum`), because summation
+:func:`repro.cluster.operator.pairwise_tree_sum`), because summation
 order is exactly what the bit-identical-for-any-worker-count promise pins
 down.
 """
@@ -183,12 +183,12 @@ class AccumulationOrderRule(ContractRule):
     """DET003 — canonical accumulation order in operator/matvec modules.
 
     In the modules whose floating-point summation order *is* the determinism
-    contract (the hierarchical operator and the sharded block backend), flags
+    contract (the hierarchical operator and its block builder), flags
     ``sum()`` over dict/set iteration, ``+=`` accumulation inside loops over
     dict/set iteration, and ``numpy.add.reduce`` — all of which tie the
     result to insertion/hash order or to a non-canonical reduction tree.
     Reductions there must run over explicitly ordered sequences, pairwise via
-    :func:`repro.parallel.block_backend.pairwise_tree_sum`.
+    :func:`repro.cluster.operator.pairwise_tree_sum`.
     """
 
     rule_id = "DET003"
@@ -196,7 +196,10 @@ class AccumulationOrderRule(ContractRule):
     node_types = (ast.Call, ast.For)
 
     SCOPED_PREFIXES = ("repro.cluster",)
-    SCOPED_MODULES = ("repro.parallel.block_backend", "repro.parallel.pool")
+    SCOPED_MODULES = (
+        "repro.parallel.block_backend",
+        "repro.parallel.pool",
+    )
 
     def applies_to(self, context: ModuleContext) -> bool:
         if context.is_test_code or context.module is None:
@@ -214,7 +217,7 @@ class AccumulationOrderRule(ContractRule):
                     context,
                     node,
                     "numpy.add.reduce applies a non-canonical reduction tree; "
-                    "use pairwise_tree_sum (repro.parallel.block_backend) so the "
+                    "use repro.cluster.operator.pairwise_tree_sum so the "
                     "summation order is part of the contract",
                 )
                 return
@@ -229,7 +232,7 @@ class AccumulationOrderRule(ContractRule):
                         node,
                         f"sum() over {label} accumulates in dict/set order; "
                         "iterate an explicitly ordered sequence (sorted keys) "
-                        "or reduce with pairwise_tree_sum",
+                        "or reduce with repro.cluster.operator.pairwise_tree_sum",
                     )
             return
         # ast.For: += accumulation inside a loop over unordered iteration.
@@ -244,5 +247,5 @@ class AccumulationOrderRule(ContractRule):
                     child,
                     f"'+=' accumulation inside a loop over {label} depends on "
                     "dict/set order; iterate an explicitly ordered sequence or "
-                    "reduce with pairwise_tree_sum",
+                    "reduce with repro.cluster.operator.pairwise_tree_sum",
                 )

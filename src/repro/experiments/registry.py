@@ -119,9 +119,9 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             title="Sharded hierarchical block backend: parallel assemble+solve scaling",
             section="6.2 (extension)",
             workload="Synthetic >=10^4-element grids assembled and solved through the "
-            "sharded hierarchical block backend (LPT block partition executed on worker "
-            "processes, deterministic pairwise-tree matvec reduction) vs the serial "
-            "hierarchical engine, for several worker counts.",
+            "hierarchical block builder (LPT block partition executed on worker "
+            "processes, deterministic pairwise-tree matvec reduction) for several worker "
+            "counts, vs its in-process workers=0 run.",
             modules=(
                 "repro.parallel.block_backend",
                 "repro.cluster.block_assembly",

@@ -171,10 +171,10 @@ class Tracer:
     ) -> Span:
         """Append an already-measured span (work executed elsewhere).
 
-        The sharded backends run block work on worker processes and only
-        learn per-task durations after collection; they re-emit those units
-        here, in canonical (ascending block) order, so the trace tree stays
-        identical to the serial engine's.
+        The hierarchical block builder runs block work on pool workers and
+        only learns per-task durations after collection; it re-emits those
+        units here, in canonical (ascending block) order, so the trace tree
+        is identical for every worker count.
         """
         node = Span(
             name=name,

@@ -40,11 +40,6 @@ from repro.parallel.machine import MachineModel
 from repro.parallel.simulator import ScheduleSimulator, SimulationResult
 from repro.parallel.executor import run_scheduled_tasks, TaskRunResult
 from repro.parallel.parallel_assembly import assemble_system_parallel
-from repro.parallel.block_backend import (
-    ShardedHierarchicalOperator,
-    build_sharded_operator,
-    pairwise_tree_sum,
-)
 from repro.parallel.pool import WorkerPool
 from repro.parallel.speedup import (
     SpeedupStudy,
@@ -54,11 +49,8 @@ from repro.parallel.speedup import (
 )
 
 __all__ = [
-    "ShardedHierarchicalOperator",
     "WorkerPool",
-    "build_sharded_operator",
     "measure_sharded_speedup",
-    "pairwise_tree_sum",
     "ParallelOptions",
     "Backend",
     "LoopLevel",

@@ -1,36 +1,37 @@
-"""Sharded hierarchical block backend: process-parallel assembly and matvec.
+"""Hierarchical block builder: the block partition executed on a WorkerPool.
 
-PR 3's hierarchical engine decomposes the Galerkin matrix into the blocks of a
-:class:`~repro.cluster.blocks.BlockClusterTree` and ships the host-independent
-per-block cost profile (:func:`repro.parallel.costs.hierarchical_block_costs`
-+ :func:`~repro.parallel.costs.partition_block_work`) "a distributed block
-backend would consume".  This module is that backend: the LPT block partition
-is *executed* — each shard's near-field blocks and ACA far-field blocks are
-assembled inside a worker process (fork; thread and serial fallbacks) through
-the block-task path of :class:`~repro.parallel.executor.ScheduledExecutor`,
-and only the shard results (sparse triplets and low-rank factors) travel back
-to the master.  The protocol is pure message passing: workers share nothing
-mutable, every task is a self-contained block.
+The hierarchical engine decomposes the Galerkin matrix into the blocks of a
+:class:`~repro.cluster.blocks.BlockClusterTree` with a host-independent
+per-block cost profile (:func:`repro.parallel.costs.hierarchical_block_costs`).
+This module executes the LPT split of that profile
+(:func:`~repro.parallel.costs.partition_block_work`): each shard's near-field
+blocks and ACA far-field blocks are assembled by a
+:class:`~repro.parallel.pool.WorkerPool` — the caller's persistent pool, or a
+transient one that runs in this process for ``workers == 0`` and forks
+``workers`` processes otherwise — and only the block results (sparse triplets
+and low-rank factors) travel back to the master, which regroups them into a
+:class:`~repro.cluster.operator.HierarchicalOperator`.  The protocol is pure
+message passing: workers share nothing mutable, every task is a
+self-contained block.
 
 Deterministic-reduction contract
 --------------------------------
 
-The returned :class:`ShardedHierarchicalOperator` is **bit-identical for any
-worker count** (and for the thread/serial backends), which makes every PCG
-iterate reproducible across machines-with-different-core-counts:
+The returned operator is **bit-identical for any worker count** and for the
+in-process, forked and persistent pools, which makes every PCG iterate
+reproducible across machines with different core counts:
 
 * every block is assembled by the per-block routines of
   :mod:`repro.cluster.block_assembly`, whose batch composition depends only on
   the block itself — never on the shard it landed in;
-* block results are regrouped into ``matvec_segments`` *canonical segments*
-  (an LPT split of the same cost profile by a fixed segment count, independent
-  of the worker count), each segment concatenating its blocks in ascending
-  block order;
-* the matvec evaluates one partial per segment — sparse near product plus the
-  shard-local ``U Vᵀ x + V Uᵀ x`` far products — optionally fanned out over
-  threads, and reduces the partials with a **pairwise tree-sum in fixed
-  segment order** (:func:`pairwise_tree_sum`), so the floating-point summation
-  order never depends on how many workers assembled or apply the operator.
+* the near-field triplets of all blocks are summed into one upper-triangle
+  matrix in ascending block order, so every dof pair is stored once;
+* the far factors are regrouped into :data:`MATVEC_SEGMENTS` *canonical
+  segments* (an LPT split of the same cost profile by a fixed segment count,
+  independent of the worker count), each segment concatenating its blocks in
+  ascending block order;
+* the operator reduces the near-field partial and the per-segment partials
+  with :func:`~repro.cluster.operator.pairwise_tree_sum` in fixed order.
 
 Entry point: ``HierarchicalControl(workers=...)`` through
 ``assemble_system(..., options=AssemblyOptions(hierarchical=...))`` or
@@ -40,7 +41,6 @@ Entry point: ``HierarchicalControl(workers=...)`` through
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -55,51 +55,23 @@ from repro.cluster.block_assembly import (
     far_factor_entries,
     near_block_triplets,
 )
-from repro.exceptions import ClusterError, ParallelExecutionError
+from repro.cluster.operator import HierarchicalOperator
 from repro.observe import ensure_tracer
 from repro.parallel.costs import partition_block_work
-from repro.parallel.executor import (
-    PoolJob,
-    ScheduledExecutor,
-    drive_pool_steps,
-    normalize_partition,
-)
+from repro.parallel.pool import PoolJob, WorkerPool
 from repro.timing import wall_clock
-
-# contracts: disable-file=OBS001 -- the sharded operator's stats dict mirrors the serial engine's public diagnostics payload (*_seconds keys indexed by tests/benchmarks); the tracer emits the span-tree view alongside
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bem.influence import ColumnAssembler
     from repro.cluster.block_assembly import ClusterPlanCache
     from repro.cluster.operator import HierarchicalControl
-    from repro.parallel.pool import WorkerPool
 
-__all__ = [
-    "BlockOutcome",
-    "ShardedHierarchicalOperator",
-    "build_sharded_operator",
-    "pairwise_tree_sum",
-    "sharded_operator_steps",
-]
+__all__ = ["BlockOutcome", "MATVEC_SEGMENTS", "sharded_operator_steps"]
 
-
-def pairwise_tree_sum(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Deterministic pairwise tree reduction of equally shaped arrays.
-
-    Adjacent partials are summed level by level in their given order —
-    ``((a0+a1)+(a2+a3))+...`` — so the floating-point result depends only on
-    the order and number of the partials, never on scheduling.  This is the
-    reduction of the sharded matvec (fixed segment order).
-    """
-    items = list(arrays)
-    if not items:
-        raise ClusterError("pairwise_tree_sum needs at least one array")
-    while len(items) > 1:
-        items = [
-            items[k] + items[k + 1] if k + 1 < len(items) else items[k]
-            for k in range(0, len(items), 2)
-        ]
-    return items[0]
+#: Canonical far-field matvec segments of every operator.  Fixed
+#: independently of the worker count so the pairwise-tree reduction — and
+#: therefore every PCG iterate — is bit-identical for any number of workers.
+MATVEC_SEGMENTS: int = 8
 
 
 # --------------------------------------------------------------------------- block tasks
@@ -132,9 +104,8 @@ class BlockOutcome:
 class _BlockShardTask:
     """Self-contained per-block assembly task (task id = block index).
 
-    Captured state (assembler, cluster tree, partition) is inherited by the
-    forked workers via copy-on-write; only :class:`BlockOutcome` payloads
-    travel back.
+    Captured state (assembler, cluster tree, partition) travels to the pool
+    workers once per run; only :class:`BlockOutcome` payloads travel back.
     """
 
     def __init__(self, assembler, tree, blocks, control, stopping, dof_matrix) -> None:
@@ -181,194 +152,18 @@ class _BlockShardBatchTask:
         return [(int(index), self.task(int(index))) for index in block_indices]
 
 
-# --------------------------------------------------------------------------- the operator
-
-
-class _OperatorSegment:
-    """One canonical matvec segment: sparse near slab plus low-rank far slab."""
-
-    def __init__(
-        self, near: sparse.csr_matrix, u: sparse.csr_matrix, v: sparse.csr_matrix
-    ) -> None:
-        self.near = near
-        self.u = u
-        self.v = v
-        self.near_diagonal = near.diagonal()
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """The segment's contribution to ``A @ x`` (symmetrised)."""
-        y = self.near @ x
-        y = y + self.near.T @ x
-        y = y - self.near_diagonal * x
-        if self.u.shape[1]:
-            y = y + self.u @ (self.v.T @ x)
-            y = y + self.v @ (self.u.T @ x)
-        return np.asarray(y).ravel()
-
-    def diagonal_contribution(self) -> np.ndarray:
-        """The segment's share of the operator's main diagonal."""
-        diag = self.near_diagonal.copy()
-        if self.u.shape[1]:
-            diag = diag + 2.0 * np.asarray(self.u.multiply(self.v).sum(axis=1)).ravel()
-        return diag
-
-    def todense_contribution(self) -> np.ndarray:
-        """Materialised segment contribution (small problems / tests only)."""
-        upper = np.asarray(self.near.todense(), dtype=float)
-        dense = upper + upper.T - np.diag(self.near_diagonal)
-        if self.u.shape[1]:
-            u = np.asarray(self.u.todense(), dtype=float)
-            v = np.asarray(self.v.todense(), dtype=float)
-            dense = dense + u @ v.T + v @ u.T
-        return dense
-
-    def memory_bytes(self) -> int:
-        total = self.near_diagonal.nbytes
-        for matrix in (self.near, self.u, self.v):
-            total += matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
-        return int(total)
-
-
-class ShardedHierarchicalOperator:
-    """Segment-sharded symmetric hierarchical operator with deterministic reduction.
-
-    Mathematically the same matrix as the serial
-    :class:`~repro.cluster.operator.HierarchicalOperator` (sparse near field
-    plus aggregated ``U Vᵀ + V Uᵀ`` far field), stored as canonical matvec
-    segments.  ``matvec`` evaluates one partial per segment — over a thread
-    pool when ``matvec_workers > 1`` — and reduces them with
-    :func:`pairwise_tree_sum` in fixed segment order, so the result is
-    bit-identical for any assembly worker count and any matvec thread count.
-    """
-
-    def __init__(
-        self,
-        segments: list[_OperatorSegment],
-        n_dofs: int,
-        stats: dict[str, Any],
-        matvec_workers: int = 1,
-    ) -> None:
-        if not segments:
-            raise ClusterError("the sharded operator needs at least one segment")
-        self.segments = segments
-        self.stats = stats
-        self.shape = (int(n_dofs), int(n_dofs))
-        self.dtype = np.dtype(float)
-        self.matvec_workers = max(1, int(matvec_workers))
-        self._diagonal = pairwise_tree_sum(
-            [segment.diagonal_contribution() for segment in segments]
-        )
-        self._pool: ThreadPoolExecutor | None = None
-
-    # ------------------------------------------------------------------ linear algebra
-
-    def _partials(self, x: np.ndarray) -> list[np.ndarray]:
-        if self.matvec_workers > 1 and len(self.segments) > 1:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=min(self.matvec_workers, len(self.segments))
-                )
-            # Executor.map preserves segment order, keeping the reduction fixed.
-            return list(self._pool.map(lambda segment: segment.apply(x), self.segments))
-        return [segment.apply(x) for segment in self.segments]
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Apply the operator: per-segment partials, pairwise-tree reduced."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.shape[0],):
-            raise ClusterError(
-                f"operand shape {x.shape} does not match operator size {self.shape[0]}"
-            )
-        return pairwise_tree_sum(self._partials(x))
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.matvec(x)
-
-    def diagonal(self) -> np.ndarray:
-        """Main diagonal of the represented matrix (for Jacobi preconditioning)."""
-        return self._diagonal.copy()
-
-    def todense(self) -> np.ndarray:
-        """Materialise the represented matrix (small problems / tests only)."""
-        return pairwise_tree_sum(
-            [segment.todense_contribution() for segment in self.segments]
-        )
-
-    def memory_bytes(self) -> int:
-        """Bytes stored by the operator (matrix data plus sparse index arrays)."""
-        return int(
-            self._diagonal.nbytes
-            + sum(segment.memory_bytes() for segment in self.segments)
-        )
-
-    # ------------------------------------------------------------------ lifecycle
-
-    def close(self) -> None:
-        """Shut the matvec thread pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_pool"] = None  # thread pools stay process-local
-        return state
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter-dependent
-        try:
-            self.close()
-        except Exception:  # contracts: disable=RES001 -- interpreter-teardown guard: __del__ must never raise
-            pass
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ShardedHierarchicalOperator(n={self.shape[0]}, "
-            f"segments={len(self.segments)}, "
-            f"workers={self.stats.get('workers')}, "
-            f"memory={self.memory_bytes() / 1e6:.1f} MB)"
-        )
-
-
 # --------------------------------------------------------------------------- the builder
 
 
-def build_sharded_operator(
-    assembler: "ColumnAssembler",
-    control: "HierarchicalControl",
-    pool: "WorkerPool | None" = None,
-    cluster_cache: "ClusterPlanCache | None" = None,
-    tracer=None,
-) -> ShardedHierarchicalOperator:
-    """Assemble the hierarchical operator with the sharded block backend.
-
-    The block cluster tree and its deterministic cost profile are built by the
-    master; :func:`~repro.parallel.costs.partition_block_work` splits the
-    blocks into LPT shards that are executed either on a one-shot
-    :class:`~repro.parallel.executor.ScheduledExecutor` (``control.workers``
-    workers forked for this assembly — ``process`` backend; ``thread`` and
-    ``serial`` run in-process) or, when ``pool`` is given, on a persistent
-    :class:`~repro.parallel.pool.WorkerPool` whose spawn-once workers are
-    reused across assemblies (the shard count then follows
-    ``pool.n_workers``).  Results are regrouped into
-    ``control.matvec_segments`` canonical segments — see the module docstring
-    for the determinism contract, which holds for any worker count *and* for
-    either execution path.  ``cluster_cache`` optionally reuses the
-    geometry-determined cluster tree/partition across assemblies.  ``tracer``
-    records the plan/far/near span tree; per-block spans are re-emitted from
-    the collected worker outcomes in ascending block-index order (with the
-    worker-measured task seconds as durations), so the deterministic trace
-    content is identical for every worker count.
-
-    This is the blocking driver over :func:`sharded_operator_steps`; callers
-    multiplexing several assemblies over one pool (the campaign runner) drive
-    the generator themselves.
-    """
-    return drive_pool_steps(
-        sharded_operator_steps(
-            assembler, control, pool=pool, cluster_cache=cluster_cache, tracer=tracer
-        ),
-        pool,
-    )
+def _csr(rows, cols, vals, shape) -> sparse.csr_matrix:
+    if not rows:
+        return sparse.csr_matrix(shape, dtype=float)
+    matrix = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=shape,
+    ).tocsr()
+    matrix.sum_duplicates()
+    return matrix
 
 
 def sharded_operator_steps(
@@ -378,83 +173,81 @@ def sharded_operator_steps(
     cluster_cache: "ClusterPlanCache | None" = None,
     tracer=None,
 ):
-    """Generator form of :func:`build_sharded_operator`.
+    """Build the :class:`~repro.cluster.operator.HierarchicalOperator` (generator).
 
-    All master-side work (block planning, result regrouping, trace
-    re-emission) runs inline; when ``pool`` is given the single shard
-    dispatch is a yielded :class:`~repro.parallel.executor.PoolJob` request
-    whose :class:`~repro.parallel.executor.TaskRunResult` comes back at the
-    ``yield`` — the generator itself never touches the pool's pipes, so a
-    scheduler can interleave many assemblies over one pool.  Returns the
-    finished :class:`ShardedHierarchicalOperator`.
+    The block cluster tree and its deterministic cost profile are built by the
+    master; :func:`~repro.parallel.costs.partition_block_work` splits the
+    blocks into LPT shards.  With a persistent ``pool`` the single shard
+    dispatch is a yielded :class:`~repro.parallel.pool.PoolJob` whose
+    :class:`~repro.parallel.executor.TaskRunResult` comes back at the
+    ``yield`` — the generator never touches the pool's pipes, so a scheduler
+    can interleave many assemblies over one pool, and the shard count follows
+    ``pool.n_workers``.  Without a pool the shards run on a transient
+    :class:`~repro.parallel.pool.WorkerPool` and nothing is yielded:
+    in-process for ``control.workers == 0``, on ``control.workers`` forked
+    workers otherwise.  The near field is summed into one upper triangle and
+    the far factors are regrouped into :data:`MATVEC_SEGMENTS` canonical
+    segments — see the module docstring for the determinism contract.
+    ``cluster_cache`` optionally reuses the geometry-determined cluster
+    tree/partition across assemblies.  ``tracer`` records the plan/far/near
+    span tree; per-block spans are re-emitted from the collected outcomes in
+    ascending block-index order (with the worker-measured task seconds as
+    durations), so the deterministic trace content is identical for every
+    worker count.
     """
-    if pool is None and control.workers < 1:
-        raise ParallelExecutionError(
-            "build_sharded_operator needs HierarchicalControl.workers >= 1 "
-            "or a WorkerPool (use HierarchicalOperator.build for the serial engine)"
-        )
     tracer = ensure_tracer(tracer)
     start = wall_clock()
     profile = build_block_profile(assembler, control, cluster_cache=cluster_cache)
     tree, partition = profile.tree, profile.partition
-    scale, stopping = profile.scale, profile.stopping
-    dof_matrix, n_dofs = profile.dof_matrix, profile.n_dofs
+    dof_matrix, n_dofs, nb = profile.dof_matrix, profile.n_dofs, profile.nb
     costs = profile.costs
     if tracer.enabled:
         emit_block_plan_span(tracer, profile, control, wall_clock() - start)
 
-    n_workers = int(pool.n_workers if pool is not None else control.workers)
+    n_workers = int(pool.n_workers if pool is not None else max(control.workers, 1))
     shards = partition_block_work(costs, n_workers)
     # Canonical matvec segments: same profile, *fixed* segment count — the
     # reduction structure must not depend on how many workers assembled.
     segment_blocks = [
         sorted(segment)
-        for segment in partition_block_work(costs, int(control.matvec_segments))
+        for segment in partition_block_work(costs, MATVEC_SEGMENTS)
         if segment
     ]
 
-    task = _BlockShardTask(assembler, tree, partition.blocks, control, stopping, dof_matrix)
-    executor_start = wall_clock()
+    task = _BlockShardTask(
+        assembler, tree, partition.blocks, control, profile.stopping, dof_matrix
+    )
+    job = PoolJob(
+        task,
+        shards,
+        batch_fn=_BlockShardBatchTask(task),
+        cost_hint=costs,
+        label="LPT",
+    )
     if pool is not None:
-        outcome = yield PoolJob(
-            task,
-            shards,
-            batch_fn=_BlockShardBatchTask(task),
-            cost_hint=costs,
-            label="LPT",
-        )
+        outcome = yield job
     else:
-        with ScheduledExecutor(
-            task,
-            n_workers=n_workers,
-            backend=control.backend,
-            batch_fn=_BlockShardBatchTask(task),
-            cost_hint=costs,
-        ) as executor:
-            outcome = executor.run_partition(shards, label="LPT")
-    executor_seconds = wall_clock() - executor_start
+        backend = "process" if control.workers else "serial"
+        with WorkerPool(n_workers, backend=backend) as transient:
+            outcome = job.run(transient)
     outcomes: dict[int, BlockOutcome] = outcome.results
 
-    # ---- regroup the block results into the canonical segments ----
-    def _csr(rows, cols, vals, shape) -> sparse.csr_matrix:
-        if not rows:
-            return sparse.csr_matrix(shape, dtype=float)
-        matrix = sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=shape,
-        ).tocsr()
-        matrix.sum_duplicates()
-        return matrix
+    # ---- the near field, stored once: one upper triangle in ascending block order ----
+    near_rows: list[np.ndarray] = []
+    near_cols: list[np.ndarray] = []
+    near_vals: list[np.ndarray] = []
+    for block_index in sorted(outcomes):
+        result = outcomes[block_index]
+        if result.kind != "far" and result.rows is not None and result.rows.size:
+            near_rows.append(result.rows)
+            near_cols.append(result.cols)
+            near_vals.append(result.vals)
+    near = _csr(near_rows, near_cols, near_vals, (n_dofs, n_dofs))
 
-    segments: list[_OperatorSegment] = []
-    ranks: list[int] = []
-    n_fallback = 0
-    near_nnz = 0
+    # ---- far factors regrouped into the canonical segments ----
+    far: list[tuple[sparse.csr_matrix, sparse.csr_matrix]] = []
     total_rank = 0
     for block_ids in segment_blocks:
-        near_rows: list[np.ndarray] = []
-        near_cols: list[np.ndarray] = []
-        near_vals: list[np.ndarray] = []
         u_rows: list[np.ndarray] = []
         u_cols: list[np.ndarray] = []
         u_vals: list[np.ndarray] = []
@@ -464,17 +257,7 @@ def sharded_operator_steps(
         segment_rank = 0
         for block_index in block_ids:
             result = outcomes[int(block_index)]
-            if result.kind in ("near", "fallback"):
-                if result.kind == "fallback":
-                    n_fallback += 1
-                if result.rows is not None and result.rows.size:
-                    near_rows.append(result.rows)
-                    near_cols.append(result.cols)
-                    near_vals.append(result.vals)
-                continue
-            rank = result.rank
-            ranks.append(rank)
-            if rank == 0:
+            if result.kind != "far" or result.rank == 0:
                 continue
             block = partition.blocks[int(block_index)]
             ur, uc, uv, vr, vc, vv = far_factor_entries(
@@ -490,52 +273,52 @@ def sharded_operator_steps(
             v_rows.append(vr)
             v_cols.append(vc)
             v_vals.append(vv)
-            segment_rank += rank
-        near = _csr(near_rows, near_cols, near_vals, (n_dofs, n_dofs))
-        u_far = _csr(u_rows, u_cols, u_vals, (n_dofs, segment_rank))
-        v_far = _csr(v_rows, v_cols, v_vals, (n_dofs, segment_rank))
-        near_nnz += int(near.nnz)
-        total_rank += segment_rank
-        segments.append(_OperatorSegment(near=near, u=u_far, v=v_far))
+            segment_rank += result.rank
+        if segment_rank:
+            far.append(
+                (
+                    _csr(u_rows, u_cols, u_vals, (n_dofs, segment_rank)),
+                    _csr(v_rows, v_cols, v_vals, (n_dofs, segment_rank)),
+                )
+            )
+            total_rank += segment_rank
 
+    # ---- per-block accounting in canonical (ascending block index) order ----
+    seconds_of = {
+        task_id: float(outcome.task_seconds[k])
+        for k, task_id in enumerate(int(t) for shard in shards for t in shard)
+    }
+    far_entries: list[tuple[int, int, int, int, float]] = []
+    ranks: list[int] = []
+    near_pairs = 0
+    n_near = 0
+    n_fallback = 0
+    near_trace_seconds = 0.0
+    for block_index in sorted(outcomes):
+        result = outcomes[block_index]
+        block = partition.blocks[int(block_index)]
+        rows_n = tree.elements_of(block.row).size
+        cols_n = tree.elements_of(block.col).size
+        seconds = seconds_of.get(int(block_index), 0.0)
+        if result.kind == "far":
+            ranks.append(result.rank)
+            far_entries.append(
+                (int(block_index), rows_n * nb, cols_n * nb, result.rank, seconds)
+            )
+            continue
+        if result.kind == "fallback":
+            n_fallback += 1
+            far_entries.append((int(block_index), rows_n * nb, cols_n * nb, -1, seconds))
+            near_pairs += rows_n * cols_n
+        else:
+            near_pairs += (
+                rows_n * (rows_n + 1) // 2 if block.is_diagonal else rows_n * cols_n
+            )
+        n_near += 1
+        near_trace_seconds += seconds
     if tracer.enabled:
-        # Re-emit the per-block work as trace spans in canonical (ascending
-        # block index) order with the worker-measured task seconds as
-        # durations — the same tree the serial engine records inline.
-        _, flat_order = normalize_partition(shards)
-        seconds_of = {
-            int(task): float(outcome.task_seconds[k])
-            for k, task in enumerate(flat_order)
-        }
-        nb = profile.nb
-        far_entries: list[tuple[int, int, int, int, float]] = []
-        near_pairs_trace = 0
-        n_near_trace = 0
-        near_trace_seconds = 0.0
-        for block_index in sorted(outcomes):
-            result = outcomes[block_index]
-            block = partition.blocks[int(block_index)]
-            rows_n = tree.elements_of(block.row).size
-            cols_n = tree.elements_of(block.col).size
-            seconds = seconds_of.get(int(block_index), 0.0)
-            if result.kind == "far":
-                far_entries.append(
-                    (int(block_index), rows_n * nb, cols_n * nb, result.rank, seconds)
-                )
-                continue
-            if result.kind == "fallback":
-                far_entries.append(
-                    (int(block_index), rows_n * nb, cols_n * nb, -1, seconds)
-                )
-                near_pairs_trace += rows_n * cols_n
-            else:
-                near_pairs_trace += (
-                    rows_n * (rows_n + 1) // 2
-                    if block.is_diagonal
-                    else rows_n * cols_n
-                )
-            n_near_trace += 1
-            near_trace_seconds += seconds
+        # The worker-measured task seconds become the span durations — the
+        # same tree for every worker count and pool.
         emit_far_block_spans(
             tracer,
             far_entries,
@@ -545,20 +328,19 @@ def sharded_operator_steps(
         tracer.record_span(
             "blocks.near",
             duration_seconds=near_trace_seconds,
-            n_blocks=n_near_trace,
-            near_pairs=int(near_pairs_trace),
+            n_blocks=n_near,
+            near_pairs=int(near_pairs),
         )
 
     shard_loads = [float(costs[shard].sum()) if shard else 0.0 for shard in shards]
     rank_array = np.asarray(ranks, dtype=int)
-    available = os.cpu_count() or 1
     stats: dict[str, Any] = {
         **partition.summary(),
         "leaf_size": control.leaf_size,
         "tolerance": control.tolerance,
         "safety": control.safety,
         "max_rank": control.max_rank,
-        "reference_scale": scale,
+        "reference_scale": profile.scale,
         "n_clusters": tree.n_clusters,
         "tree_depth": tree.depth(),
         "n_fallback_blocks": n_fallback,
@@ -566,26 +348,20 @@ def sharded_operator_steps(
         "rank_min": int(rank_array.min()) if rank_array.size else 0,
         "rank_max": int(rank_array.max()) if rank_array.size else 0,
         "rank_mean": float(rank_array.mean()) if rank_array.size else 0.0,
-        "near_nnz": near_nnz,
+        "near_nnz": int(near.nnz),
+        "near_pairs": int(near_pairs),
         "block_cost_units_total": float(costs.sum()),
         "workers": n_workers,
-        "backend": f"pool-{pool.backend}" if pool is not None else str(control.backend),
+        "backend": outcome.backend,
         "persistent_pool": pool is not None,
-        "oversubscribed": n_workers > available,
+        "oversubscribed": n_workers > (os.cpu_count() or 1),
         "n_shards": len([shard for shard in shards if shard]),
         "shard_cost_units": shard_loads,
         "shard_makespan_units": float(max(shard_loads)) if shard_loads else 0.0,
-        "n_segments": len(segments),
-        "executor_wall_seconds": executor_seconds,
-        "executor_task_seconds": float(outcome.task_seconds.sum()),
-        "build_seconds": 0.0,  # filled below
+        "n_far_segments": len(far),
     }
-    matvec_workers = control.matvec_workers or n_workers
-    operator = ShardedHierarchicalOperator(
-        segments, n_dofs, stats, matvec_workers=matvec_workers
-    )
+    operator = HierarchicalOperator(near, far, stats, matvec_workers=n_workers)
     stats["memory_bytes"] = operator.memory_bytes()
     stats["dense_bytes"] = 8 * n_dofs * n_dofs
     stats["compression"] = stats["memory_bytes"] / max(stats["dense_bytes"], 1)
-    stats["build_seconds"] = wall_clock() - start
     return operator

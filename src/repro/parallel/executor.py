@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -51,12 +51,9 @@ from repro.parallel.schedule import Schedule, ScheduleKind
 from repro.timing import wall_clock
 
 __all__ = [
-    "PoolJob",
     "TaskRunResult",
     "ScheduledExecutor",
     "collect_chunk_results",
-    "drive_pool_steps",
-    "normalize_partition",
     "run_scheduled_tasks",
 ]
 
@@ -123,85 +120,7 @@ def _run_chunk(indices: Sequence[int]) -> list[tuple[int, Any, float]]:
     return _execute_chunk(_WORKER_TASK_FN, _WORKER_BATCH_FN, _WORKER_COST_HINT, indices)
 
 
-# --------------------------------------------------------------------------- pool steps
-#
-# Assembly pipelines that *may* run on a persistent WorkerPool are written as
-# generators: master-side work (planning, regrouping, tracing) runs inline,
-# and each pool dispatch is a yielded PoolJob request.  A plain driver
-# (drive_pool_steps) turns a generator back into the blocking call the
-# single-run API exposes, while a multiplexing scheduler (the campaign
-# runner) can interleave the requests of several generators over one pool —
-# cooperative coroutines over an event loop instead of threads, in the
-# non-threaded concurrent style the pool's own loop already follows.
-
-
-@dataclass
-class PoolJob:
-    """One pool-run request yielded by a generator-based assembly pipeline.
-
-    Mirrors the :meth:`~repro.parallel.pool.WorkerPool.run_partition`
-    signature; the generator receives the
-    :class:`TaskRunResult` back at the ``yield``.  The task/batch callables
-    obey the same purity contract as direct dispatch (module-level,
-    closure-free — MSG001).
-    """
-
-    task: Callable[[int], Any]
-    partition: Sequence[Sequence[int]]
-    batch_fn: Callable[[Sequence[int]], list[tuple[int, Any]]] | None = None
-    cost_hint: Any = None
-    label: str = "Pool"
-
-
-def drive_pool_steps(steps, pool) -> Any:
-    """Run a :class:`PoolJob`-yielding generator to completion, blocking.
-
-    Every yielded request executes as one
-    :meth:`~repro.parallel.pool.WorkerPool.run_partition` call on ``pool``
-    and its :class:`TaskRunResult` is sent back into the generator; the
-    generator's return value is returned.  A pipeline that never dispatches
-    (``pool is None`` branches handled inside the generator) simply runs to
-    its ``return``.
-    """
-    try:
-        request = next(steps)
-    except StopIteration as stop:
-        return stop.value
-    while True:
-        outcome = pool.run_partition(
-            request.task,
-            request.partition,
-            batch_fn=request.batch_fn,
-            cost_hint=request.cost_hint,
-            label=request.label,
-        )
-        try:
-            request = steps.send(outcome)
-        except StopIteration as stop:
-            return stop.value
-
-
 # --------------------------------------------------------------------------- results
-
-
-def normalize_partition(
-    partition: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[int]]:
-    """Validate an explicit worker partition into ``(chunks, indices)``.
-
-    Shared by :meth:`ScheduledExecutor.run_partition` and the persistent
-    :class:`repro.parallel.pool.WorkerPool`: task ids are int-coerced, empty
-    shards dropped, and a task assigned to more than one shard rejected —
-    one rule set for every partition path.
-    """
-    chunks = [[int(i) for i in shard] for shard in partition]
-    chunks = [chunk for chunk in chunks if chunk]
-    indices = [index for chunk in chunks for index in chunk]
-    if len(set(indices)) != len(indices):
-        raise ParallelExecutionError(
-            "partition assigns at least one task to more than one shard"
-        )
-    return chunks, indices
 
 
 def collect_chunk_results(
@@ -263,8 +182,6 @@ class TaskRunResult:
     schedule: str
     #: Backend name.
     backend: str
-    #: Extra information.
-    metadata: dict[str, Any] = field(default_factory=dict)
 
     @property
     def sequential_seconds(self) -> float:
@@ -309,12 +226,6 @@ class ScheduledExecutor:
     cost_hint:
         Optional per-task relative costs (array indexed by task id, or a
         mapping) used to apportion a chunk's wall time to its tasks.
-    retry:
-        Optional :class:`repro.resilience.RetryPolicy`; its ``chunk_timeout``
-        bounds how long :meth:`run_partition` waits for each process-backend
-        chunk before executing it serially in the master (recorded in
-        ``TaskRunResult.metadata["serial_fallback_chunks"]``).  ``None``
-        keeps the historical wait-forever behaviour.
     """
 
     def __init__(
@@ -324,7 +235,6 @@ class ScheduledExecutor:
         backend: Backend | str = Backend.PROCESS,
         batch_fn: Callable[[Sequence[int]], list[tuple[int, Any]]] | None = None,
         cost_hint: Any = None,
-        retry: Any = None,
     ) -> None:
         if n_workers < 1:
             raise ParallelExecutionError(f"n_workers must be >= 1, got {n_workers}")
@@ -333,7 +243,6 @@ class ScheduledExecutor:
         self.cost_hint = cost_hint
         self.n_workers = int(n_workers)
         self.backend = Backend(backend) if not isinstance(backend, Backend) else backend
-        self.retry = retry
         self._pool: Any = None
         self._thread_pool: ThreadPoolExecutor | None = None
 
@@ -385,84 +294,9 @@ class ScheduledExecutor:
             raw, chunks = self._run_thread(indices, schedule)
 
         wall = wall_clock() - start
-        return self._collect(raw, indices, wall, len(chunks), schedule.label())
-
-    def run_partition(
-        self, partition: Sequence[Sequence[int]], label: str = "Partition"
-    ) -> TaskRunResult:
-        """Execute tasks under an explicit worker partition (the block-task path).
-
-        The hierarchical engine decomposes its work into cluster-pair *blocks*
-        whose static split across workers is computed up front by
-        :func:`repro.parallel.costs.partition_block_work` from the
-        deterministic :func:`~repro.parallel.costs.hierarchical_block_costs`
-        profile.  Each inner sequence of ``partition`` is dispatched as one
-        chunk (one message per worker on the process backend — results travel
-        back, nothing else crosses the boundary); empty shards are skipped.
-        Raises when a task id appears in more than one shard.
-
-        With a ``retry`` policy carrying a ``chunk_timeout``, each
-        process-backend chunk is waited on for at most that many seconds; an
-        expired chunk is executed serially in the master instead (block tasks
-        are pure, so the fallback result is bit-identical) and counted in
-        ``metadata["serial_fallback_chunks"]``.
-        """
-        chunks, indices = normalize_partition(partition)
-        start = wall_clock()
-        serial_fallbacks = 0
-
-        if self.backend is Backend.SERIAL or self.n_workers == 1:
-            raw = [self._execute_local(chunk) for chunk in chunks]
-        elif self.backend is Backend.PROCESS:
-            if self._pool is None:
-                raise ParallelExecutionError(
-                    "the process backend must be used as a context manager (with ... as ex:)"
-                )
-            chunk_timeout = getattr(self.retry, "chunk_timeout", None)
-            async_results = [
-                self._pool.apply_async(_run_chunk, (chunk,)) for chunk in chunks
-            ]
-            raw = []
-            for result, chunk in zip(async_results, chunks):
-                if chunk_timeout is None:
-                    raw.append(result.get())
-                    continue
-                try:
-                    raw.append(result.get(timeout=chunk_timeout))
-                except mp.TimeoutError:
-                    # The worker is hung or too slow: recompute the pure
-                    # chunk in the master so the run still completes.
-                    serial_fallbacks += 1
-                    raw.append(self._execute_local(chunk))
-        else:
-            if self._thread_pool is None:
-                raise ParallelExecutionError(
-                    "the thread backend must be used as a context manager (with ... as ex:)"
-                )
-            futures = [self._thread_pool.submit(self._execute_local, chunk) for chunk in chunks]
-            raw = [future.result() for future in futures]
-
-        wall = wall_clock() - start
-        outcome = self._collect(raw, indices, wall, len(chunks), f"{label},{len(chunks)}")
-        if serial_fallbacks:
-            outcome.metadata["serial_fallback_chunks"] = serial_fallbacks
-        return outcome
-
-    def _collect(
-        self,
-        raw: list[list[tuple[int, Any, float]]],
-        indices: list[int],
-        wall: float,
-        n_chunks: int,
-        schedule_label: str,
-    ) -> TaskRunResult:
-        """Fold executed-chunk outputs into a :class:`TaskRunResult`.
-
-        Shared by :meth:`run` and :meth:`run_partition` (and, through
-        :func:`collect_chunk_results`, by the persistent worker pool).
-        """
         return collect_chunk_results(
-            raw, indices, wall, n_chunks, self.n_workers, schedule_label, self.backend.value
+            raw, indices, wall, len(chunks), self.n_workers, schedule.label(),
+            self.backend.value,
         )
 
     # -- backend internals ------------------------------------------------------------

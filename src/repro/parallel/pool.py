@@ -16,9 +16,9 @@ would amortise the fork+IPC cost of repeated sweeps".
   survive until :meth:`WorkerPool.close` (or the ``with`` block) ends;
 * **task-queue protocol** — each run ships its task context (the block task
   capturing assembler, cluster tree and partition) to the workers once, then
-  dispatches explicit LPT shards exactly like
-  :meth:`~repro.parallel.executor.ScheduledExecutor.run_partition`; results
-  are folded through the same :func:`~repro.parallel.executor.collect_chunk_results`;
+  dispatches explicit LPT shards, one chunk per shard; results are folded
+  through the :func:`~repro.parallel.executor.collect_chunk_results` the
+  scheduled executor uses too;
 * **multi-run multiplexing** — :meth:`submit` registers a run and returns a
   handle without blocking; :meth:`service` advances one step of the event
   loop (dispatch queued shards, collect replies for *any* in-flight run);
@@ -68,6 +68,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import traceback
 from collections import deque
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.exceptions import ParallelExecutionError
@@ -76,7 +77,6 @@ from repro.parallel.executor import (
     TaskRunResult,
     _execute_chunk,
     collect_chunk_results,
-    normalize_partition,
 )
 from repro.resilience import (
     DEFAULT_RETRY_POLICY,
@@ -96,7 +96,7 @@ from repro.resilience.channel import (
 from repro.resilience.faults import execute_pre_fault
 from repro.timing import wall_clock
 
-__all__ = ["WorkerPool"]
+__all__ = ["PoolJob", "WorkerPool", "drive_pool_steps", "normalize_partition"]
 
 #: Seconds between liveness checks while waiting for shard results.
 _POLL_SECONDS: float = 0.2
@@ -110,6 +110,84 @@ DEFAULT_MAX_RESPAWNS: int = 8
 #: Seconds granted at each escalation step of :meth:`WorkerPool.close`
 #: (stop message → SIGTERM → SIGKILL).
 DEFAULT_SHUTDOWN_GRACE: float = 5.0
+
+
+def normalize_partition(
+    partition: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], list[int]]:
+    """Validate an explicit worker partition into ``(chunks, indices)``.
+
+    Task ids are int-coerced, empty shards dropped, and a task assigned to
+    more than one shard rejected.
+    """
+    chunks = [[int(i) for i in shard] for shard in partition]
+    chunks = [chunk for chunk in chunks if chunk]
+    indices = [index for chunk in chunks for index in chunk]
+    if len(set(indices)) != len(indices):
+        raise ParallelExecutionError(
+            "partition assigns at least one task to more than one shard"
+        )
+    return chunks, indices
+
+
+# --------------------------------------------------------------------------- pool steps
+#
+# Assembly pipelines that *may* run on a persistent WorkerPool are written as
+# generators: master-side work (planning, regrouping, tracing) runs inline,
+# and each pool dispatch is a yielded PoolJob request.  A plain driver
+# (drive_pool_steps) turns a generator back into the blocking call the
+# single-run API exposes, while a multiplexing scheduler (the campaign
+# runner) can interleave the requests of several generators over one pool —
+# cooperative coroutines over an event loop instead of threads, in the
+# non-threaded concurrent style the pool's own loop already follows.
+
+
+@dataclass
+class PoolJob:
+    """One pool-run request yielded by a generator-based assembly pipeline.
+
+    Mirrors the :meth:`WorkerPool.run_partition` signature; the generator
+    receives the :class:`~repro.parallel.executor.TaskRunResult` back at the
+    ``yield``.  The task/batch callables obey the same purity contract as
+    direct dispatch (module-level, closure-free — MSG001).
+    """
+
+    task: Callable[[int], Any]
+    partition: Sequence[Sequence[int]]
+    batch_fn: Callable[[Sequence[int]], list[tuple[int, Any]]] | None = None
+    cost_hint: Any = None
+    label: str = "Pool"
+
+    def run(self, pool: "WorkerPool") -> TaskRunResult:
+        """Execute the request on ``pool``, blocking until it is done."""
+        return pool.run_partition(
+            self.task,
+            self.partition,
+            batch_fn=self.batch_fn,
+            cost_hint=self.cost_hint,
+            label=self.label,
+        )
+
+
+def drive_pool_steps(steps, pool) -> Any:
+    """Run a :class:`PoolJob`-yielding generator to completion, blocking.
+
+    Every yielded request executes as one :meth:`WorkerPool.run_partition`
+    call on ``pool`` and its :class:`~repro.parallel.executor.TaskRunResult`
+    is sent back into the generator; the generator's return value is
+    returned.  A pipeline that never dispatches (``pool is None`` branches
+    handled inside the generator) simply runs to its ``return``.
+    """
+    try:
+        request = next(steps)
+    except StopIteration as stop:
+        return stop.value
+    while True:
+        outcome = request.run(pool)
+        try:
+            request = steps.send(outcome)
+        except StopIteration as stop:
+            return stop.value
 
 
 def _pool_worker_main(
@@ -509,11 +587,10 @@ class WorkerPool:
     ) -> TaskRunResult:
         """Execute tasks under an explicit worker partition on the live pool.
 
-        Mirrors :meth:`~repro.parallel.executor.ScheduledExecutor.run_partition`
-        — one shard per chunk, duplicate-assignment rejection, results folded
-        into a :class:`~repro.parallel.executor.TaskRunResult` — but ships the
-        task context over the persistent workers' pipes instead of relying on
-        fork-time inheritance, so one pool serves any number of assemblies.
+        One shard per chunk, duplicate-assignment rejection, results folded
+        into a :class:`~repro.parallel.executor.TaskRunResult`.  The task
+        context travels over the persistent workers' pipes instead of relying
+        on fork-time inheritance, so one pool serves any number of assemblies.
         Shards beyond the active worker count are queued and dispatched as
         workers free up.  Worker deaths, hangs and corrupted payloads are
         recovered per the pool's :class:`~repro.resilience.RetryPolicy`;

@@ -159,27 +159,19 @@ def measure_sharded_speedup(
     gpr: float = 1.0,
     solver: str = "pcg",
 ) -> list[dict[str, Any]]:
-    """Sharded hierarchical assemble+solve vs the serial hierarchical engine.
+    """Hierarchical assemble+solve per block-worker count, against ``workers=0``.
 
-    The serial reference is the in-process block assembly of
-    :meth:`~repro.cluster.operator.HierarchicalOperator.build`
-    (``workers=0``); every requested worker count then runs the sharded block
-    backend of :mod:`repro.parallel.block_backend` and one row per count is
-    returned.  Conventions follow
+    The reference is the in-process block assembly (``workers=0``); every
+    requested worker count then runs the same block builder of
+    :mod:`repro.parallel.block_backend` on forked workers, and one row per
+    count (reference first) is returned.  Conventions follow
     :func:`repro.experiments.scaling.measure_real_speedups`: counts above the
     host's cores are *not* skipped but flagged ``"oversubscribed": True``
     (their speed-up reflects time-sliced execution, not parallel hardware).
-    Each row carries two agreement measures plus the PCG iteration count:
-
-    * ``solution_rel_error`` — maximum relative deviation from the *serial*
-      reference.  Both operators represent the same matrix to per-block
-      round-off, but their matvec reduction trees differ, so PCG iterates
-      drift apart by rounding; the deviation stays well inside the solver
-      tolerance (~1e-10 at 2x10^4 elements, ~1e-13 on small grids);
-    * ``solution_rel_error_vs_sharded`` — deviation from the *first sharded*
-      run.  The deterministic-reduction contract makes this exactly zero for
-      every worker count and backend (canonical segments, fixed-order
-      pairwise tree-sum).
+    Each row carries the PCG iteration count and ``solution_rel_error``, the
+    maximum relative deviation from the reference solution — exactly zero for
+    every worker count under the deterministic-reduction contract (canonical
+    segments, fixed-order pairwise tree-sum).
     """
     import dataclasses
     import os
@@ -197,10 +189,10 @@ def measure_sharded_speedup(
     base_options = options or AssemblyOptions()
 
     def _run(workers: int):
-        # Every run starts from a cold process-wide geometry cache; the serial
+        # Every run starts from a cold process-wide geometry cache; the
         # reference would otherwise pay all cache misses and gift the later
-        # sharded runs (and their forked workers) a warm cache, biasing the
-        # speed-up the acceptance gate asserts on.
+        # runs (and their forked workers) a warm cache, biasing the speed-up
+        # the acceptance gate asserts on.
         from repro.bem.geometry_cache import default_geometry_cache
 
         default_geometry_cache().clear()
@@ -214,40 +206,15 @@ def measure_sharded_speedup(
         solve_seconds = time.perf_counter() - start
         return system, solved, assemble_seconds, solve_seconds
 
-    _, serial_solved, serial_asm, serial_solve = _run(0)
-    reference_seconds = serial_asm + serial_solve
-    reference_norm = float(np.abs(serial_solved.solution).max())
-
     available = os.cpu_count() or 1
-    rows: list[dict[str, Any]] = [
-        {
-            "n_workers": 0,
-            "backend": "serial-hierarchical",
-            "assemble_seconds": serial_asm,
-            "solve_seconds": serial_solve,
-            "wall_seconds": reference_seconds,
-            "speedup": 1.0,
-            "oversubscribed": False,
-            "solution_rel_error": 0.0,
-            "solution_rel_error_vs_sharded": None,
-            "pcg_iterations": serial_solved.iterations,
-        }
-    ]
-    first_sharded_solution: np.ndarray | None = None
-    for count in worker_counts:
-        count = int(count)
+    rows: list[dict[str, Any]] = []
+    reference: np.ndarray | None = None
+    for count in (0, *(int(w) for w in worker_counts)):
         system, solved, assemble_seconds, solve_seconds = _run(count)
         wall = assemble_seconds + solve_seconds
-        deviation = float(
-            np.abs(solved.solution - serial_solved.solution).max() / reference_norm
-        )
-        if first_sharded_solution is None:
-            first_sharded_solution = solved.solution
-            cross_deviation = 0.0
-        else:
-            cross_deviation = float(
-                np.abs(solved.solution - first_sharded_solution).max() / reference_norm
-            )
+        if reference is None:
+            reference, reference_seconds = solved.solution, wall
+            reference_norm = float(np.abs(reference).max())
         rows.append(
             {
                 "n_workers": count,
@@ -255,10 +222,11 @@ def measure_sharded_speedup(
                 "assemble_seconds": assemble_seconds,
                 "solve_seconds": solve_seconds,
                 "wall_seconds": wall,
-                "speedup": reference_seconds / wall if wall > 0 else float(count),
+                "speedup": reference_seconds / wall if wall > 0 else 1.0,
                 "oversubscribed": count > available,
-                "solution_rel_error": deviation,
-                "solution_rel_error_vs_sharded": cross_deviation,
+                "solution_rel_error": float(
+                    np.abs(solved.solution - reference).max() / reference_norm
+                ),
                 "pcg_iterations": solved.iterations,
             }
         )

@@ -111,6 +111,11 @@ class TestSystemRouting:
         with pytest.raises(AssemblyError):
             hier_small.diagonal_dominance_ratio()
 
+    def test_stats_carry_no_timings(self, hier_small):
+        # Durations live on the blocks.* / assemble.hierarchical spans.
+        stats = hier_small.metadata["hierarchical"]
+        assert not [key for key in stats if key.endswith("_seconds")]
+
     def test_rhs_matches_dense_assembly(self, small_mesh, uniform_soil, hier_small):
         dense = assemble_system(small_mesh, uniform_soil, gpr=1000.0)
         assert np.allclose(hier_small.rhs, dense.rhs)

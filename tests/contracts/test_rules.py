@@ -142,10 +142,11 @@ class TestDET003AccumulationOrder:
                 tree = np.add.reduce(blocks)
                 return total, acc, tree
             """,
-            "src/repro/cluster/operator_probe.py",
+            "src/repro/cluster/operator.py",
         )
         det = [f for f in active if f.rule_id == "DET003"]
         assert len(det) == 3
+        assert all("repro.cluster.operator.pairwise_tree_sum" in f.message for f in det)
 
     def test_ordered_iteration_and_out_of_scope_modules_are_clean(self):
         source = """
@@ -207,13 +208,13 @@ class TestMSG001WorkerTaskPurity:
             """
             from repro.parallel.executor import ScheduledExecutor
 
-            def assemble(pool, shards, operator):
+            def assemble(pool, shards, schedule, operator):
                 def shard_task(index):
                     return operator.apply(index)
 
                 pool.run_partition(shard_task, shards, batch_fn=lambda ix: list(ix))
                 with ScheduledExecutor(lambda i: i, n_workers=2) as executor:
-                    executor.run_partition(shards)
+                    executor.run(shards, schedule)
             """,
             "src/repro/parallel/dispatch_probe.py",
         )
@@ -229,11 +230,11 @@ class TestMSG001WorkerTaskPurity:
                 def __call__(self, index):
                     return index
 
-            def assemble(pool, shards):
+            def assemble(pool, shards, schedule):
                 task = ShardTask()
                 pool.run_partition(task, shards, batch_fn=ShardTask())
                 with ScheduledExecutor(task, n_workers=2) as executor:
-                    executor.run_partition(shards)
+                    executor.run(shards, schedule)
             """,
             "src/repro/parallel/dispatch_probe.py",
         )

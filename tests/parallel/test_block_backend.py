@@ -1,15 +1,13 @@
-"""Golden determinism suite of the sharded hierarchical block backend.
+"""Golden determinism suite of the hierarchical block builder.
 
-The contract under test (see :mod:`repro.parallel.block_backend`):
-
-* serial vs sharded ``HierarchicalOperator`` matvec and full PCG solve agree
-  to 1e-12 (same iterate count) for workers in {1, 2, 3, 7} on a flat and a
-  rodded mesh — worker counts beyond the host's cores run oversubscribed
-  (1-core hosts included) and must change nothing;
-* across worker counts the sharded operator is **bit-identical** (canonical
-  matvec segments + pairwise tree-sum reduction in fixed segment order);
-* the thread and serial backends, and any matvec thread fan-out, reproduce
-  the process-backend results bit for bit.
+The contract under test (see :mod:`repro.parallel.block_backend`): the
+in-process build (``workers=0``), forked builds for workers in {1, 2, 3, 7}
+and a persistent ``WorkerPool(2)`` build are **bit-identical** — matvec,
+diagonal, ``todense`` and the PCG solution with its iteration count — on a
+flat and a rodded mesh (canonical matvec segments + pairwise tree-sum
+reduction in fixed segment order).  Worker counts beyond the host's cores
+run oversubscribed (1-core hosts included) and must change nothing, and so
+must the pool backend and the matvec thread fan-out.
 """
 
 from __future__ import annotations
@@ -19,17 +17,12 @@ import pytest
 
 from repro.bem.assembly import AssemblyOptions, assemble_system
 from repro.cluster import HierarchicalControl, HierarchicalOperator
+from repro.cluster.operator import pairwise_tree_sum
 from repro.exceptions import ParallelExecutionError
-from repro.parallel.block_backend import (
-    ShardedHierarchicalOperator,
-    pairwise_tree_sum,
-)
-from repro.parallel.executor import ScheduledExecutor
-from repro.parallel.options import Backend
+from repro.parallel.pool import WorkerPool
 from repro.solvers import solve_system
 
 WORKER_COUNTS = (1, 2, 3, 7)
-GOLDEN_RTOL = 1.0e-12
 
 #: Small leaves force a real block hierarchy (near + far + possible
 #: fallbacks) even on the deliberately small test meshes.
@@ -40,15 +33,15 @@ def _control(workers: int = 0, **kwargs) -> HierarchicalControl:
     return HierarchicalControl(leaf_size=LEAF_SIZE, workers=workers, **kwargs)
 
 
-def _assemble(mesh, soil, control: HierarchicalControl):
+def _assemble(mesh, soil, control: HierarchicalControl, pool=None):
     return assemble_system(
-        mesh, soil, gpr=1000.0, options=AssemblyOptions(hierarchical=control)
+        mesh, soil, gpr=1000.0, options=AssemblyOptions(hierarchical=control), pool=pool
     )
 
 
 @pytest.fixture(scope="module", params=["flat", "rodded"])
 def golden_case(request, small_mesh, uniform_soil, rodded_mesh, two_layer_soil):
-    """Serial and sharded systems of one mesh, all golden worker counts."""
+    """In-process, forked and pooled systems of one mesh."""
     mesh, soil = {
         "flat": (small_mesh, uniform_soil),
         "rodded": (rodded_mesh, two_layer_soil),
@@ -58,7 +51,14 @@ def golden_case(request, small_mesh, uniform_soil, rodded_mesh, two_layer_soil):
         workers: _assemble(mesh, soil, _control(workers=workers))
         for workers in WORKER_COUNTS
     }
-    return {"name": request.param, "serial": serial, "sharded": sharded}
+    with WorkerPool(2) as pool:
+        pooled = _assemble(mesh, soil, _control(), pool=pool)
+    return {"name": request.param, "serial": serial, "sharded": sharded, "pooled": pooled}
+
+
+def _engines(golden_case) -> dict:
+    """Every system to compare bitwise against the in-process ``workers=0`` one."""
+    return {**golden_case["sharded"], "pool": golden_case["pooled"]}
 
 
 def _probe_vectors(n: int) -> list[np.ndarray]:
@@ -69,18 +69,15 @@ def _probe_vectors(n: int) -> list[np.ndarray]:
 class TestGoldenDeterminism:
     def test_operator_types(self, golden_case):
         assert isinstance(golden_case["serial"].matrix, HierarchicalOperator)
-        for system in golden_case["sharded"].values():
-            assert isinstance(system.matrix, ShardedHierarchicalOperator)
+        for system in _engines(golden_case).values():
+            assert isinstance(system.matrix, HierarchicalOperator)
 
     def test_matvec_matches_serial_engine(self, golden_case):
         serial_op = golden_case["serial"].matrix
-        scale = None
         for x in _probe_vectors(serial_op.shape[0]):
             reference = serial_op.matvec(x)
-            scale = np.abs(reference).max()
-            for workers, system in golden_case["sharded"].items():
-                deviation = np.abs(system.matrix.matvec(x) - reference).max()
-                assert deviation <= GOLDEN_RTOL * scale, (workers, deviation / scale)
+            for engine, system in _engines(golden_case).items():
+                assert np.array_equal(system.matrix.matvec(x), reference), engine
 
     def test_matvec_bitwise_identical_across_worker_counts(self, golden_case):
         systems = golden_case["sharded"]
@@ -92,23 +89,18 @@ class TestGoldenDeterminism:
                 assert np.array_equal(expected, result), workers
 
     def test_diagonal_bitwise_identical_across_worker_counts(self, golden_case):
-        systems = golden_case["sharded"]
-        expected = systems[WORKER_COUNTS[0]].matrix.diagonal()
-        for workers in WORKER_COUNTS[1:]:
-            assert np.array_equal(expected, systems[workers].matrix.diagonal())
+        expected = golden_case["serial"].matrix.diagonal()
+        for engine, system in _engines(golden_case).items():
+            assert np.array_equal(expected, system.matrix.diagonal()), engine
 
     def test_pcg_solutions_and_iterates_match_serial(self, golden_case):
         serial = golden_case["serial"]
         reference = solve_system(serial.matrix, serial.rhs, method="pcg")
-        norm = np.abs(reference.solution).max()
-        for workers, system in golden_case["sharded"].items():
+        assert reference.converged
+        for engine, system in _engines(golden_case).items():
             solved = solve_system(system.matrix, system.rhs, method="pcg")
-            assert solved.converged
-            deviation = np.abs(solved.solution - reference.solution).max()
-            assert deviation <= GOLDEN_RTOL * norm, (workers, deviation / norm)
-            # Identical iterate counts: the sharded reduction must not push
-            # the residual across the tolerance at a different iteration.
-            assert solved.iterations == reference.iterations, workers
+            assert np.array_equal(solved.solution, reference.solution), engine
+            assert solved.iterations == reference.iterations, engine
 
     def test_pcg_bitwise_identical_across_worker_counts(self, golden_case):
         systems = golden_case["sharded"]
@@ -122,9 +114,8 @@ class TestGoldenDeterminism:
 
     def test_todense_matches_serial_engine(self, golden_case):
         serial_dense = golden_case["serial"].matrix.todense()
-        scale = np.abs(serial_dense).max()
-        sharded_dense = golden_case["sharded"][2].matrix.todense()
-        assert np.abs(sharded_dense - serial_dense).max() <= GOLDEN_RTOL * scale
+        for engine, system in _engines(golden_case).items():
+            assert np.array_equal(system.matrix.todense(), serial_dense), engine
 
     def test_diagonal_matches_dense(self, golden_case):
         operator = golden_case["sharded"][2].matrix
@@ -141,51 +132,35 @@ class TestGoldenDeterminism:
             assert stats["oversubscribed"] is (workers > available)
 
     def test_sharded_metadata_backend(self, golden_case):
-        for system in golden_case["sharded"].values():
-            assert system.metadata["backend"] == "hierarchical-sharded"
         assert golden_case["serial"].metadata["backend"] == "hierarchical"
+        for system in _engines(golden_case).values():
+            assert system.metadata["backend"] == "hierarchical"
 
 
 class TestBackendEquivalence:
-    """Thread / serial shard backends and matvec fan-out are bit-identical."""
+    """Persistent pool backends and the matvec fan-out are bit-identical."""
 
     @pytest.fixture(scope="class")
     def process_system(self, rodded_mesh, two_layer_soil):
         return _assemble(rodded_mesh, two_layer_soil, _control(workers=2))
 
-    @pytest.mark.parametrize("backend", ["thread", "serial"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_backends_bitwise_equal(self, rodded_mesh, two_layer_soil, process_system, backend):
-        system = _assemble(
-            rodded_mesh, two_layer_soil, _control(workers=2, backend=backend)
-        )
+        with WorkerPool(3, backend=backend) as pool:
+            system = _assemble(rodded_mesh, two_layer_soil, _control(), pool=pool)
+        assert system.metadata["hierarchical"]["backend"] == f"pool-{backend}"
         x = np.linspace(-1.0, 1.0, system.rhs.size)
         assert np.array_equal(system.matrix.matvec(x), process_system.matrix.matvec(x))
 
     def test_matvec_thread_fanout_bitwise_equal(self, rodded_mesh, two_layer_soil, process_system):
-        fanned = _assemble(
-            rodded_mesh, two_layer_soil, _control(workers=2, matvec_workers=3)
-        )
+        # The matvec fans out over as many threads as block workers.
+        fanned = _assemble(rodded_mesh, two_layer_soil, _control(workers=3))
         try:
+            assert fanned.matrix.matvec_workers == 3
             x = np.linspace(-1.0, 1.0, fanned.rhs.size)
             assert np.array_equal(fanned.matrix.matvec(x), process_system.matrix.matvec(x))
         finally:
             fanned.matrix.close()
-
-    def test_matvec_segments_is_a_knob_not_a_result_change(
-        self, rodded_mesh, two_layer_soil, process_system
-    ):
-        other = _assemble(
-            rodded_mesh, two_layer_soil, _control(workers=2, matvec_segments=3)
-        )
-        x = np.linspace(-1.0, 1.0, other.rhs.size)
-        reference = process_system.matrix.matvec(x)
-        result = other.matrix.matvec(x)
-        scale = np.abs(reference).max()
-        # Different segment counts change the reduction tree (not the matrix):
-        # results agree to rounding, and each remains internally bitwise
-        # reproducible.
-        assert np.abs(result - reference).max() <= 1.0e-13 * scale
-        assert np.array_equal(result, other.matrix.matvec(x))
 
 
 class TestMeasureShardedSpeedup:
@@ -200,17 +175,13 @@ class TestMeasureShardedSpeedup:
             gpr=1000.0,
         )
         assert [row["n_workers"] for row in rows] == [0, 1, 2]
-        serial_row, first, second = rows
-        assert serial_row["backend"] == "serial-hierarchical"
-        assert serial_row["solution_rel_error"] == 0.0
-        assert serial_row["speedup"] == 1.0
-        for row in (first, second):
-            # Serial agreement inside the golden contract on small meshes.
-            assert row["solution_rel_error"] <= 1.0e-12
-            assert row["pcg_iterations"] == serial_row["pcg_iterations"]
-        # Deterministic-reduction contract: worker counts cannot differ.
-        assert first["solution_rel_error_vs_sharded"] == 0.0
-        assert second["solution_rel_error_vs_sharded"] == 0.0
+        assert [row["backend"] for row in rows] == ["pool-serial", "pool-process", "pool-process"]
+        assert rows[0]["speedup"] == 1.0
+        for row in rows:
+            # Deterministic-reduction contract: every worker count reproduces
+            # the in-process solution exactly.
+            assert row["solution_rel_error"] == 0.0
+            assert row["pcg_iterations"] == rows[0]["pcg_iterations"]
 
     def test_rejects_hierarchical_options(self, small_mesh, uniform_soil):
         from repro.bem.assembly import AssemblyOptions
@@ -250,38 +221,43 @@ class TestPairwiseTreeSum:
 
 
 class TestRunPartition:
+    """The explicit-partition path the block builder dispatches through."""
+
     def test_collects_all_results(self):
-        with ScheduledExecutor(lambda i: i * i, n_workers=2, backend=Backend.THREAD) as ex:
-            outcome = ex.run_partition([[0, 2], [1, 3]])
+        with WorkerPool(2, backend="serial") as pool:
+            outcome = pool.run_partition(lambda i: i * i, [[0, 2], [1, 3]])
         assert outcome.ordered_results() == [0, 1, 4, 9]
         assert outcome.n_chunks == 2
-        assert outcome.schedule == "Partition,2"
+        assert outcome.schedule == "Pool,2"
 
     def test_empty_shards_skipped(self):
-        with ScheduledExecutor(lambda i: i + 1, n_workers=3, backend=Backend.SERIAL) as ex:
-            outcome = ex.run_partition([[], [0], []], label="LPT")
+        with WorkerPool(3, backend="serial") as pool:
+            outcome = pool.run_partition(lambda i: i + 1, [[], [0], []], label="LPT")
         assert outcome.ordered_results() == [1]
         assert outcome.n_chunks == 1
         assert outcome.schedule == "LPT,1"
 
     def test_duplicate_assignment_rejected(self):
-        with ScheduledExecutor(lambda i: i, n_workers=2, backend=Backend.SERIAL) as ex:
+        with WorkerPool(2, backend="serial") as pool:
             with pytest.raises(ParallelExecutionError):
-                ex.run_partition([[0, 1], [1, 2]])
+                pool.run_partition(lambda i: i, [[0, 1], [1, 2]])
 
     def test_process_backend_round_trip(self):
-        with ScheduledExecutor(lambda i: 3 * i, n_workers=2, backend=Backend.PROCESS) as ex:
-            outcome = ex.run_partition([[0, 3], [1, 2]])
+        with WorkerPool(2) as pool:
+            outcome = pool.run_partition(_triple, [[0, 3], [1, 2]])
         assert outcome.ordered_results() == [0, 3, 6, 9]
-        assert outcome.backend == "process"
+        assert outcome.backend == "pool-process"
 
     def test_batch_fn_partition(self):
         def batch(indices):
             return [(int(i), int(i) - 1) for i in indices]
 
-        with ScheduledExecutor(
-            lambda i: i - 1, n_workers=2, backend=Backend.THREAD, batch_fn=batch,
-            cost_hint=np.ones(4),
-        ) as ex:
-            outcome = ex.run_partition([[2, 0], [3, 1]])
+        with WorkerPool(2, backend="serial") as pool:
+            outcome = pool.run_partition(
+                lambda i: i - 1, [[2, 0], [3, 1]], batch_fn=batch, cost_hint=np.ones(4)
+            )
         assert outcome.ordered_results() == [-1, 0, 1, 2]
+
+
+def _triple(index: int) -> int:
+    return 3 * index
