@@ -16,8 +16,10 @@ Quick start::
     results = GroundingAnalysis(grid, UniformSoil(0.01), gpr=10_000.0).run()
     print(results.equivalent_resistance, "ohm")
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
-paper-versus-measured record of every table and figure.
+See ``README.md``: "Layout" for the package inventory, "Deterministic cost
+model" and "Running the scaling benchmarks on a 1-core host" for the paper's
+tables and figures, and "Dependencies and cold start" for what this import
+loads.
 """
 
 from repro._version import __version__

@@ -46,10 +46,9 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.bem.assembly import AssemblyOptions, assemble_rhs
 from repro.bem.elements import DofManager
@@ -62,6 +61,9 @@ from repro.kernels.base import LayeredKernel, kernel_for_soil
 from repro.observe import ensure_tracer
 from repro.soil.base import SoilModel
 from repro.timing import wall_clock
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from scipy import sparse
 
 __all__ = [
     "HierarchicalControl",

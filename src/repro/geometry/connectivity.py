@@ -3,21 +3,20 @@
 A physically meaningful grounding grid is a single connected network: every
 electrode must be galvanically bonded to the rest, otherwise the constant-GPR
 boundary condition of the paper (``V = V_Gamma`` on the whole electrode
-surface) would not hold.  This module builds a :mod:`networkx` graph from a
-:class:`~repro.geometry.discretize.Mesh` and provides the checks and counts
-used by validation, reports and tests (number of independent meshes, node
-degrees, ...).
+surface) would not hold.  This module treats a
+:class:`~repro.geometry.discretize.Mesh` as a graph — mesh nodes are vertices,
+elements are edges — and provides the checks and counts used by validation,
+reports and tests (number of independent meshes, node degrees, ...).
+Components come from one union-find over the element node pairs.
 """
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.geometry.discretize import Mesh
 
 __all__ = [
-    "connectivity_graph",
     "is_connected",
     "connected_components",
     "count_independent_meshes",
@@ -27,38 +26,47 @@ __all__ = [
 ]
 
 
-def connectivity_graph(mesh: Mesh) -> nx.Graph:
-    """Undirected graph whose vertices are mesh nodes and edges are elements.
+def _graph_edges(mesh: Mesh) -> set[tuple[int, int]]:
+    """Distinct node pairs joined by at least one element.
 
-    Element indices are stored on the edges under the ``"elements"`` attribute
-    (a list, because two distinct elements may join the same node pair, e.g. a
-    rod discretised into several pieces stacked below a grid node).
+    Coincident elements (two conductors laid over the same node pair) share
+    one graph edge.
     """
-    graph = nx.Graph()
-    graph.add_nodes_from(range(mesh.n_nodes))
+    return {(min(a, b), max(a, b)) for a, b in (e.node_ids for e in mesh.elements)}
+
+
+def _component_roots(mesh: Mesh) -> list[int]:
+    """For every node, the smallest node id of its connected component."""
+    parent = list(range(mesh.n_nodes))
+
+    def find(node: int) -> int:
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]  # path halving
+            node = parent[node]
+        return node
+
     for element in mesh.elements:
-        a, b = element.node_ids
-        if graph.has_edge(a, b):
-            graph.edges[a, b]["elements"].append(element.index)
-            graph.edges[a, b]["length"] += element.length
-        else:
-            graph.add_edge(a, b, elements=[element.index], length=element.length)
-    return graph
+        a, b = (find(node) for node in element.node_ids)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    return [find(node) for node in range(mesh.n_nodes)]
 
 
 def is_connected(mesh: Mesh) -> bool:
     """Whether every electrode of the mesh is galvanically connected."""
-    graph = connectivity_graph(mesh)
-    if graph.number_of_nodes() == 0:
-        return False
-    return nx.is_connected(graph)
+    return len(connected_components(mesh)) == 1
 
 
 def connected_components(mesh: Mesh) -> list[set[int]]:
-    """Connected components as sets of node ids (largest first)."""
-    graph = connectivity_graph(mesh)
-    components = [set(c) for c in nx.connected_components(graph)]
-    return sorted(components, key=len, reverse=True)
+    """Connected components as sets of node ids.
+
+    Largest first; components of equal size keep the order of their
+    smallest node id.
+    """
+    components: dict[int, set[int]] = {}
+    for node, root in enumerate(_component_roots(mesh)):
+        components.setdefault(root, set()).add(node)
+    return sorted(components.values(), key=len, reverse=True)
 
 
 def count_independent_meshes(mesh: Mesh) -> int:
@@ -69,11 +77,7 @@ def count_independent_meshes(mesh: Mesh) -> int:
     single-component reticulated grid this equals the number of visible
     "meshes" of the grid plan.
     """
-    graph = connectivity_graph(mesh)
-    n_edges = graph.number_of_edges()
-    n_vertices = graph.number_of_nodes()
-    n_components = nx.number_connected_components(graph) if n_vertices else 0
-    return int(n_edges - n_vertices + n_components)
+    return len(_graph_edges(mesh)) - mesh.n_nodes + len(connected_components(mesh))
 
 
 def node_degrees(mesh: Mesh) -> np.ndarray:
@@ -92,13 +96,12 @@ def isolated_nodes(mesh: Mesh) -> np.ndarray:
 
 def graph_summary(mesh: Mesh) -> dict:
     """Aggregate connectivity statistics used by reports and tests."""
-    graph = connectivity_graph(mesh)
     degrees = node_degrees(mesh)
     return {
         "n_nodes": mesh.n_nodes,
         "n_elements": mesh.n_elements,
-        "n_graph_edges": graph.number_of_edges(),
-        "n_components": nx.number_connected_components(graph) if mesh.n_nodes else 0,
+        "n_graph_edges": len(_graph_edges(mesh)),
+        "n_components": len(connected_components(mesh)),
         "n_independent_meshes": count_independent_meshes(mesh),
         "max_degree": int(degrees.max()) if degrees.size else 0,
         "mean_degree": float(degrees.mean()) if degrees.size else 0.0,

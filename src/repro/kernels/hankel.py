@@ -32,7 +32,6 @@ slow for full matrix assembly; it is not used in the BEM hot path.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from repro.exceptions import KernelError
 from repro.soil.base import SoilModel
@@ -120,6 +119,8 @@ class HankelKernel:
         self, rho: float, z: float, zeta: float, source_layer: int, field_layer: int
     ) -> float:
         """``∫₀^∞ g_c(λ, z) J₀(λρ) dλ`` with ``g_c`` the secondary λ-kernel."""
+        from scipy import special
+
         decay = self._decay_length(z, zeta, source_layer, field_layer)
         lambda_max = self.lambda_max_scale / decay
 

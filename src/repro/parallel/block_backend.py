@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.cluster.block_assembly import (
     build_block_profile,
@@ -62,6 +61,8 @@ from repro.parallel.pool import PoolJob, WorkerPool
 from repro.timing import wall_clock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from scipy import sparse
+
     from repro.bem.influence import ColumnAssembler
     from repro.cluster.block_assembly import ClusterPlanCache
     from repro.cluster.operator import HierarchicalControl
@@ -156,6 +157,8 @@ class _BlockShardBatchTask:
 
 
 def _csr(rows, cols, vals, shape) -> sparse.csr_matrix:
+    from scipy import sparse
+
     if not rows:
         return sparse.csr_matrix(shape, dtype=float)
     matrix = sparse.coo_matrix(

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro.exceptions import SoilModelError
 from repro.soil.two_layer import TwoLayerSoil
@@ -87,6 +86,8 @@ def fit_two_layer_model(
     TwoLayerFit
         Best fit across all starts.
     """
+    from scipy import optimize
+
     if survey.n_measurements < 3:
         raise SoilModelError(
             "at least three Wenner measurements are needed to fit (ρ1, ρ2, h)"

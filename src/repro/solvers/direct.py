@@ -7,9 +7,7 @@ solutions against which the iterative solvers are tested.
 
 from __future__ import annotations
 
-
 import numpy as np
-from scipy import linalg
 
 from repro.exceptions import SolverError
 from repro.solvers.result import SolveResult
@@ -50,6 +48,8 @@ def solve_direct(matrix: np.ndarray, rhs: np.ndarray, method: str = "cholesky") 
     method = str(method).lower()
     if method not in ("cholesky", "lu"):
         raise SolverError(f"unknown direct method {method!r}")
+
+    from scipy import linalg
 
     start = wall_clock()
     used = method
