@@ -3,7 +3,7 @@
 Every benchmark that regenerates one of the paper's tables or figures also
 writes a plain-text record of the produced rows (and the paper's values where
 applicable) to ``benchmarks/results/``, so that the numbers survive output
-capturing and can be copied into ``EXPERIMENTS.md``.
+capturing (see README.md, "Paper artefacts and case studies").
 """
 
 from __future__ import annotations

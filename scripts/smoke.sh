@@ -100,7 +100,7 @@ echo "bench_trend --attribute correctly flagged and attributed the perturbation"
 echo "== parallel + cluster + campaign suites (2-worker process pools) =="
 python -m pytest -q -p no:randomly tests/parallel tests/cluster tests/campaign
 
-echo "== chaos matrix ({crash,hang,corrupt} x {assembly,matvec,campaign}) =="
+echo "== chaos matrix ({crash,hang,corrupt} x {assembly,matvec,campaign,dense}) =="
 # Deterministic fault injection on a 2-worker pool: every recovered run must
 # be bit-identical to the fault-free run (equal PCG iterate counts) and the
 # PoolHealth counters must prove the fault fired.  The checkpoint/resume

@@ -15,7 +15,9 @@ invariants that the runtime golden/hypothesis suites can only *sample*:
   :mod:`repro.bem.geometry_cache` does (**FORK001**),
 * worker tasks dispatched to :class:`~repro.parallel.pool.WorkerPool` /
   :class:`~repro.parallel.executor.ScheduledExecutor` must be module-level
-  callables, never closures (**MSG001**),
+  callables, never closures (**MSG001**) — both ship their task to the
+  workers by pickle, so a closure also fails at runtime, before any chunk
+  runs,
 * no exact floating-point ``==`` / ``!=`` outside tests (**API001**).
 
 :mod:`repro.contracts` enforces them *statically*, at CI time, over the whole

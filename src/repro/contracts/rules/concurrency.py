@@ -2,12 +2,12 @@
 
 Both encode invariants the worker-pool architecture depends on:
 
-* the process backends ``fork()`` workers, and a ``threading.Lock`` held by
+* the worker pool ``fork()``s its workers, and a ``threading.Lock`` held by
   another parent thread at fork time stays locked forever in the child —
   every module that creates locks outliving a function call must re-arm them
   with ``os.register_at_fork`` the way :mod:`repro.bem.geometry_cache` does;
 * the worker protocol is pure message passing — the task callables are
-  shipped (or inherited copy-on-write) once per assembly, so they must be
+  shipped by pickle once per run, so they must be
   module-level objects; a closure or lambda drags its enclosing frame (live
   operators, locks, open files) into the workers and breaks both
   picklability and the purity the bit-identical re-execution relies on.

@@ -2,9 +2,10 @@
 
 Every entry maps one artefact of the paper's evaluation (a table or a figure)
 to the experiment driver that reproduces it and to the benchmark module that
-prints the corresponding rows/series.  ``DESIGN.md`` carries the same index in
-prose; this module makes it queryable from code and keeps the test-suite able
-to assert that every artefact has a registered reproduction path.
+prints the corresponding rows/series.  README.md ("Paper artefacts and case
+studies") summarises the same index in prose; this module makes it queryable
+from code and keeps the test-suite able to assert that every artefact has a
+registered reproduction path.
 """
 
 from __future__ import annotations

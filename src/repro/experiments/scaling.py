@@ -34,7 +34,7 @@ from repro.geometry.discretize import discretize_grid
 from repro.kernels.base import kernel_for_soil
 from repro.parallel.costs import analytic_column_costs, blend_costs, scale_costs
 from repro.parallel.machine import MachineModel
-from repro.parallel.options import Backend, LoopLevel, ParallelOptions
+from repro.parallel.options import Backend, ParallelOptions
 from repro.parallel.parallel_assembly import assemble_system_parallel
 from repro.parallel.schedule import Schedule
 from repro.parallel.simulator import ScheduleSimulator
@@ -258,17 +258,16 @@ def measure_real_speedups(
     processor_counts: Sequence[int] = (1, 2, 4, 8),
     schedule: str | Schedule = "Dynamic,1",
     backend: Backend | str = Backend.PROCESS,
-    loop: LoopLevel | str = LoopLevel.OUTER,
     coarse: bool = False,
     options: AssemblyOptions | None = None,
     max_workers: int | None = None,
 ) -> list[dict[str, Any]]:
-    """Real process/thread-pool speed-ups of the matrix generation on this host.
+    """Real process-pool speed-ups of the matrix generation on this host.
 
     Returns one row per processor count with the measured wall time and the
     speed-up referenced to the sequential run (the convention of the paper's
     tables).  Worker counts above the host's CPU count are *not* skipped:
-    process and thread pools oversubscribe without failing, so every requested
+    process pools oversubscribe without failing, so every requested
     count produces a row, flagged ``"oversubscribed": True`` when it exceeds
     the available cores (its speed-up then reflects time-sliced execution, not
     genuine parallel hardware).  Use ``max_workers`` to bound pool sizes on
@@ -305,9 +304,7 @@ def measure_real_speedups(
             continue
         if max_workers is not None and count > max_workers:
             continue
-        parallel = ParallelOptions(
-            n_workers=count, schedule=schedule, backend=backend, loop=loop
-        )
+        parallel = ParallelOptions(n_workers=count, schedule=schedule, backend=backend)
         system = assemble_system_parallel(
             mesh, soil, gpr=gpr, options=options, kernel=kernel, parallel=parallel
         )

@@ -22,7 +22,7 @@ burial depth, conductor radii and (approximately) the number of segments and
 nodes; the exact internal topology of the original drawings is unknown, so the
 absolute resistances computed on these grids are expected to differ from the
 paper's by a few percent while every qualitative trend is preserved (see
-EXPERIMENTS.md).
+README.md, "Paper artefacts and case studies").
 """
 
 from __future__ import annotations

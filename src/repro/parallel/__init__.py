@@ -9,11 +9,15 @@ static / dynamic / guided schedules and their chunk sizes affect the speed-up.
 This sub-package reproduces that study with two complementary back-ends:
 
 * **real execution** (:mod:`repro.parallel.executor`,
-  :mod:`repro.parallel.parallel_assembly`) — the column tasks are distributed
-  over Python worker processes (or threads) following the same schedule
-  semantics as OpenMP (``static`` / ``dynamic`` / ``guided`` with an optional
-  chunk), with the final assembly of the elemental blocks performed serially by
-  the master exactly as the paper restructures its loop;
+  :mod:`repro.parallel.parallel_assembly`) — the outer-loop column tasks are
+  distributed over the worker processes of a
+  :class:`~repro.parallel.pool.WorkerPool` following the same schedule
+  semantics as OpenMP (``static`` chunks pinned to workers, ``dynamic`` /
+  ``guided`` chunks pulled by idle workers, with an optional chunk size),
+  with the final assembly of the elemental blocks performed serially by the
+  master exactly as the paper restructures its loop.  The pool is the one
+  process runtime of the package: the hierarchical block builder and the
+  campaigns run on it too;
 * **simulated execution** (:mod:`repro.parallel.simulator`) — a discrete-event
   simulator of a shared-memory multiprocessor replays the *measured* per-column
   costs under any schedule and any processor count (e.g. the 1–64 processors of
@@ -38,9 +42,9 @@ from repro.parallel.schedule import Schedule, ScheduleKind
 from repro.timing import PhaseTimer, Timer
 from repro.parallel.machine import MachineModel
 from repro.parallel.simulator import ScheduleSimulator, SimulationResult
-from repro.parallel.executor import run_scheduled_tasks, TaskRunResult
+from repro.parallel.executor import run_scheduled_tasks
 from repro.parallel.parallel_assembly import assemble_system_parallel
-from repro.parallel.pool import WorkerPool
+from repro.parallel.pool import TaskRunResult, WorkerPool
 from repro.parallel.speedup import (
     SpeedupStudy,
     measure_sharded_speedup,

@@ -182,7 +182,7 @@ def sharded_operator_steps(
     master; :func:`~repro.parallel.costs.partition_block_work` splits the
     blocks into LPT shards.  With a persistent ``pool`` the single shard
     dispatch is a yielded :class:`~repro.parallel.pool.PoolJob` whose
-    :class:`~repro.parallel.executor.TaskRunResult` comes back at the
+    :class:`~repro.parallel.pool.TaskRunResult` comes back at the
     ``yield`` — the generator never touches the pool's pipes, so a scheduler
     can interleave many assemblies over one pool, and the shard count follows
     ``pool.n_workers``.  Without a pool the shards run on a transient

@@ -17,10 +17,8 @@ class Backend(str, enum.Enum):
 
     #: Run everything in the calling process (useful as a baseline / debugging).
     SERIAL = "serial"
-    #: Python threads: low overhead, concurrency limited by the GIL except
-    #: inside NumPy kernels.
-    THREAD = "thread"
-    #: Worker processes (fork): true parallelism, the default.
+    #: Worker processes of a :class:`~repro.parallel.pool.WorkerPool`: true
+    #: parallelism, the default.
     PROCESS = "process"
 
 
@@ -30,7 +28,9 @@ class LoopLevel(str, enum.Enum):
     The paper compares both options (Fig. 6.1): parallelising the *outer* loop
     distributes whole columns (much larger granularity and better speed-ups),
     parallelising the *inner* loop distributes the rows of one column at a time
-    and pays a synchronisation at every column.
+    and pays a synchronisation at every column.  Real execution always runs
+    the outer loop; the inner loop is replayed by the schedule simulator
+    (:meth:`~repro.parallel.simulator.ScheduleSimulator.run_inner_loop`).
     """
 
     OUTER = "outer"
@@ -49,15 +49,12 @@ class ParallelOptions:
         Loop schedule (default ``Dynamic,1`` — the best performer in the
         paper's Table 6.2).
     backend:
-        ``process`` (default), ``thread`` or ``serial``.
-    loop:
-        ``outer`` (default) or ``inner`` loop parallelisation.
+        ``process`` (default) or ``serial``.
     """
 
     n_workers: int = 0
     schedule: Schedule = field(default_factory=Schedule)
     backend: Backend = Backend.PROCESS
-    loop: LoopLevel = LoopLevel.OUTER
 
     def __post_init__(self) -> None:
         workers = int(self.n_workers) if self.n_workers else (os.cpu_count() or 1)
@@ -68,8 +65,6 @@ class ParallelOptions:
             object.__setattr__(self, "schedule", Schedule.parse(str(self.schedule)))
         if not isinstance(self.backend, Backend):
             object.__setattr__(self, "backend", Backend(str(self.backend).lower()))
-        if not isinstance(self.loop, LoopLevel):
-            object.__setattr__(self, "loop", LoopLevel(str(self.loop).lower()))
 
     def describe(self) -> dict:
         """Compact description stored in result metadata."""
@@ -77,5 +72,4 @@ class ParallelOptions:
             "n_workers": self.n_workers,
             "schedule": self.schedule.label(),
             "backend": self.backend.value,
-            "loop": self.loop.value,
         }

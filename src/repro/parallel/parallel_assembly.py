@@ -10,19 +10,19 @@ exactly that structure:
 
 1. the column tasks of :class:`repro.bem.influence.ColumnAssembler` are
    distributed over the workers according to the requested
-   :class:`~repro.parallel.schedule.Schedule` (outer-loop parallelisation), or
-   the rows of each column are distributed while the column loop stays
-   sequential (inner-loop parallelisation, kept for the comparison of
-   Fig. 6.1);
+   :class:`~repro.parallel.schedule.Schedule` (outer-loop parallelisation);
 2. the resulting blocks are assembled into the global matrix by the master
    process.
 
+The paper's inner-loop alternative (the rows of each column distributed while
+the column loop stays sequential, Fig. 6.1) is not executed for real: its
+curve comes from replaying the column costs in the schedule simulator
+(:meth:`~repro.parallel.simulator.ScheduleSimulator.run_inner_loop`).
+
 Every schedule chunk is dispatched as **one batched evaluation** — a single
-:meth:`~repro.bem.influence.ColumnAssembler.column_batch` call for the outer
-loop, one grouped :meth:`~repro.bem.influence.ColumnAssembler.column_blocks`
-call per source for the inner loop — on the serial, thread and process
-backends alike.  Chunk wall times are apportioned to the individual columns
-with the deterministic analytic cost model
+:meth:`~repro.bem.influence.ColumnAssembler.column_batch` call — on the serial
+and process backends alike.  Chunk wall times are apportioned to the
+individual columns with the deterministic analytic cost model
 (:func:`repro.parallel.costs.analytic_column_costs`).
 """
 
@@ -45,7 +45,7 @@ from repro.exceptions import ParallelExecutionError
 from repro.geometry.discretize import Mesh
 from repro.kernels.base import LayeredKernel, kernel_for_soil
 from repro.parallel.executor import ScheduledExecutor
-from repro.parallel.options import Backend, LoopLevel, ParallelOptions
+from repro.parallel.options import Backend, ParallelOptions
 from repro.soil.base import SoilModel
 from repro.timing import wall_clock
 
@@ -66,72 +66,29 @@ def generate_columns_parallel(
     time).
     """
     n_columns = assembler.n_elements
-
-    if parallel.loop is LoopLevel.OUTER:
-        task_fn = _OuterColumnTask(assembler)
-        batch_fn = _OuterColumnBatchTask(assembler)
-        with ScheduledExecutor(
-            task_fn,
-            n_workers=parallel.n_workers,
-            backend=parallel.backend,
-            batch_fn=batch_fn,
-            cost_hint=assembler.column_cost_estimate(),
-        ) as executor:
-            outcome = executor.run(range(n_columns), parallel.schedule)
-        columns = []
-        for index in range(n_columns):
-            targets, blocks = outcome.results[index]
-            columns.append(
-                ColumnResult(
-                    source_index=index,
-                    targets=targets,
-                    blocks=blocks,
-                    elapsed_seconds=float(outcome.task_seconds[index]),
-                )
-            )
-        metadata = {
-            "parallel_wall_seconds": outcome.wall_seconds,
-            "column_seconds": outcome.task_seconds.copy(),
-            "n_chunks": outcome.n_chunks,
-        }
-        return columns, metadata
-
-    # Inner-loop parallelisation: the column loop stays sequential, the rows of
-    # each column are distributed among the workers (fine granularity).
-    task_fn = _InnerPairTask(assembler)
-    batch_fn = _InnerPairBatchTask(assembler)
-    columns = []
-    column_seconds = np.zeros(n_columns)
-    total_chunks = 0
-    start = wall_clock()
     with ScheduledExecutor(
-        task_fn,
+        _OuterColumnTask(assembler),
         n_workers=parallel.n_workers,
         backend=parallel.backend,
-        batch_fn=batch_fn,
+        batch_fn=_OuterColumnBatchTask(assembler),
+        cost_hint=assembler.column_cost_estimate(),
     ) as executor:
-        for source_index in range(n_columns):
-            targets = np.arange(source_index, n_columns, dtype=int)
-            encoded = [source_index * n_columns + int(t) for t in targets]
-            column_start = wall_clock()
-            outcome = executor.run(encoded, parallel.schedule)
-            column_seconds[source_index] = wall_clock() - column_start
-            total_chunks += outcome.n_chunks
-            blocks = np.stack(
-                [outcome.results[code] for code in encoded], axis=0
-            ) if encoded else np.zeros((0, 1, 1))
-            columns.append(
-                ColumnResult(
-                    source_index=source_index,
-                    targets=targets,
-                    blocks=blocks,
-                    elapsed_seconds=float(column_seconds[source_index]),
-                )
+        outcome = executor.run(range(n_columns), parallel.schedule)
+    columns = []
+    for index in range(n_columns):
+        targets, blocks = outcome.results[index]
+        columns.append(
+            ColumnResult(
+                source_index=index,
+                targets=targets,
+                blocks=blocks,
+                elapsed_seconds=float(outcome.task_seconds[index]),
             )
+        )
     metadata = {
-        "parallel_wall_seconds": wall_clock() - start,
-        "column_seconds": column_seconds,
-        "n_chunks": total_chunks,
+        "parallel_wall_seconds": outcome.wall_seconds,
+        "column_seconds": outcome.task_seconds.copy(),
+        "n_chunks": outcome.n_chunks,
     }
     return columns, metadata
 
@@ -157,47 +114,6 @@ class _OuterColumnBatchTask:
     ) -> list[tuple[int, tuple[np.ndarray, np.ndarray]]]:
         pairs = self.assembler.column_batch(column_indices)
         return [(int(index), pair) for index, pair in zip(column_indices, pairs)]
-
-
-class _InnerPairTask:
-    """Callable computing a single element-pair block (inner-loop task).
-
-    Task ids encode the pair as ``source * M + target``.
-    """
-
-    def __init__(self, assembler: ColumnAssembler) -> None:
-        self.assembler = assembler
-        self.n_elements = assembler.n_elements
-
-    def __call__(self, encoded: int) -> np.ndarray:
-        source, target = divmod(int(encoded), self.n_elements)
-        _, blocks = self.assembler.column_blocks(source, target_indices=[target])
-        return blocks[0]
-
-
-class _InnerPairBatchTask:
-    """Batched companion of the inner-loop task: one call per (source, chunk).
-
-    A chunk of the inner loop lies within one column, but the grouping below
-    stays correct for arbitrary chunks spanning several sources.
-    """
-
-    def __init__(self, assembler: ColumnAssembler) -> None:
-        self.assembler = assembler
-        self.n_elements = assembler.n_elements
-
-    def __call__(self, encoded_ids: Sequence[int]) -> list[tuple[int, np.ndarray]]:
-        by_source: dict[int, list[tuple[int, int]]] = {}
-        for code in encoded_ids:
-            source, target = divmod(int(code), self.n_elements)
-            by_source.setdefault(source, []).append((int(code), target))
-        block_of: dict[int, np.ndarray] = {}
-        for source, entries in by_source.items():
-            targets = [target for _, target in entries]
-            _, blocks = self.assembler.column_blocks(source, target_indices=targets)
-            for (code, _), block in zip(entries, blocks):
-                block_of[code] = block
-        return [(int(code), block_of[int(code)]) for code in encoded_ids]
 
 
 def assemble_system_parallel(
@@ -245,7 +161,6 @@ def assemble_system_parallel(
         "n_gauss": options.n_gauss,
         "soil_layers": soil.n_layers,
         "backend": parallel.backend.value,
-        "loop": parallel.loop.value,
         "schedule": parallel.schedule.label(),
         "n_workers": parallel.n_workers,
         "parallel_wall_seconds": parallel_metadata["parallel_wall_seconds"],

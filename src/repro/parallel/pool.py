@@ -13,12 +13,14 @@ would amortise the fork+IPC cost of repeated sweeps".
 :class:`WorkerPool` keeps the workers alive across assemblies:
 
 * **spawn-once** — worker processes are forked when the pool is created and
-  survive until :meth:`WorkerPool.close` (or the ``with`` block) ends;
+  survive until :meth:`WorkerPool.close` (or the ``with`` block) ends; a
+  caller that owns no pool opens a transient one around a single run;
 * **task-queue protocol** — each run ships its task context (the block task
   capturing assembler, cluster tree and partition) to the workers once, then
-  dispatches explicit LPT shards, one chunk per shard; results are folded
-  through the :func:`~repro.parallel.executor.collect_chunk_results` the
-  scheduled executor uses too;
+  dispatches explicit shards, one chunk per shard — LPT shards of the block
+  builder, or the schedule chunks of the paper's column loop
+  (:class:`~repro.parallel.executor.ScheduledExecutor`); results are folded
+  through :func:`collect_chunk_results`;
 * **multi-run multiplexing** — :meth:`submit` registers a run and returns a
   handle without blocking; :meth:`service` advances one step of the event
   loop (dispatch queued shards, collect replies for *any* in-flight run);
@@ -71,13 +73,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from repro.exceptions import ParallelExecutionError
 from repro.observe import MetricsRegistry, ensure_tracer
-from repro.parallel.executor import (
-    TaskRunResult,
-    _execute_chunk,
-    collect_chunk_results,
-)
+from repro.parallel.costs import cost_shares
 from repro.resilience import (
     DEFAULT_RETRY_POLICY,
     FaultInjector,
@@ -96,7 +96,14 @@ from repro.resilience.channel import (
 from repro.resilience.faults import execute_pre_fault
 from repro.timing import wall_clock
 
-__all__ = ["PoolJob", "WorkerPool", "drive_pool_steps", "normalize_partition"]
+__all__ = [
+    "PoolJob",
+    "TaskRunResult",
+    "WorkerPool",
+    "collect_chunk_results",
+    "drive_pool_steps",
+    "normalize_partition",
+]
 
 #: Seconds between liveness checks while waiting for shard results.
 _POLL_SECONDS: float = 0.2
@@ -110,6 +117,119 @@ DEFAULT_MAX_RESPAWNS: int = 8
 #: Seconds granted at each escalation step of :meth:`WorkerPool.close`
 #: (stop message → SIGTERM → SIGKILL).
 DEFAULT_SHUTDOWN_GRACE: float = 5.0
+
+
+# --------------------------------------------------------------------------- chunks and results
+
+
+def _execute_chunk(
+    task_fn: Callable[[int], Any] | None,
+    batch_fn: Callable[[Sequence[int]], list[tuple[int, Any]]] | None,
+    cost_hint: Any,
+    indices: Sequence[int],
+) -> list[tuple[int, Any, float]]:
+    """Execute one chunk of tasks, timing them.
+
+    With a ``batch_fn`` the whole chunk is evaluated in a single call and the
+    elapsed time is apportioned to the tasks by their cost shares; otherwise
+    each task runs (and is timed) individually.
+    """
+    if batch_fn is not None:
+        start = wall_clock()
+        pairs = batch_fn(list(indices))
+        elapsed = wall_clock() - start
+        if len(pairs) != len(indices):
+            raise ParallelExecutionError(
+                f"batch returned {len(pairs)} results for a chunk of {len(indices)} tasks"
+            )
+        shares = cost_shares(cost_hint, indices)
+        return [
+            (int(task_id), value, float(elapsed * share))
+            for (task_id, value), share in zip(pairs, shares)
+        ]
+    if task_fn is None:  # pragma: no cover - defensive
+        raise ParallelExecutionError("worker has no task function configured")
+    output = []
+    for index in indices:
+        start = wall_clock()
+        value = task_fn(int(index))
+        output.append((int(index), value, wall_clock() - start))
+    return output
+
+
+def collect_chunk_results(
+    raw: list[list[tuple[int, Any, float]]],
+    indices: Sequence[int],
+    wall: float,
+    n_chunks: int,
+    n_workers: int,
+    schedule_label: str,
+    backend: str,
+) -> "TaskRunResult":
+    """Fold executed-chunk outputs into a :class:`TaskRunResult`.
+
+    Per-task results and timings are indexed back to the submission order,
+    and a missing (or duplicated) task id fails loudly.
+    """
+    indices = [int(i) for i in indices]
+    n_tasks = len(indices)
+    results: dict[int, Any] = {}
+    task_seconds = np.zeros(n_tasks)
+    position = {task: k for k, task in enumerate(indices)}
+    for chunk_output in raw:
+        for task_id, value, elapsed in chunk_output:
+            results[task_id] = value
+            task_seconds[position[task_id]] = elapsed
+    if len(results) != n_tasks:
+        raise ParallelExecutionError(
+            f"scheduled run returned {len(results)} results for {n_tasks} tasks"
+        )
+    return TaskRunResult(
+        results=results,
+        wall_seconds=wall,
+        task_seconds=task_seconds,
+        n_chunks=n_chunks,
+        n_workers=n_workers,
+        schedule=schedule_label,
+        backend=backend,
+    )
+
+
+@dataclass
+class TaskRunResult:
+    """Results and timing of one scheduled loop execution."""
+
+    #: Task results indexed by task id.
+    results: dict[int, Any]
+    #: Wall-clock seconds of the whole parallel loop (as seen by the caller).
+    wall_seconds: float
+    #: Per-task execution seconds measured inside the workers (apportioned from
+    #: the chunk time when chunks are dispatched as batches).
+    task_seconds: np.ndarray
+    #: Number of chunks dispatched.
+    n_chunks: int
+    #: Number of workers used.
+    n_workers: int
+    #: Schedule label (e.g. ``"Dynamic,1"``).
+    schedule: str
+    #: Backend name.
+    backend: str
+
+    @property
+    def sequential_seconds(self) -> float:
+        """Sum of the per-task times (the sequential reference of the paper)."""
+        return float(self.task_seconds.sum())
+
+    @property
+    def speedup(self) -> float:
+        """Observed speed-up relative to the summed task times."""
+        if self.wall_seconds <= 0.0:
+            return float(self.n_workers)
+        return self.sequential_seconds / self.wall_seconds
+
+    def ordered_results(self) -> list[Any]:
+        """Results sorted by task id."""
+        return [self.results[key] for key in sorted(self.results)]
 
 
 def normalize_partition(
@@ -147,7 +267,7 @@ class PoolJob:
     """One pool-run request yielded by a generator-based assembly pipeline.
 
     Mirrors the :meth:`WorkerPool.run_partition` signature; the generator
-    receives the :class:`~repro.parallel.executor.TaskRunResult` back at the
+    receives the :class:`TaskRunResult` back at the
     ``yield``.  The task/batch callables obey the same purity contract as
     direct dispatch (module-level, closure-free — MSG001).
     """
@@ -173,7 +293,7 @@ def drive_pool_steps(steps, pool) -> Any:
     """Run a :class:`PoolJob`-yielding generator to completion, blocking.
 
     Every yielded request executes as one :meth:`WorkerPool.run_partition`
-    call on ``pool`` and its :class:`~repro.parallel.executor.TaskRunResult`
+    call on ``pool`` and its :class:`TaskRunResult`
     is sent back into the generator; the generator's return value is
     returned.  A pipeline that never dispatches (``pool is None`` branches
     handled inside the generator) simply runs to its ``return``.
@@ -208,7 +328,7 @@ def _pool_worker_main(
         Forget context ``seq`` (its run finished; other contexts survive).
     ``("run", job_id, seq, indices)``
         Execute one shard chunk under context ``seq`` through the shared
-        :func:`~repro.parallel.executor._execute_chunk` and reply
+        :func:`_execute_chunk` and reply
         ``("result", job_id, output, digest)`` — or ``("error", job_id,
         text)`` when the task raises or the context is unknown (a master
         bug).
@@ -588,7 +708,7 @@ class WorkerPool:
         """Execute tasks under an explicit worker partition on the live pool.
 
         One shard per chunk, duplicate-assignment rejection, results folded
-        into a :class:`~repro.parallel.executor.TaskRunResult`.  The task
+        into a :class:`TaskRunResult`.  The task
         context travels over the persistent workers' pipes instead of relying
         on fork-time inheritance, so one pool serves any number of assemblies.
         Shards beyond the active worker count are queued and dispatched as
@@ -615,20 +735,28 @@ class WorkerPool:
         batch_fn: Callable[[Sequence[int]], list[tuple[int, Any]]] | None = None,
         cost_hint: Any = None,
         label: str = "Pool",
+        pull: bool = False,
     ) -> _PoolRun:
         """Register a run and queue its shards; returns without blocking.
 
         The returned handle's ``done`` flag flips once every shard has been
         collected (drive the loop with :meth:`service`); fold it with
         :meth:`result`.  The serial backend executes inline, so the handle
-        comes back already done.
+        comes back already done (as does a run with no shards).
 
-        Shard ``position`` of every run prefers worker slot ``position %
-        len(active)`` and **waits for that slot** rather than stealing an
-        idle one: per-worker chunk order (and with it the fault-injection
-        coordinates and :class:`~repro.resilience.PoolHealth` counters) is a
-        function of submit order alone, never of completion timing — the
-        determinism contract for multiplexed runs.
+        By default shard ``position`` of every run is *pinned*: it prefers
+        worker slot ``position % len(active)`` and **waits for that slot**
+        rather than stealing an idle one, so per-worker chunk order (and with
+        it the fault-injection coordinates and
+        :class:`~repro.resilience.PoolHealth` counters) is a function of
+        submit order alone, never of completion timing — the determinism
+        contract for multiplexed runs.
+
+        ``pull=True`` instead hands each shard, in order, to the first idle
+        slot: the OpenMP ``dynamic``/``guided`` work-sharing of the paper's
+        column loop.  Which worker runs which shard then depends on timing,
+        but the results stay bitwise equal: every shard's output is a pure
+        function of its shard, and the caller folds them by task id.
         """
         if self._closed:
             raise ParallelExecutionError("the worker pool is closed")
@@ -646,7 +774,7 @@ class WorkerPool:
             run.job_ids.append(job_id)
             run.chunk_of[job_id] = chunk
 
-        if self.backend == "serial":
+        if self.backend == "serial" or not chunks:
             for job_id, chunk in zip(run.job_ids, run.chunks):
                 run.raw[job_id] = _execute_chunk(task, batch_fn, cost_hint, chunk)
             run.done = True
@@ -657,7 +785,7 @@ class WorkerPool:
         active = self.active_slots()
         for position, job_id in enumerate(run.job_ids):
             self._job_run[job_id] = run
-            preferred = active[position % len(active)] if active else None
+            preferred = active[position % len(active)] if active and not pull else None
             self._ready.append((job_id, preferred))
         try:
             self._pump()
@@ -715,7 +843,7 @@ class WorkerPool:
             raise
 
     def result(self, run: _PoolRun) -> TaskRunResult:
-        """Fold a finished run into a :class:`~repro.parallel.executor.TaskRunResult`.
+        """Fold a finished run into a :class:`TaskRunResult`.
 
         Raises the run's stored error when it failed (same exceptions
         :meth:`run_partition` would raise), or
@@ -760,24 +888,21 @@ class WorkerPool:
     def _serial_chunk(self, run: _PoolRun, chunk: list[int]) -> list[tuple[int, Any, float]]:
         """Execute one shard in the master (bottom of the degradation ladder).
 
-        Runs the exact :func:`~repro.parallel.executor._execute_chunk` path a
+        Runs the exact :func:`_execute_chunk` path a
         worker would, so a degraded chunk is bit-identical to the parallel
         one.
         """
         return _execute_chunk(run.task, run.batch_fn, run.cost_hint, chunk)
 
-    def _pick_slot(self, preferred: int | None, active: list[int]) -> int | None:
-        """Choose the worker for a queued shard, or ``None`` to keep waiting.
+    def _pick_slot(self, preferred: int | None, idle: list[int]) -> int:
+        """Choose the worker for a dispatchable shard among the ``idle`` slots.
 
-        An enabled ``preferred`` slot is honoured even while busy (wait, do
-        not steal) — see :meth:`submit` for why; a disabled or absent
-        preference takes the first idle active slot.
+        An enabled ``preferred`` slot (idle: :meth:`_pump` keeps shards
+        pinned to a busy slot queued) is honoured; a disabled or absent
+        preference takes the first idle slot.
         """
-        idle = [slot for slot in active if slot not in self._slot_job]
-        if not idle:
-            return None
         if preferred is not None and preferred not in self._disabled:
-            return preferred if preferred in idle else None
+            return preferred
         return idle[0]
 
     def _pump(self) -> None:
@@ -785,17 +910,21 @@ class WorkerPool:
 
         Shards blocked on a busy preferred slot stay queued; shards with no
         active slot left fall to the degradation ladder (serial in the
-        master, or fail the run under ``degrade="raise"``).
+        master, or fail the run under ``degrade="raise"``).  The scan stops
+        as soon as every active slot is busy, and a shard pinned to a busy
+        slot is passed over without a slot choice, so one pump costs what it
+        dispatches, not the length of the queue.
         """
-        if not self._ready:
-            return
         remaining: deque[tuple[int, int | None]] = deque()
         while self._ready:
+            active = self.active_slots()
+            idle = [slot for slot in active if slot not in self._slot_job]
+            if active and not idle:
+                break  # every worker is busy: nothing further can dispatch
             job_id, preferred = self._ready.popleft()
             run = self._job_run.get(job_id)
             if run is None:
                 continue  # its run already failed; the entry is stale
-            active = self.active_slots()
             if not active:
                 if self.retry.degrade == "raise":
                     self._fail_run(
@@ -816,10 +945,12 @@ class WorkerPool:
                     continue
                 self._record_result(run, job_id, output)
                 continue
-            slot = self._pick_slot(preferred, active)
-            if slot is None:
+            if preferred in self._slot_job and preferred not in self._disabled:
+                # Pinned to a busy slot: wait for it, never steal an idle one
+                # (see submit for why).
                 remaining.append((job_id, preferred))
                 continue
+            slot = self._pick_slot(preferred, idle)
             # Bookkeeping lands before the dispatch: a budget-exhaustion
             # raise inside must leave the job pending so _fail_run replaces
             # the slot that owned it, keeping the pool reusable.
@@ -839,6 +970,7 @@ class WorkerPool:
                 continue
             if self.retry.chunk_timeout is not None:
                 self._deadlines[job_id] = wall_clock() + self.retry.chunk_timeout
+        remaining.extend(self._ready)
         self._ready = remaining
 
     def _dispatch(self, slot: int, job_id: int, run: _PoolRun) -> bool:

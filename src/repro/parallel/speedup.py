@@ -91,16 +91,15 @@ def measure_speedup(
     processor_counts: Sequence[int] = (1, 2, 4, 8),
     schedules: Sequence[Schedule] | None = None,
     backend: Backend | str = Backend.PROCESS,
-    loop: LoopLevel | str = LoopLevel.OUTER,
     gpr: float = 1.0,
     problem: str = "",
 ) -> SpeedupStudy:
-    """Measure real parallel speed-ups of the matrix generation on this host.
+    """Measure real outer-loop speed-ups of the matrix generation on this host.
 
     The sequential reference is measured once with the plain sequential
     assembler; every (schedule, processor count) combination is then executed
-    with the process (or thread) backend and the wall-clock time of the
-    scheduled loop recorded.
+    with the requested backend and the wall-clock time of the scheduled loop
+    recorded.
     """
     options = options or AssemblyOptions()
     schedules = list(schedules) if schedules is not None else [Schedule.parse("Dynamic,1")]
@@ -129,12 +128,9 @@ def measure_speedup(
                     wall_seconds=reference_seconds,
                     speedup=1.0,
                     backend="sequential",
-                    loop=str(LoopLevel(loop).value),
                 )
                 continue
-            parallel = ParallelOptions(
-                n_workers=int(count), schedule=schedule, backend=backend, loop=loop
-            )
+            parallel = ParallelOptions(n_workers=int(count), schedule=schedule, backend=backend)
             system = assemble_system_parallel(
                 mesh, soil, gpr=gpr, options=options, kernel=kernel, parallel=parallel
             )
@@ -145,7 +141,6 @@ def measure_speedup(
                 wall_seconds=wall,
                 speedup=reference_seconds / wall if wall > 0 else float(count),
                 backend=parallel.backend.value,
-                loop=parallel.loop.value,
             )
     return study
 

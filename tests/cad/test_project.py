@@ -95,7 +95,7 @@ class TestGroundingProject:
             small_grid,
             uniform_soil,
             gpr=1000.0,
-            parallel=ParallelOptions(n_workers=2, backend=Backend.THREAD),
+            parallel=ParallelOptions(n_workers=2, backend=Backend.PROCESS),
         )
         results = project.run()
         assert results.equivalent_resistance == pytest.approx(

@@ -28,7 +28,7 @@ class TestFileToReportWorkflow:
             gpr=10_000.0,
             workdir=tmp_path / "out",
             name="substation",
-            parallel=ParallelOptions(n_workers=2, backend=Backend.THREAD),
+            parallel=ParallelOptions(n_workers=2, backend=Backend.PROCESS),
         )
         results = project.run()
 

@@ -1,9 +1,10 @@
-"""Tests for the real scheduled executors (serial, thread, process)."""
+"""Tests for the scheduled executor on its serial and process pools."""
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -19,12 +20,24 @@ def square(index: int) -> int:
 
 
 def tiny_work(index: int) -> float:
-    # A small but non-trivial numpy task so threads/processes have real work.
+    # A small but non-trivial numpy task so worker processes have real work.
     values = np.arange(1, 200 + index % 7)
     return float(np.sqrt(values).sum())
 
 
-BACKENDS = [Backend.SERIAL, Backend.THREAD, Backend.PROCESS]
+def tiny_work_batch(indices):
+    return [(int(i), tiny_work(int(i))) for i in indices]
+
+
+def array_task(index: int) -> np.ndarray:
+    return np.full(3, float(index))
+
+
+def heavy(index: int) -> float:
+    return math.fsum(1.0 / (k + 1) for k in range(1000 + index))
+
+
+BACKENDS = [Backend.SERIAL, Backend.PROCESS]
 
 
 class TestCorrectness:
@@ -65,25 +78,25 @@ class TestCorrectness:
 class TestChunkAccounting:
     def test_dynamic_chunk_count(self):
         outcome = run_scheduled_tasks(
-            square, 12, Schedule.parse("Dynamic,1"), n_workers=2, backend=Backend.THREAD
+            square, 12, Schedule.parse("Dynamic,1"), n_workers=2, backend=Backend.PROCESS
         )
         assert outcome.n_chunks == 12
 
     def test_dynamic_chunk_four(self):
         outcome = run_scheduled_tasks(
-            square, 12, Schedule.parse("Dynamic,4"), n_workers=2, backend=Backend.THREAD
+            square, 12, Schedule.parse("Dynamic,4"), n_workers=2, backend=Backend.PROCESS
         )
         assert outcome.n_chunks == 3
 
     def test_static_chunks_at_most_workers(self):
         outcome = run_scheduled_tasks(
-            square, 12, Schedule.parse("Static"), n_workers=4, backend=Backend.THREAD
+            square, 12, Schedule.parse("Static"), n_workers=4, backend=Backend.PROCESS
         )
         assert outcome.n_chunks == 4
 
     def test_task_seconds_recorded(self):
         outcome = run_scheduled_tasks(
-            tiny_work, 8, Schedule.parse("Dynamic,1"), n_workers=2, backend=Backend.THREAD
+            tiny_work, 8, Schedule.parse("Dynamic,1"), n_workers=2, backend=Backend.PROCESS
         )
         assert outcome.task_seconds.shape == (8,)
         assert np.all(outcome.task_seconds >= 0.0)
@@ -93,7 +106,7 @@ class TestChunkAccounting:
 
 class TestReuse:
     def test_executor_can_run_multiple_batches(self):
-        with ScheduledExecutor(square, n_workers=2, backend=Backend.THREAD) as executor:
+        with ScheduledExecutor(square, n_workers=2, backend=Backend.PROCESS) as executor:
             first = executor.run(range(5), Schedule.parse("Dynamic,1"))
             second = executor.run(range(5, 9), Schedule.parse("Static"))
         assert sorted(first.results) == [0, 1, 2, 3, 4]
@@ -104,7 +117,7 @@ class TestReuse:
         with pytest.raises(ParallelExecutionError):
             executor.run(range(4), Schedule.parse("Dynamic,1"))
 
-    @pytest.mark.parametrize("backend", [Backend.PROCESS, Backend.THREAD])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_close_shuts_pools_down_deterministically(self, backend):
         """close() is the explicit counterpart of leaving the with-block, so
         pool-backed executors never rely on interpreter atexit ordering."""
@@ -113,7 +126,7 @@ class TestReuse:
         outcome = executor.run(range(4), Schedule.parse("Dynamic,1"))
         assert sorted(outcome.results) == [0, 1, 2, 3]
         executor.close()
-        assert executor._pool is None and executor._thread_pool is None
+        assert executor.pool.closed and executor.pool.alive_workers() == 0
         executor.close()  # idempotent
         with pytest.raises(ParallelExecutionError):
             executor.run(range(4), Schedule.parse("Dynamic,1"))
@@ -180,8 +193,8 @@ class TestBatchedChunks:
             6,
             Schedule.parse("Dynamic,3"),
             n_workers=2,
-            backend=Backend.THREAD,
-            batch_fn=lambda ids: [(int(i), tiny_work(int(i))) for i in ids],
+            backend=Backend.PROCESS,
+            batch_fn=tiny_work_batch,
         )
         assert outcome.task_seconds.shape == (6,)
         assert np.all(outcome.task_seconds >= 0.0)
@@ -189,30 +202,29 @@ class TestBatchedChunks:
 
 @pytest.mark.skipif(os.cpu_count() is not None and os.cpu_count() < 2, reason="needs >= 2 CPUs")
 class TestProcessBackend:
-    def test_closure_state_travels_through_fork(self):
-        offset = 1000
+    def test_closure_task_raises_before_any_chunk_runs(self, tmp_path):
+        """Tasks travel to the pool by pickle, so a closure fails at dispatch
+        (contract MSG001 enforced at runtime), before any chunk executes."""
+        marker = tmp_path / "ran"
 
         def with_closure(index: int) -> int:
-            return index + offset
+            marker.touch()
+            return index
 
-        outcome = run_scheduled_tasks(
-            with_closure, 6, Schedule.parse("Dynamic,1"), n_workers=2, backend=Backend.PROCESS
-        )
-        assert outcome.ordered_results() == [1000 + i for i in range(6)]
+        executor = ScheduledExecutor(with_closure, n_workers=2, backend=Backend.PROCESS)
+        with pytest.raises((AttributeError, pickle.PicklingError)):
+            with executor:
+                executor.run(range(6), Schedule.parse("Dynamic,1"))
+        assert not marker.exists()
+        assert executor.pool.closed and executor.pool.alive_workers() == 0
 
     def test_numpy_results_supported(self):
-        def array_task(index: int) -> np.ndarray:
-            return np.full(3, float(index))
-
         outcome = run_scheduled_tasks(
             array_task, 5, Schedule.parse("Guided,1"), n_workers=2, backend=Backend.PROCESS
         )
         assert np.allclose(outcome.results[4], 4.0)
 
     def test_math_heavy_tasks(self):
-        def heavy(index: int) -> float:
-            return math.fsum(1.0 / (k + 1) for k in range(1000 + index))
-
         outcome = run_scheduled_tasks(
             heavy, 10, Schedule.parse("Dynamic,2"), n_workers=4, backend=Backend.PROCESS
         )

@@ -9,7 +9,7 @@ import pytest
 
 from repro.exceptions import ScheduleError
 from repro.parallel.machine import MachineModel
-from repro.parallel.options import Backend, LoopLevel, ParallelOptions
+from repro.parallel.options import Backend, ParallelOptions
 from repro.parallel.schedule import Schedule, ScheduleKind
 from repro.parallel.timing import PhaseTimer, Timer
 
@@ -19,16 +19,12 @@ class TestParallelOptions:
         options = ParallelOptions()
         assert options.n_workers == (os.cpu_count() or 1)
         assert options.backend is Backend.PROCESS
-        assert options.loop is LoopLevel.OUTER
         assert options.schedule.kind is ScheduleKind.DYNAMIC
 
     def test_string_coercion(self):
-        options = ParallelOptions(
-            n_workers=4, schedule="static,2", backend="thread", loop="inner"
-        )
+        options = ParallelOptions(n_workers=4, schedule="static,2", backend="SERIAL")
         assert options.schedule.label() == "Static,2"
-        assert options.backend is Backend.THREAD
-        assert options.loop is LoopLevel.INNER
+        assert options.backend is Backend.SERIAL
 
     def test_rejects_bad_workers(self):
         with pytest.raises(ScheduleError):

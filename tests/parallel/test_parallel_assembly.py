@@ -9,7 +9,7 @@ from repro.bem.assembly import AssemblyOptions, assemble_system
 from repro.bem.elements import DofManager, ElementType
 from repro.bem.influence import ColumnAssembler
 from repro.kernels.base import kernel_for_soil
-from repro.parallel.options import Backend, LoopLevel, ParallelOptions
+from repro.parallel.options import Backend, ParallelOptions
 from repro.parallel.parallel_assembly import assemble_system_parallel, generate_columns_parallel
 from repro.parallel.schedule import Schedule
 from repro.parallel.speedup import SpeedupStudy, measure_speedup, simulate_speedup_curve
@@ -21,7 +21,7 @@ def reference_system(small_mesh, uniform_soil):
 
 
 class TestOuterLoopParallelAssembly:
-    @pytest.mark.parametrize("backend", [Backend.SERIAL, Backend.THREAD, Backend.PROCESS])
+    @pytest.mark.parametrize("backend", [Backend.SERIAL, Backend.PROCESS])
     def test_matches_sequential_matrix(self, small_mesh, uniform_soil, reference_system, backend):
         parallel = ParallelOptions(
             n_workers=1 if backend is Backend.SERIAL else 2,
@@ -64,7 +64,7 @@ class TestOuterLoopParallelAssembly:
         assert system.metadata["n_workers"] == 1
 
     def test_metadata_contains_timings(self, small_mesh, uniform_soil):
-        parallel = ParallelOptions(n_workers=2, backend=Backend.THREAD)
+        parallel = ParallelOptions(n_workers=2, backend=Backend.PROCESS)
         system = assemble_system_parallel(
             small_mesh, uniform_soil, gpr=1000.0, parallel=parallel
         )
@@ -73,30 +73,13 @@ class TestOuterLoopParallelAssembly:
         assert system.metadata["n_chunks"] == small_mesh.n_elements  # Dynamic,1
 
 
-class TestInnerLoopParallelAssembly:
-    def test_inner_loop_matches_sequential(self, small_mesh, uniform_soil, reference_system):
-        parallel = ParallelOptions(
-            n_workers=2,
-            schedule=Schedule.parse("Dynamic,4"),
-            backend=Backend.THREAD,
-            loop=LoopLevel.INNER,
-        )
-        system = assemble_system_parallel(
-            small_mesh, uniform_soil, gpr=1000.0, parallel=parallel
-        )
-        assert np.allclose(system.matrix, reference_system.matrix, rtol=1e-13)
-        assert system.metadata["loop"] == "inner"
-        # Inner-loop scheduling dispatches one chunk set per column.
-        assert system.metadata["n_chunks"] >= small_mesh.n_elements
-
-
 class TestGenerateColumns:
     def test_column_results_cover_all_columns(self, small_mesh, uniform_soil):
         kernel = kernel_for_soil(uniform_soil)
         dofs = DofManager(small_mesh, ElementType.LINEAR)
         assembler = ColumnAssembler(small_mesh, kernel, dofs, n_gauss=4)
         columns, metadata = generate_columns_parallel(
-            assembler, ParallelOptions(n_workers=2, backend=Backend.THREAD)
+            assembler, ParallelOptions(n_workers=2, backend=Backend.PROCESS)
         )
         assert [c.source_index for c in columns] == list(range(small_mesh.n_elements))
         assert metadata["parallel_wall_seconds"] > 0.0
@@ -112,7 +95,7 @@ class TestSpeedupHelpers:
             options=AssemblyOptions(),
             processor_counts=(1, 2),
             schedules=[Schedule.parse("Dynamic,1")],
-            backend=Backend.THREAD,
+            backend=Backend.PROCESS,
             problem="small",
         )
         assert isinstance(study, SpeedupStudy)

@@ -128,6 +128,42 @@ class TestWorkerPoolProtocol:
         assert sorted(outcome.results) == [0]
         assert outcome.n_chunks == 1
 
+    @pytest.mark.parametrize("pull", [False, True])
+    def test_dispatch_cost_is_linear_in_chunks(self, monkeypatch, pull):
+        """One pump must cost what it dispatches, not the queue length: a
+        rescan of every queued chunk on every call made many-chunk runs
+        (the paper's Dynamic,1 column loop) quadratic in the chunk count."""
+        n_chunks = 400
+        calls = 0
+        pick_slot = WorkerPool._pick_slot
+
+        def counting_pick_slot(self, preferred, idle):
+            nonlocal calls
+            calls += 1
+            return pick_slot(self, preferred, idle)
+
+        monkeypatch.setattr(WorkerPool, "_pick_slot", counting_pick_slot)
+        partition = [[index] for index in range(n_chunks)]
+        with WorkerPool(2) as pool:
+            run = pool.submit(AffineTask(1.0), partition, pull=pull)
+            while not run.done:
+                pool.service()
+            outcome = pool.result(run)
+        assert sorted(outcome.results) == list(range(n_chunks))
+        assert calls <= 4 * n_chunks
+
+    def test_pulled_dispatch_matches_pinned(self):
+        partition = [[index, index + 20] for index in range(20)]
+        with WorkerPool(2) as pool:
+            pinned = pool.run_partition(AffineTask(3.0, 1.0), partition)
+            run = pool.submit(AffineTask(3.0, 1.0), partition, pull=True)
+            while not run.done:
+                pool.service()
+            pulled = pool.result(run)
+        assert sorted(pulled.results) == sorted(pinned.results) == list(range(40))
+        for key in pinned.results:
+            np.testing.assert_array_equal(pulled.results[key], pinned.results[key])
+
     def test_validation(self):
         with pytest.raises(ParallelExecutionError):
             WorkerPool(0)

@@ -1,4 +1,4 @@
-"""Chaos matrix: {crash, hang, corrupt} × {assembly, matvec, campaign}.
+"""Chaos matrix: {crash, hang, corrupt} × {assembly, matvec, campaign, dense}.
 
 The acceptance contract of the resilience layer: for every fault kind fired
 into every pool-served stage, the recovered run is **bit-identical** to the
@@ -16,6 +16,9 @@ import pytest
 from repro.bem.assembly import AssemblyOptions, assemble_system
 from repro.campaign import Campaign, GeometryVariant, ScenarioSpec, run_campaign
 from repro.cluster import HierarchicalControl
+from repro.parallel import executor
+from repro.parallel.options import ParallelOptions
+from repro.parallel.parallel_assembly import assemble_system_parallel
 from repro.parallel.pool import WorkerPool
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.soil.two_layer import TwoLayerSoil
@@ -171,3 +174,55 @@ class TestCampaignChaos:
             clean = campaign_reference.scenario(name)
             np.testing.assert_array_equal(faulty.dof_values, clean.dof_values)
             assert faulty.solver_iterations == clean.solver_iterations
+
+
+# --------------------------------------------------------------------------- dense column loop
+
+DENSE_SCHEDULES = ("Static", "Dynamic,1")
+
+
+def _assemble_dense(mesh, soil, schedule: str):
+    return assemble_system_parallel(
+        mesh,
+        soil,
+        gpr=10_000.0,
+        parallel=ParallelOptions(n_workers=2, schedule=schedule),
+    )
+
+
+@pytest.fixture(scope="module")
+def dense_reference(rodded_mesh, two_layer_soil):
+    return {
+        schedule: _assemble_dense(rodded_mesh, two_layer_soil, schedule)
+        for schedule in DENSE_SCHEDULES
+    }
+
+
+class TestDenseChaos:
+    """The paper's column loop runs on a transient pool the executor opens;
+    a pool subclass carrying the fault plan stands in for it."""
+
+    @pytest.mark.parametrize("schedule", DENSE_SCHEDULES)
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_faulty_dense_assembly_bit_identical(
+        self, kind, schedule, monkeypatch, rodded_mesh, two_layer_soil, dense_reference
+    ):
+        pools: list[WorkerPool] = []
+
+        class FaultyPool(WorkerPool):
+            def __init__(self, n_workers, **kwargs):
+                super().__init__(
+                    n_workers,
+                    retry=_retry(kind),
+                    fault_plan=FaultPlan.single(0, 0, kind),
+                    **kwargs,
+                )
+                pools.append(self)
+
+        monkeypatch.setattr(executor, "WorkerPool", FaultyPool)
+        system = _assemble_dense(rodded_mesh, two_layer_soil, schedule)
+        assert len(pools) == 1 and pools[0].closed
+        _assert_fault_fired(pools[0].health, kind)
+        reference = dense_reference[schedule]
+        np.testing.assert_array_equal(system.matrix, reference.matrix)
+        np.testing.assert_array_equal(system.rhs, reference.rhs)
