@@ -97,8 +97,9 @@ grep -q "attribution: .*timings\.assemble" /tmp/attribution-demo.out \
 rm -rf "$attribution_demo"
 echo "bench_trend --attribute correctly flagged and attributed the perturbation"
 
-echo "== parallel + cluster + campaign suites (2-worker process pools) =="
-python -m pytest -q -p no:randomly tests/parallel tests/cluster tests/campaign
+echo "== column kernel + parallel + cluster + campaign suites (one column path for dense and near field; 2-worker process pools) =="
+python -m pytest -q -p no:randomly tests/parallel tests/cluster tests/campaign \
+  tests/bem/test_influence.py tests/bem/test_adaptive_influence.py tests/bem/test_assembly.py
 
 echo "== chaos matrix ({crash,hang,corrupt} x {assembly,matvec,campaign,dense}) =="
 # Deterministic fault injection on a 2-worker pool: every recovered run must

@@ -48,10 +48,8 @@ __all__ = [
     "assemble_rhs",
     "assemble_system",
     "assemble_system_steps",
-    "scatter_column",
     "scatter_columns",
     "ColumnResult",
-    "compute_column",
     "compute_column_batch",
 ]
 
@@ -123,9 +121,8 @@ class ColumnResult:
     #: Blocks of shape ``(len(targets), nb, nb)``.
     blocks: np.ndarray
     #: Wall-clock seconds spent computing the column (used by the scheduler
-    #: simulator and the timing tables).  For batched evaluations this is the
-    #: column's share of the batch time, apportioned by the analytic cost
-    #: estimate.
+    #: simulator and the timing tables): the column's share of its batch
+    #: time (see :func:`repro.parallel.costs.timed_batch`).
     elapsed_seconds: float = 0.0
 
 
@@ -207,63 +204,31 @@ def scatter_columns(
     _flush()
 
 
-def scatter_column(
-    matrix: np.ndarray,
-    dof_matrix: np.ndarray,
-    column: ColumnResult,
-) -> None:
-    """Scatter-add the blocks of one column into the global matrix."""
-    scatter_columns(matrix, dof_matrix, [column])
-
-
-def compute_column(assembler: ColumnAssembler, source_index: int) -> ColumnResult:
-    """Compute (and time) the elemental blocks of one column."""
-    start = wall_clock()
-    targets, blocks = assembler.column_blocks(source_index)
-    elapsed = wall_clock() - start
-    return ColumnResult(
-        source_index=source_index, targets=targets, blocks=blocks, elapsed_seconds=elapsed
-    )
-
-
 def compute_column_batch(
     assembler: ColumnAssembler,
     source_indices: Sequence[int],
-    cost_hint: "np.ndarray | None | str" = None,
+    cost_hint: np.ndarray | None = None,
 ) -> list[ColumnResult]:
     """Compute a batch of columns in one vectorised pass, timing the batch.
 
-    The batch wall time is apportioned to the individual columns according to
-    ``cost_hint`` (the analytic per-column cost estimate by default), so the
-    per-column profile consumed by the schedule simulator stays meaningful.
-    Pass the string ``"uniform"`` to skip the estimate entirely and split the
-    batch time evenly — appropriate when the per-column profile is not
-    collected, since the estimate costs a few percent of the assembly.
+    The batch wall time is split across the columns by their share of
+    ``cost_hint`` (per-column relative costs indexed by column, or ``None``
+    for uniform shares), so the per-column profile consumed by the schedule
+    simulator stays meaningful.
     """
     # Local import: repro.parallel imports repro.bem at package load time.
-    from repro.parallel.costs import cost_shares
+    from repro.parallel.costs import timed_batch
 
     indices = [int(i) for i in source_indices]
-    start = wall_clock()
-    pairs = assembler.column_batch(indices)
-    elapsed = wall_clock() - start
-
-    if isinstance(cost_hint, str):
-        if cost_hint != "uniform":
-            raise AssemblyError(f"unknown cost_hint mode {cost_hint!r}")
-        cost_hint = None  # cost_shares(None, ...) yields uniform shares
-    elif cost_hint is None:
-        cost_hint = assembler.column_cost_estimate()
-    shares = cost_shares(cost_hint, indices)
-
+    pairs, seconds = timed_batch(assembler.column_batch, indices, cost_hint)
     return [
         ColumnResult(
             source_index=index,
             targets=targets,
             blocks=blocks,
-            elapsed_seconds=float(elapsed * share),
+            elapsed_seconds=float(elapsed),
         )
-        for index, (targets, blocks), share in zip(indices, pairs, shares)
+        for index, (targets, blocks), elapsed in zip(indices, pairs, seconds)
     ]
 
 
@@ -297,7 +262,9 @@ def assemble_system(
         options' series control.
     column_order:
         Optional explicit ordering of the columns (used by tests and by the
-        deterministic replay of parallel schedules); default ``0..M-1``.
+        deterministic replay of parallel schedules); default ``0..M-1``.  Any
+        order that is not a permutation of ``0..M-1`` raises
+        :class:`~repro.exceptions.AssemblyError`.
     collect_column_times:
         When ``True`` the per-column wall-clock times are stored in the system
         metadata under ``"column_seconds"`` — this is the task-cost profile
@@ -414,28 +381,27 @@ def assemble_system_steps(
         batch_size = 1 if collect_column_times else assembler.max_batch_size()
     batch_size = max(1, int(batch_size))
 
+    m = mesh.n_elements
+    if column_order is None:
+        columns = list(range(m))
+    else:
+        columns = [int(i) for i in column_order]
+        if sorted(columns) != list(range(m)):
+            raise AssemblyError(f"column_order must be a permutation of 0..{m - 1}")
     n = dof_manager.n_dofs
     matrix = np.zeros((n, n))
-    columns = list(range(mesh.n_elements)) if column_order is None else list(column_order)
     # The per-column cost shares only matter when the caller collects the
-    # per-column timing profile; use uniform shares otherwise (the estimate
-    # costs a few percent of the assembly itself).
-    cost_hint: np.ndarray | None | str
-    if batch_size <= 1:
-        cost_hint = None
-    elif collect_column_times:
-        cost_hint = assembler.column_cost_estimate()
-    else:
-        cost_hint = "uniform"
+    # per-column timing profile of multi-column batches; uniform shares do
+    # otherwise (the estimate costs a few percent of the assembly itself).
+    cost_hint = (
+        assembler.column_cost_estimate() if collect_column_times and batch_size > 1 else None
+    )
 
     start = wall_clock()
-    column_seconds = np.zeros(mesh.n_elements)
-    for batch_start in range(0, len(columns), batch_size):
+    column_seconds = np.zeros(m)
+    for batch_start in range(0, m, batch_size):
         batch = columns[batch_start : batch_start + batch_size]
-        if batch_size == 1:
-            batch_results = [compute_column(assembler, int(batch[0]))]
-        else:
-            batch_results = compute_column_batch(assembler, batch, cost_hint)
+        batch_results = compute_column_batch(assembler, batch, cost_hint)
         scatter_columns(matrix, dof_matrix, batch_results)
         for column in batch_results:
             column_seconds[column.source_index] = column.elapsed_seconds

@@ -10,20 +10,21 @@ element β is evaluated with a small Gauss–Legendre rule, while the inner
 every image term of the layered-soil kernel (the images of a straight segment
 are straight segments, see :mod:`repro.geometry.transforms`).
 
-Three entry points are provided:
+One batched evaluator computes every column of the dense engine and every
+near-field pair of the hierarchical engine:
 
-* :func:`element_pair_influence` — a clear, reference implementation working on
-  a single (target, source) pair; used by the unit tests and small problems;
-* :meth:`ColumnAssembler.column_blocks` — the influence of one source element
-  on many target elements at once.  One call corresponds to one cycle of the
-  paper's outer assembly loop (a "column" of the triangular element-pair
-  structure), which is exactly the task that Section 6 distributes among
-  processors;
-* :meth:`ColumnAssembler.column_batch` — the batched engine: a whole *block of
-  source columns* is evaluated in one vectorised NumPy pass over
-  ``images × targets × Gauss points × sources``.  Both the sequential assembly
-  and the parallel backends dispatch schedule-sized batches through this path;
-  :meth:`ColumnAssembler.column_blocks` is a single-source wrapper around it.
+* :meth:`ColumnAssembler.column_batch` — a batch of *source columns*, each
+  against the paper's triangle column ``source..M-1`` (one cycle of the
+  outer assembly loop, the task Section 6 distributes among processors) or
+  against its own target list (the hierarchical near field).  The exact
+  engine evaluates triangle columns in one vectorised NumPy pass over
+  ``images × targets × Gauss points × sources``; the adaptive engine
+  flattens every requested pair into one pass.
+
+Next to it stand the exact reference :func:`element_pair_influence` (a single
+(target, source) pair, used by the tests) and the two far-field ACA entry
+samplers :meth:`ColumnAssembler.pair_block_row` and
+:meth:`ColumnAssembler.adaptive_far_column`.
 """
 
 from __future__ import annotations
@@ -257,66 +258,60 @@ class ColumnAssembler:
 
     def column_batch(
         self,
-        source_indices: Sequence[int] | np.ndarray,
-        target_indices: Sequence[int] | np.ndarray | None = None,
+        sources: Sequence[int] | np.ndarray,
+        target_lists: Sequence[Sequence[int] | np.ndarray] | None = None,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Influence blocks of a batch of source columns.
 
         Parameters
         ----------
-        source_indices:
+        sources:
             Indices of the source elements (a chunk of the paper's outer loop).
-        target_indices:
-            Either ``None`` — every source gets its lower-triangle column
-            ``source..M-1``, the task decomposition of the paper — or one
-            explicit target list shared by every source of the batch.
+        target_lists:
+            ``None`` — every source gets its triangle column ``source..M-1``,
+            the task decomposition of the paper — or one target array per
+            source (the hierarchical near field).
 
         Returns
         -------
         list of (targets, blocks)
-            One entry per requested source, in input order, with the same
-            conventions as :meth:`column_blocks`.
+            One entry per source, in input order: ``targets`` are the target
+            indices of the column and ``blocks`` has shape
+            ``(len(targets), nb, nb)``; entry ``[t, j, i]`` couples the
+            ``j``-th test function on target ``t`` with the ``i``-th trial
+            function on the source, as in :func:`element_pair_influence`.
+
+        With the adaptive engine every (source, target) pair of the batch is
+        flattened into one vectorised pass, so every evaluation *decision* is
+        a function of the pair alone; values agree across batch compositions
+        to BLAS reduction round-off (callers needing bit-exact
+        reproducibility fix the batch composition, as the per-block assembly
+        of :mod:`repro.cluster.block_assembly` does).  The exact engine
+        evaluates target lists one source at a time.
         """
         m = self.n_elements
-        sources = np.asarray(source_indices, dtype=int).ravel()
+        sources = np.asarray(sources, dtype=int).ravel()
+        if target_lists is not None and len(target_lists) != sources.size:
+            raise AssemblyError(f"{sources.size} sources but {len(target_lists)} target lists")
         if sources.size == 0:
             return []
         if sources.min() < 0 or sources.max() >= m:
-            raise AssemblyError(
-                f"source element indices out of range 0..{m - 1}"
-            )
-        nb = self.basis_per_element
+            raise AssemblyError(f"source element indices out of range 0..{m - 1}")
+        if target_lists is None:
+            targets = [np.arange(int(s), m, dtype=int) for s in sources]
+        else:
+            targets = [np.array(t, dtype=int).ravel() for t in target_lists]
+            for t in targets:
+                if t.size and (t.min() < 0 or t.max() >= m):
+                    raise AssemblyError(f"target element indices out of range 0..{m - 1}")
 
         if self.adaptive is not None:
-            if target_indices is not None:
-                shared_targets = np.asarray(target_indices, dtype=int).ravel()
-                if shared_targets.size and (
-                    shared_targets.min() < 0 or shared_targets.max() >= m
-                ):
-                    raise AssemblyError("target element indices out of range")
-                if shared_targets.size == 0:
-                    empty = np.zeros((0, nb, nb))
-                    return [(shared_targets.copy(), empty.copy()) for _ in sources]
-                column_targets = [shared_targets for _ in sources]
-            else:
-                column_targets = [np.arange(int(s), m, dtype=int) for s in sources]
-            blocks = self._adaptive_batch(sources, column_targets)
+            return list(zip(targets, self._adaptive_batch(sources, targets)))
+        if target_lists is not None:
             return [
-                (targets.copy(), column_blocks)
-                for targets, column_blocks in zip(column_targets, blocks)
+                (t, self._rectangle_blocks(sources[k : k + 1], t)[0])
+                for k, t in enumerate(targets)
             ]
-
-        if target_indices is not None:
-            shared_targets = np.asarray(target_indices, dtype=int).ravel()
-            if shared_targets.size and (
-                shared_targets.min() < 0 or shared_targets.max() >= m
-            ):
-                raise AssemblyError("target element indices out of range")
-            if shared_targets.size == 0:
-                empty = np.zeros((0, nb, nb))
-                return [(shared_targets.copy(), empty.copy()) for _ in sources]
-            blocks = self._rectangle_blocks(sources, shared_targets)
-            return [(shared_targets.copy(), blocks[k]) for k in range(sources.size)]
 
         # Triangle mode: each source couples with the targets source..M-1.
         # Schedule chunks are runs of consecutive indices, so evaluating one
@@ -698,47 +693,6 @@ class ColumnAssembler:
             blocks_flat[bounds[k] : bounds[k + 1]] for k in range(len(column_targets))
         ]
 
-    def column_batch_lists(
-        self, source_indices: Sequence[int] | np.ndarray, target_lists: Sequence[np.ndarray]
-    ) -> list[np.ndarray]:
-        """Influence blocks of sources with *individual* target lists.
-
-        The generalisation of :meth:`column_batch` the hierarchical near-field
-        needs: every source couples with its own target set (its near-field
-        partners).  With the adaptive engine active, all (source, target)
-        pairs of the batch are flattened into one vectorised pass — the same
-        machinery as the dense assembly columns, so every evaluation
-        *decision* is identical; values agree across batch compositions to
-        BLAS reduction round-off (callers needing bit-exact reproducibility
-        must fix the batch composition, as the per-block assembly of
-        :mod:`repro.cluster.block_assembly` does).  Returns one block array
-        of shape ``(len(targets), nb, nb)`` per source, in input order.
-        """
-        sources = np.asarray(source_indices, dtype=int).ravel()
-        if sources.size != len(target_lists):
-            raise AssemblyError(
-                f"{sources.size} sources but {len(target_lists)} target lists"
-            )
-        if sources.size == 0:
-            return []
-        m = self.n_elements
-        if sources.min() < 0 or sources.max() >= m:
-            raise AssemblyError(f"source element indices out of range 0..{m - 1}")
-        targets = [np.asarray(t, dtype=int).ravel() for t in target_lists]
-        for t in targets:
-            if t.size and (t.min() < 0 or t.max() >= m):
-                raise AssemblyError(f"target element indices out of range 0..{m - 1}")
-        if self.adaptive is not None:
-            return self._adaptive_batch(sources, targets)
-        blocks = []
-        for source, t in zip(sources, targets):
-            if t.size == 0:
-                blocks.append(np.zeros((0, self.basis_per_element, self.basis_per_element)))
-                continue
-            [(_, column_blocks)] = self.column_batch([int(source)], t)
-            blocks.append(column_blocks)
-        return blocks
-
     def adaptive_far_column(
         self, element: int, others: np.ndarray, min_separation: float
     ) -> np.ndarray:
@@ -933,35 +887,6 @@ class ColumnAssembler:
                 )  # (1, T, nb, nb)
                 out[:, members, :] = np.transpose(rect[0], (2, 0, 1))
         return out
-
-    # -- the single-column kernel --------------------------------------------------------
-
-    def column_blocks(
-        self, source_index: int, target_indices: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Influence blocks of one source element on a set of target elements.
-
-        Parameters
-        ----------
-        source_index:
-            Index of the source element (the paper's outer-loop cycle).
-        target_indices:
-            Indices of the target elements; defaults to ``source_index..M-1``,
-            i.e. the column of the lower triangle the paper assigns to this
-            cycle.
-
-        Returns
-        -------
-        (targets, blocks)
-            ``targets`` is the array of target indices actually used and
-            ``blocks`` has shape ``(len(targets), nb, nb)`` with the same
-            ``[j, i]`` convention as :func:`element_pair_influence`.
-        """
-        m = self.n_elements
-        if not 0 <= int(source_index) < m:
-            raise AssemblyError(f"source element index {source_index} out of range 0..{m - 1}")
-        [(targets, blocks)] = self.column_batch([int(source_index)], target_indices)
-        return targets, blocks
 
     # -- work decomposition helpers -------------------------------------------------------
 

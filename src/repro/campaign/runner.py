@@ -303,13 +303,7 @@ def _drive_group_steps(
             error = None
             first = False
             try:
-                run = pool.submit(
-                    request.task,
-                    request.partition,
-                    batch_fn=request.batch_fn,
-                    cost_hint=request.cost_hint,
-                    label=request.label,
-                )
+                run = pool.submit(request.task, request.partition, label=request.label)
             except ReproError as submit_error:
                 # The serial backend executes inline, so task errors can
                 # surface at submit time; route them into the coroutine.

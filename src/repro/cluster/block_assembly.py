@@ -10,8 +10,9 @@ The hierarchical engine decomposes the Galerkin matrix into the blocks of a
 * :func:`near_block_pair_columns` — the dense-engine pair columns of one
   inadmissible (or fallback) block;
 * :func:`near_block_triplets` — the sparse upper-triangle COO triplets of one
-  near-field block, evaluated through the batched (optionally adaptive)
-  :class:`~repro.bem.influence.ColumnAssembler` kernels;
+  near-field block, evaluated through
+  :meth:`~repro.bem.influence.ColumnAssembler.column_batch`, the column
+  kernel of the dense engine;
 * :func:`upper_triangle_scatter` — the dense engine's symmetric scatter of
   one evaluated column, keeping only the upper triangle.
 
@@ -421,9 +422,10 @@ def near_block_triplets(
     """Upper-triangle COO triplets of one near-field (or fallback) block.
 
     The block's pair columns run through
-    :meth:`~repro.bem.influence.ColumnAssembler.column_batch_lists` in calls
-    whose batch composition is a canonical function of the block alone: the
-    block's columns in source order, split only at the fixed
+    :meth:`~repro.bem.influence.ColumnAssembler.column_batch` (one target
+    list per source) in calls whose batch composition is a canonical
+    function of the block alone: the block's columns in source order, split
+    only at the fixed
     :data:`_NEAR_BATCH_PAIRS` budget (relevant to large ACA-fallback blocks;
     leaf blocks always fit one call).  Evaluated values are therefore
     bit-identical for every shard partition, while the transient kernel work
@@ -451,8 +453,8 @@ def near_block_triplets(
         nonlocal chunk_pairs
         if not chunk_sources:
             return
-        blocks = assembler.column_batch_lists(chunk_sources, chunk_lists)
-        for source, targets_k, values in zip(chunk_sources, chunk_lists, blocks):
+        pairs = assembler.column_batch(chunk_sources, chunk_lists)
+        for source, (targets_k, values) in zip(chunk_sources, pairs):
             rr, cc, vv = upper_triangle_scatter(source, targets_k, values, dof_matrix, nb)
             rows_parts.append(rr)
             cols_parts.append(cc)

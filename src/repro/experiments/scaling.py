@@ -165,7 +165,7 @@ def measure_column_costs(
     warmup = ColumnAssembler(
         mesh, kernel, DofManager(mesh, options.element_type), options.n_gauss
     )
-    warmup.column_blocks(0, target_indices=np.arange(min(8, mesh.n_elements)))
+    warmup.column_batch([0], [np.arange(min(8, mesh.n_elements))])
 
     profiles = []
     totals = []

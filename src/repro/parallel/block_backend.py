@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -139,20 +139,6 @@ class _BlockShardTask:
         )
 
 
-class _BlockShardBatchTask:
-    """Batched companion: one block at a time, *no* cross-block batching.
-
-    Deliberately so — a block's kernel batch composition must depend only on
-    the block itself for the cross-worker-count determinism contract to hold.
-    """
-
-    def __init__(self, task: _BlockShardTask) -> None:
-        self.task = task
-
-    def __call__(self, block_indices: Sequence[int]) -> list[tuple[int, BlockOutcome]]:
-        return [(int(index), self.task(int(index))) for index in block_indices]
-
-
 # --------------------------------------------------------------------------- the builder
 
 
@@ -220,13 +206,9 @@ def sharded_operator_steps(
     task = _BlockShardTask(
         assembler, tree, partition.blocks, control, profile.stopping, dof_matrix
     )
-    job = PoolJob(
-        task,
-        shards,
-        batch_fn=_BlockShardBatchTask(task),
-        cost_hint=costs,
-        label="LPT",
-    )
+    # One block per task call, timed per block: a block's kernel batch
+    # composition depends only on the block itself, never on its shard.
+    job = PoolJob(task, shards, label="LPT")
     if pool is not None:
         outcome = yield job
     else:

@@ -21,12 +21,13 @@ with a measured profile, and to smooth a jittery measured profile.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.constants import DEFAULT_GAUSS_POINTS
 from repro.exceptions import ScheduleError
+from repro.timing import wall_clock
 
 __all__ = [
     "analytic_column_costs",
@@ -34,6 +35,7 @@ __all__ = [
     "hierarchical_block_costs",
     "partition_block_work",
     "cost_shares",
+    "timed_batch",
     "scale_costs",
     "blend_costs",
     "smooth_costs",
@@ -49,8 +51,8 @@ def cost_shares(cost_hint, indices: Sequence[int]) -> np.ndarray:
 
     ``cost_hint`` may be ``None`` (uniform shares), an array indexed by task
     id, or a mapping from task id to cost.  Non-finite or non-positive totals
-    fall back to uniform shares.  Used to apportion the wall time of a batched
-    chunk to its individual tasks.
+    fall back to uniform shares.  Used by :func:`timed_batch` to apportion
+    the wall time of a batch to its individual tasks.
     """
     n = len(indices)
     if cost_hint is None or n == 0:
@@ -64,6 +66,23 @@ def cost_shares(cost_hint, indices: Sequence[int]) -> np.ndarray:
     if not np.isfinite(total) or total <= 0.0 or not np.all(np.isfinite(shares)):
         return np.full(n, 1.0 / n)
     return shares / total
+
+
+def timed_batch(
+    fn: Callable[[list[int]], Any], indices: Sequence[int], cost_hint=None
+) -> tuple[Any, np.ndarray]:
+    """Call ``fn(indices)`` once and split its wall time by cost share.
+
+    Returns ``(fn's result, per-task seconds)``: the batch wall time
+    apportioned to the tasks with :func:`cost_shares`.  The sequential
+    column driver and the scheduled executor's chunk tasks both time their
+    batches through here.
+    """
+    indices = [int(i) for i in indices]
+    start = wall_clock()
+    results = fn(indices)
+    elapsed = wall_clock() - start
+    return results, elapsed * cost_shares(cost_hint, indices)
 
 
 def analytic_column_costs(

@@ -11,20 +11,24 @@ parallelises: a set of numbered tasks (loop cycles) is distributed over
   linearly decreasing column costs of the BEM assembly at the price of more
   scheduling events.
 
-Chunks, not single tasks, are the unit of dispatch.  When the task callable has
-a batched companion (``batch_fn``), each chunk is executed in **one** call —
-for the BEM assembly that is one vectorised
+Chunks, not single tasks, are the unit of dispatch: the executor is bound to
+one *chunk function* ``fn(task_ids) -> [result, ...]`` that evaluates a whole
+schedule chunk in one call — for the BEM assembly one vectorised
 :meth:`~repro.bem.influence.ColumnAssembler.column_batch` evaluation per
-schedule chunk.  The chunk wall time is then apportioned to the individual
-tasks using the (analytic) ``cost_hint`` so the per-task profile consumed by
-the schedule simulator stays meaningful.
+chunk.  The chunk wall time is measured in the worker and apportioned to the
+individual tasks by their share of the (analytic) ``cost_hint``
+(:func:`~repro.parallel.costs.timed_batch`), so the per-task profile consumed
+by the schedule simulator stays meaningful.
 
 :class:`ScheduledExecutor` only translates a schedule into chunks: the
 execution itself is one :meth:`~repro.parallel.pool.WorkerPool.submit` run on
-a pool opened for the ``with`` block, so the paper's column loop shares the
-pool's retry, respawn, payload checksums and tracing.  The task callables
-travel to the workers by pickle and must be module-level and closure-free
-(contract ``MSG001``).
+a pool opened for the ``with`` block, whose task ``k`` runs schedule chunk
+``k`` (shards ``[[0], [1], ...]`` in chunk order; ``static`` shards pinned to
+their slot, ``dynamic``/``guided`` shards pulled by idle slots).  The paper's
+column loop thereby shares the pool's retry, respawn, payload checksums and
+tracing; the pool's ``tasks_executed`` counter counts chunks.  The chunk
+function travels to the workers by pickle and must be module-level and
+closure-free (contract ``MSG001``).
 
 Backends:
 
@@ -38,55 +42,75 @@ Backends:
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Callable, Sequence
 
 from repro.exceptions import ParallelExecutionError
+from repro.parallel.costs import timed_batch
 from repro.parallel.options import Backend
-from repro.parallel.pool import TaskRunResult, WorkerPool
+from repro.parallel.pool import TaskRunResult, WorkerPool, collect_chunk_results
 from repro.parallel.schedule import Schedule, ScheduleKind
 from repro.timing import wall_clock
 
 __all__ = ["ScheduledExecutor", "run_scheduled_tasks"]
 
 
+class _ChunkTask:
+    """Pool task ``k``: evaluate schedule chunk ``k`` in one timed call.
+
+    Returns ``[(task_id, result, seconds), ...]`` for the chunk's tasks, the
+    chunk wall time split by cost share.
+    """
+
+    def __init__(
+        self, fn: Callable[[list[int]], Sequence[Any]], chunks: list[list[int]], cost_hint: Any
+    ) -> None:
+        self.fn = fn
+        self.chunks = chunks
+        self.cost_hint = cost_hint
+
+    def __call__(self, position: int) -> list[tuple[int, Any, float]]:
+        chunk = self.chunks[position]
+        results, seconds = timed_batch(self.fn, chunk, self.cost_hint)
+        if len(results) != len(chunk):
+            raise ParallelExecutionError(
+                f"chunk function returned {len(results)} results for {len(chunk)} tasks"
+            )
+        return list(zip(chunk, results, seconds.tolist()))
+
+
 class ScheduledExecutor:
-    """Reusable scheduled-loop executor bound to one task callable.
+    """Reusable scheduled-loop executor bound to one chunk function.
 
     Use as a context manager so the worker pool is reliably torn down::
 
-        with ScheduledExecutor(task_fn, n_workers=8, backend=Backend.PROCESS) as ex:
+        with ScheduledExecutor(chunk_fn, n_workers=8, backend=Backend.PROCESS) as ex:
             outcome = ex.run(range(n_tasks), Schedule.parse("Dynamic,1"))
 
     Parameters
     ----------
-    task_fn:
-        Module-level callable computing a single task.
+    fn:
+        Module-level callable evaluating a whole chunk: called with the task
+        ids of one chunk, returns their results in the same order.
     n_workers:
         Number of workers.
     backend:
         ``process`` or ``serial``.
-    batch_fn:
-        Optional batched companion of ``task_fn``: called with the task ids of
-        a whole chunk, must return ``[(task_id, result), ...]`` in the same
-        order.  When provided, every chunk is dispatched as one call.
     cost_hint:
         Optional per-task relative costs (array indexed by task id, or a
-        mapping) used to apportion a chunk's wall time to its tasks.
+        mapping) used to apportion a chunk's wall time to its tasks;
+        ``None`` splits it evenly.
     """
 
     def __init__(
         self,
-        task_fn: Callable[[int], Any],
+        fn: Callable[[list[int]], Sequence[Any]],
         n_workers: int,
         backend: Backend | str = Backend.PROCESS,
-        batch_fn: Callable[[Sequence[int]], list[tuple[int, Any]]] | None = None,
         cost_hint: Any = None,
     ) -> None:
         if n_workers < 1:
             raise ParallelExecutionError(f"n_workers must be >= 1, got {n_workers}")
-        self.task_fn = task_fn
-        self.batch_fn = batch_fn
+        self.fn = fn
         self.cost_hint = cost_hint
         self.n_workers = int(n_workers)
         self.backend = Backend(backend)
@@ -124,23 +148,24 @@ class ScheduledExecutor:
         indices = [int(i) for i in task_indices]
         start = wall_clock()
         chunks = [indices] if self.serial else self._chunks_for(indices, schedule)
+        chunks = [chunk for chunk in chunks if chunk]
         run = self.pool.submit(
-            self.task_fn,
-            chunks,
-            batch_fn=self.batch_fn,
-            cost_hint=self.cost_hint,
+            _ChunkTask(self.fn, chunks, self.cost_hint),
+            [[position] for position in range(len(chunks))],
             label=schedule.label(),
             pull=schedule.kind is not ScheduleKind.STATIC,
         )
         while not run.done:
             self.pool.service()
         outcome = self.pool.result(run)
-        return dataclasses.replace(
-            outcome,
-            wall_seconds=wall_clock() - start,
-            n_workers=self.n_workers,
-            schedule=schedule.label(),
-            backend=self.backend.value,
+        return collect_chunk_results(
+            [outcome.results[position] for position in range(len(chunks))],
+            indices,
+            wall_clock() - start,
+            len(chunks),
+            self.n_workers,
+            schedule.label(),
+            self.backend.value,
         )
 
     def _chunks_for(self, indices: list[int], schedule: Schedule) -> list[list[int]]:
@@ -148,30 +173,23 @@ class ScheduledExecutor:
         n_tasks = len(indices)
         if schedule.kind is ScheduleKind.STATIC:
             assignment = schedule.static_assignment(n_tasks, self.n_workers)
-            return [
-                [indices[i] for i in worker_tasks] for worker_tasks in assignment if worker_tasks
-            ]
+            return [[indices[i] for i in worker_tasks] for worker_tasks in assignment]
         sequence = schedule.chunk_sequence(n_tasks, self.n_workers)
         return [[indices[i] for i in chunk] for chunk in sequence]
 
 
 def run_scheduled_tasks(
-    task_fn: Callable[[int], Any],
+    fn: Callable[[list[int]], Sequence[Any]],
     n_tasks: int,
     schedule: Schedule,
     n_workers: int,
     backend: Backend | str = Backend.PROCESS,
-    batch_fn: Callable[[Sequence[int]], list[tuple[int, Any]]] | None = None,
     cost_hint: Any = None,
 ) -> TaskRunResult:
     """One-shot convenience wrapper around :class:`ScheduledExecutor`."""
     if n_tasks < 0:
         raise ParallelExecutionError("n_tasks cannot be negative")
     with ScheduledExecutor(
-        task_fn,
-        n_workers=n_workers,
-        backend=backend,
-        batch_fn=batch_fn,
-        cost_hint=cost_hint,
+        fn, n_workers=n_workers, backend=backend, cost_hint=cost_hint
     ) as executor:
         return executor.run(range(n_tasks), schedule)

@@ -19,16 +19,16 @@ the column loop stays sequential, Fig. 6.1) is not executed for real: its
 curve comes from replaying the column costs in the schedule simulator
 (:meth:`~repro.parallel.simulator.ScheduleSimulator.run_inner_loop`).
 
-Every schedule chunk is dispatched as **one batched evaluation** — a single
-:meth:`~repro.bem.influence.ColumnAssembler.column_batch` call — on the serial
-and process backends alike.  Chunk wall times are apportioned to the
-individual columns with the deterministic analytic cost model
-(:func:`repro.parallel.costs.analytic_column_costs`).
+The executor's chunk function is :class:`_ColumnChunk`: every schedule chunk
+is **one batched evaluation** — a single
+:meth:`~repro.bem.influence.ColumnAssembler.column_batch` call, the same
+kernel entry the sequential driver uses — on the serial and process backends
+alike.  Chunk wall times are apportioned to the individual columns with the
+deterministic cost model of
+:meth:`~repro.bem.influence.ColumnAssembler.column_cost_estimate`.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -67,10 +67,9 @@ def generate_columns_parallel(
     """
     n_columns = assembler.n_elements
     with ScheduledExecutor(
-        _OuterColumnTask(assembler),
+        _ColumnChunk(assembler),
         n_workers=parallel.n_workers,
         backend=parallel.backend,
-        batch_fn=_OuterColumnBatchTask(assembler),
         cost_hint=assembler.column_cost_estimate(),
     ) as executor:
         outcome = executor.run(range(n_columns), parallel.schedule)
@@ -93,27 +92,14 @@ def generate_columns_parallel(
     return columns, metadata
 
 
-class _OuterColumnTask:
-    """Callable computing one whole assembly column (outer-loop task)."""
+class _ColumnChunk:
+    """Chunk function: the triangle columns of one schedule chunk, one batch."""
 
     def __init__(self, assembler: ColumnAssembler) -> None:
         self.assembler = assembler
 
-    def __call__(self, column_index: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.assembler.column_blocks(column_index)
-
-
-class _OuterColumnBatchTask:
-    """Batched companion: one vectorised evaluation per schedule chunk."""
-
-    def __init__(self, assembler: ColumnAssembler) -> None:
-        self.assembler = assembler
-
-    def __call__(
-        self, column_indices: Sequence[int]
-    ) -> list[tuple[int, tuple[np.ndarray, np.ndarray]]]:
-        pairs = self.assembler.column_batch(column_indices)
-        return [(int(index), pair) for index, pair in zip(column_indices, pairs)]
+    def __call__(self, column_indices: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+        return self.assembler.column_batch(column_indices)
 
 
 def assemble_system_parallel(

@@ -15,10 +15,11 @@ would amortise the fork+IPC cost of repeated sweeps".
 * **spawn-once** — worker processes are forked when the pool is created and
   survive until :meth:`WorkerPool.close` (or the ``with`` block) ends; a
   caller that owns no pool opens a transient one around a single run;
-* **task-queue protocol** — each run ships its task context (the block task
-  capturing assembler, cluster tree and partition) to the workers once, then
-  dispatches explicit shards, one chunk per shard — LPT shards of the block
-  builder, or the schedule chunks of the paper's column loop
+* **task-queue protocol** — each run ships its task context — one per-task
+  callable ``task(i)``, e.g. the block task capturing assembler, cluster
+  tree and partition — to the workers once, then dispatches explicit shards,
+  one chunk per shard: LPT shards of block ids for the block builder, or
+  one-task shards naming the schedule chunks of the paper's column loop
   (:class:`~repro.parallel.executor.ScheduledExecutor`); results are folded
   through :func:`collect_chunk_results`;
 * **multi-run multiplexing** — :meth:`submit` registers a run and returns a
@@ -77,7 +78,6 @@ import numpy as np
 
 from repro.exceptions import ParallelExecutionError
 from repro.observe import MetricsRegistry, ensure_tracer
-from repro.parallel.costs import cost_shares
 from repro.resilience import (
     DEFAULT_RETRY_POLICY,
     FaultInjector,
@@ -123,32 +123,9 @@ DEFAULT_SHUTDOWN_GRACE: float = 5.0
 
 
 def _execute_chunk(
-    task_fn: Callable[[int], Any] | None,
-    batch_fn: Callable[[Sequence[int]], list[tuple[int, Any]]] | None,
-    cost_hint: Any,
-    indices: Sequence[int],
+    task_fn: Callable[[int], Any], indices: Sequence[int]
 ) -> list[tuple[int, Any, float]]:
-    """Execute one chunk of tasks, timing them.
-
-    With a ``batch_fn`` the whole chunk is evaluated in a single call and the
-    elapsed time is apportioned to the tasks by their cost shares; otherwise
-    each task runs (and is timed) individually.
-    """
-    if batch_fn is not None:
-        start = wall_clock()
-        pairs = batch_fn(list(indices))
-        elapsed = wall_clock() - start
-        if len(pairs) != len(indices):
-            raise ParallelExecutionError(
-                f"batch returned {len(pairs)} results for a chunk of {len(indices)} tasks"
-            )
-        shares = cost_shares(cost_hint, indices)
-        return [
-            (int(task_id), value, float(elapsed * share))
-            for (task_id, value), share in zip(pairs, shares)
-        ]
-    if task_fn is None:  # pragma: no cover - defensive
-        raise ParallelExecutionError("worker has no task function configured")
+    """Execute one chunk of tasks, timing each task individually."""
     output = []
     for index in indices:
         start = wall_clock()
@@ -203,8 +180,9 @@ class TaskRunResult:
     results: dict[int, Any]
     #: Wall-clock seconds of the whole parallel loop (as seen by the caller).
     wall_seconds: float
-    #: Per-task execution seconds measured inside the workers (apportioned from
-    #: the chunk time when chunks are dispatched as batches).
+    #: Per-task execution seconds measured inside the workers, each task timed
+    #: on its own.  The scheduled executor's loop tasks carry their cost share
+    #: of the schedule chunk they ran in (:func:`repro.parallel.costs.timed_batch`).
     task_seconds: np.ndarray
     #: Number of chunks dispatched.
     n_chunks: int
@@ -268,25 +246,17 @@ class PoolJob:
 
     Mirrors the :meth:`WorkerPool.run_partition` signature; the generator
     receives the :class:`TaskRunResult` back at the
-    ``yield``.  The task/batch callables obey the same purity contract as
-    direct dispatch (module-level, closure-free — MSG001).
+    ``yield``.  The task callable obeys the same purity contract as direct
+    dispatch (module-level, closure-free — MSG001).
     """
 
     task: Callable[[int], Any]
     partition: Sequence[Sequence[int]]
-    batch_fn: Callable[[Sequence[int]], list[tuple[int, Any]]] | None = None
-    cost_hint: Any = None
     label: str = "Pool"
 
     def run(self, pool: "WorkerPool") -> TaskRunResult:
         """Execute the request on ``pool``, blocking until it is done."""
-        return pool.run_partition(
-            self.task,
-            self.partition,
-            batch_fn=self.batch_fn,
-            cost_hint=self.cost_hint,
-            label=self.label,
-        )
+        return pool.run_partition(self.task, self.partition, label=self.label)
 
 
 def drive_pool_steps(steps, pool) -> Any:
@@ -317,21 +287,22 @@ def _pool_worker_main(
 
     Messages from the master (tuples, first element is the kind):
 
-    ``("context", seq, task_fn, batch_fn, cost_hint, fault_plan, verify)``
-        Install task context ``seq`` (one per live run; a worker can hold
-        several at once while runs are multiplexed).  ``seq == 0`` clears
-        every held context.  A non-empty ``fault_plan`` arms the
-        deterministic fault injector (once per process — the injector's
-        chunk counter spans every later run).  ``verify`` asks for a content
-        checksum on every result payload of that context.
+    ``("context", seq, task_fn, fault_plan, verify)``
+        Install task context ``seq``: the run's per-task callable (one per
+        live run; a worker can hold several at once while runs are
+        multiplexed).  ``seq == 0`` clears every held context.  A non-empty
+        ``fault_plan`` arms the deterministic fault injector (once per
+        process — the injector's chunk counter spans every later run).
+        ``verify`` asks for a content checksum on every result payload of
+        that context.
     ``("drop", seq)``
         Forget context ``seq`` (its run finished; other contexts survive).
     ``("run", job_id, seq, indices)``
         Execute one shard chunk under context ``seq`` through the shared
-        :func:`_execute_chunk` and reply
-        ``("result", job_id, output, digest)`` — or ``("error", job_id,
-        text)`` when the task raises or the context is unknown (a master
-        bug).
+        :func:`_execute_chunk` (``task_fn(i)`` per index, each timed) and
+        reply ``("result", job_id, output, digest)`` — or ``("error",
+        job_id, text)`` when the task raises or the context is unknown (a
+        master bug).
     ``("stop",)``
         Exit the loop.
 
@@ -349,7 +320,7 @@ def _pool_worker_main(
             stale.close()
         except OSError:  # pragma: no cover - already closed
             pass
-    contexts: dict[int, tuple[Any, Any, Any, bool]] = {}
+    contexts: dict[int, tuple[Any, bool]] = {}
     injector: FaultInjector | None = None
     while True:
         try:
@@ -360,11 +331,11 @@ def _pool_worker_main(
         if kind == "stop":
             break
         if kind == "context":
-            _, seq, task_fn, batch_fn, cost_hint, fault_plan, verify = message
+            _, seq, task_fn, fault_plan, verify = message
             if seq == 0:
                 contexts.clear()
                 continue
-            contexts[seq] = (task_fn, batch_fn, cost_hint, verify)
+            contexts[seq] = (task_fn, verify)
             if injector is None and fault_plan is not None and not fault_plan.is_empty:
                 injector = FaultInjector(fault_plan, worker_id, generation)
             continue
@@ -381,12 +352,12 @@ def _pool_worker_main(
                 ("error", job_id, f"worker {worker_id} does not hold context {seq}")
             )
             continue
-        task_fn, batch_fn, cost_hint, verify = context
+        task_fn, verify = context
         firing = injector.next_chunk() if injector is not None else None
         if firing is not None:
             execute_pre_fault(firing)  # crash/hang faults never return
         try:
-            output = _execute_chunk(task_fn, batch_fn, cost_hint, indices)
+            output = _execute_chunk(task_fn, indices)
         except BaseException:
             connection.send(("error", job_id, traceback.format_exc()))
             continue
@@ -421,8 +392,6 @@ class _PoolRun:
     __slots__ = (
         "seq",
         "task",
-        "batch_fn",
-        "cost_hint",
         "label",
         "chunks",
         "indices",
@@ -435,11 +404,9 @@ class _PoolRun:
         "wall",
     )
 
-    def __init__(self, seq, task, batch_fn, cost_hint, label, chunks, indices):
+    def __init__(self, seq, task, label, chunks, indices):
         self.seq = seq
         self.task = task
-        self.batch_fn = batch_fn
-        self.cost_hint = cost_hint
         self.label = label
         self.chunks = chunks
         self.indices = indices
@@ -701,8 +668,6 @@ class WorkerPool:
         self,
         task: Callable[[int], Any],
         partition: Sequence[Sequence[int]],
-        batch_fn: Callable[[Sequence[int]], list[tuple[int, Any]]] | None = None,
-        cost_hint: Any = None,
         label: str = "Pool",
     ) -> TaskRunResult:
         """Execute tasks under an explicit worker partition on the live pool.
@@ -721,9 +686,7 @@ class WorkerPool:
         :meth:`result`; use those directly to multiplex several runs over
         one pool.
         """
-        run = self.submit(
-            task, partition, batch_fn=batch_fn, cost_hint=cost_hint, label=label
-        )
+        run = self.submit(task, partition, label=label)
         while not run.done:
             self.service()
         return self.result(run)
@@ -732,8 +695,6 @@ class WorkerPool:
         self,
         task: Callable[[int], Any],
         partition: Sequence[Sequence[int]],
-        batch_fn: Callable[[Sequence[int]], list[tuple[int, Any]]] | None = None,
-        cost_hint: Any = None,
         label: str = "Pool",
         pull: bool = False,
     ) -> _PoolRun:
@@ -765,7 +726,7 @@ class WorkerPool:
         self.metrics.inc("pool.chunks_dispatched", len(chunks))
         self.metrics.inc("pool.tasks_executed", len(indices))
         self._context_seq += 1
-        run = _PoolRun(self._context_seq, task, batch_fn, cost_hint, label, chunks, indices)
+        run = _PoolRun(self._context_seq, task, label, chunks, indices)
         run.started = wall_clock()
         self._run_start = run.started
         for chunk in chunks:
@@ -776,7 +737,7 @@ class WorkerPool:
 
         if self.backend == "serial" or not chunks:
             for job_id, chunk in zip(run.job_ids, run.chunks):
-                run.raw[job_id] = _execute_chunk(task, batch_fn, cost_hint, chunk)
+                run.raw[job_id] = _execute_chunk(task, chunk)
             run.done = True
             run.wall = wall_clock() - run.started
             return run
@@ -872,15 +833,7 @@ class WorkerPool:
         if run.seq in handle.context_seqs:
             return
         handle.connection.send(
-            (
-                "context",
-                run.seq,
-                run.task,
-                run.batch_fn,
-                run.cost_hint,
-                self.fault_plan,
-                self.retry.verify_payloads,
-            )
+            ("context", run.seq, run.task, self.fault_plan, self.retry.verify_payloads)
         )
         handle.context_seqs.add(run.seq)
         self.metrics.inc("pool.contexts_shipped")
@@ -892,7 +845,7 @@ class WorkerPool:
         worker would, so a degraded chunk is bit-identical to the parallel
         one.
         """
-        return _execute_chunk(run.task, run.batch_fn, run.cost_hint, chunk)
+        return _execute_chunk(run.task, chunk)
 
     def _pick_slot(self, preferred: int | None, idle: list[int]) -> int:
         """Choose the worker for a dispatchable shard among the ``idle`` slots.
@@ -1198,7 +1151,7 @@ class WorkerPool:
             if handle is None or not handle.context_seqs:
                 continue
             try:
-                handle.connection.send(("context", 0, None, None, None, None, False))
+                handle.connection.send(("context", 0, None, None, False))
             except (BrokenPipeError, OSError):
                 pass  # dead worker: lazily respawned at the next dispatch
             handle.context_seqs.clear()

@@ -39,8 +39,8 @@ class TestAdaptiveColumns:
         scale = 0.0
         pairs = []
         for source in range(flat_mesh.n_elements):
-            (_, exact_blocks) = exact.column_blocks(source)
-            (_, adaptive_blocks) = adaptive.column_blocks(source)
+            [(_, exact_blocks)] = exact.column_batch([source])
+            [(_, adaptive_blocks)] = adaptive.column_batch([source])
             scale = max(scale, float(np.abs(exact_blocks).max()))
             pairs.append((exact_blocks, adaptive_blocks))
         for exact_blocks, adaptive_blocks in pairs:
@@ -80,22 +80,34 @@ class TestAdaptiveColumns:
         assembler = _assembler(flat_mesh, barbera_like_soil, AdaptiveControl())
         exact = _assembler(flat_mesh, barbera_like_soil)
         targets = np.array([2, 5, 9])
-        [(t_a, b_a)] = assembler.column_batch([3], targets)
-        [(t_e, b_e)] = exact.column_batch([3], targets)
+        [(t_a, b_a)] = assembler.column_batch([3], [targets])
+        [(t_e, b_e)] = exact.column_batch([3], [targets])
         assert np.array_equal(t_a, t_e)
         scale = float(np.abs(b_e).max())
         assert np.allclose(b_a, b_e, rtol=0.0, atol=1e-8 * max(scale, 1.0))
         # Empty target list mirrors the exact engine's contract.
-        [(t_empty, b_empty)] = assembler.column_batch([3], np.array([], dtype=int))
+        [(t_empty, b_empty)] = assembler.column_batch([3], [np.array([], dtype=int)])
         assert t_empty.size == 0 and b_empty.shape == (0, 2, 2)
+
+    def test_target_lists_match_single_source_calls(self, rodded_mesh, two_layer_soil):
+        """All pairs of a lists batch flatten into one pass: values agree with
+        one-source calls to BLAS round-off."""
+        assembler = _assembler(rodded_mesh, two_layer_soil, AdaptiveControl())
+        sources = [0, 3, 5]
+        lists = [np.array([0, 2, 9]), np.array([4, 6]), np.array([5, 7, 8, 10])]
+        batch = assembler.column_batch(sources, lists)
+        for source, targets, (got_targets, blocks) in zip(sources, lists, batch):
+            [(_, expected)] = assembler.column_batch([source], [targets])
+            assert np.array_equal(got_targets, targets)
+            assert np.allclose(blocks, expected, rtol=0.0, atol=1e-12)
 
     def test_uniform_soil_short_series_falls_back(self, flat_mesh, uniform_soil):
         """Series shorter than min_series_terms route through the exact engine
         and must agree bit-for-bit."""
         exact = _assembler(flat_mesh, uniform_soil)
         adaptive = _assembler(flat_mesh, uniform_soil, AdaptiveControl())
-        (_, exact_blocks) = exact.column_blocks(0)
-        (_, adaptive_blocks) = adaptive.column_blocks(0)
+        [(_, exact_blocks)] = exact.column_batch([0])
+        [(_, adaptive_blocks)] = adaptive.column_batch([0])
         assert np.array_equal(exact_blocks, adaptive_blocks)
 
     def test_assemble_system_adaptive_option(self, flat_mesh, barbera_like_soil):
@@ -136,8 +148,8 @@ class TestAdaptiveColumns:
     def test_pickling_drops_and_restores_cache(self, flat_mesh, barbera_like_soil):
         assembler = _assembler(flat_mesh, barbera_like_soil, AdaptiveControl())
         clone = pickle.loads(pickle.dumps(assembler))
-        (_, original) = assembler.column_blocks(1)
-        (_, restored) = clone.column_blocks(1)
+        [(_, original)] = assembler.column_batch([1])
+        [(_, restored)] = clone.column_batch([1])
         assert np.array_equal(original, restored)
 
     def test_pickling_a_warm_assembler(self, flat_mesh, barbera_like_soil):
@@ -148,9 +160,9 @@ class TestAdaptiveColumns:
         warm clone) crashed on their first adaptive evaluation.
         """
         assembler = _assembler(flat_mesh, barbera_like_soil, AdaptiveControl())
-        (_, original) = assembler.column_blocks(1)  # warms self._plans
+        [(_, original)] = assembler.column_batch([1])  # warms self._plans
         clone = pickle.loads(pickle.dumps(assembler))
-        (_, restored) = clone.column_blocks(1)
+        [(_, restored)] = clone.column_batch([1])
         assert np.array_equal(original, restored)
 
 
@@ -200,8 +212,8 @@ class TestGeometryCache:
         first.column_batch(list(range(flat_mesh.n_elements)))
         misses = cache.stats()["misses"]
         second = _assembler(flat_mesh, barbera_like_soil, AdaptiveControl(), cache)
-        (_, cold) = first.column_blocks(0)
-        (_, warm) = second.column_blocks(0)
+        [(_, cold)] = first.column_batch([0])
+        [(_, warm)] = second.column_batch([0])
         assert cache.stats()["misses"] == misses  # no new geometry computed
         assert cache.stats()["hits"] > 0
         assert np.array_equal(cold, warm)

@@ -11,13 +11,18 @@ from repro.bem.assembly import (
     assemble_from_columns,
     assemble_rhs,
     assemble_system,
-    compute_column,
+    compute_column_batch,
 )
 from repro.bem.elements import DofManager, ElementType
 from repro.bem.influence import ColumnAssembler
 from repro.exceptions import AssemblyError
 from repro.kernels.base import kernel_for_soil
 from repro.kernels.series import SeriesControl
+
+
+def _column(assembler, index):
+    [column] = compute_column_batch(assembler, [index])
+    return column
 
 
 class TestAssemblyOptions:
@@ -118,7 +123,7 @@ class TestAssembleFromColumns:
         kernel = kernel_for_soil(uniform_soil)
         dofs = DofManager(small_mesh, ElementType.LINEAR)
         assembler = ColumnAssembler(small_mesh, kernel, dofs, n_gauss=4)
-        columns = [compute_column(assembler, i) for i in range(small_mesh.n_elements)]
+        columns = [_column(assembler, i) for i in range(small_mesh.n_elements)]
         system = assemble_from_columns(columns, dofs, gpr=1000.0)
         assert np.allclose(system.matrix, small_system.matrix, rtol=1e-14)
         assert np.allclose(system.rhs, small_system.rhs)
@@ -127,7 +132,7 @@ class TestAssembleFromColumns:
         kernel = kernel_for_soil(uniform_soil)
         dofs = DofManager(small_mesh, ElementType.LINEAR)
         assembler = ColumnAssembler(small_mesh, kernel, dofs, n_gauss=4)
-        column = compute_column(assembler, 0)
+        column = _column(assembler, 0)
         with pytest.raises(AssemblyError):
             assemble_from_columns([column, column], dofs, gpr=1000.0)
 
@@ -135,7 +140,7 @@ class TestAssembleFromColumns:
         kernel = kernel_for_soil(uniform_soil)
         dofs = DofManager(small_mesh, ElementType.LINEAR)
         assembler = ColumnAssembler(small_mesh, kernel, dofs, n_gauss=4)
-        columns = [compute_column(assembler, 0)]
+        columns = [_column(assembler, 0)]
         with pytest.raises(AssemblyError):
             assemble_from_columns(columns, dofs, gpr=1000.0)
 
@@ -143,7 +148,7 @@ class TestAssembleFromColumns:
         kernel = kernel_for_soil(uniform_soil)
         dofs = DofManager(small_mesh, ElementType.LINEAR)
         assembler = ColumnAssembler(small_mesh, kernel, dofs, n_gauss=4)
-        column = compute_column(assembler, 0)
+        column = _column(assembler, 0)
         assert isinstance(column, ColumnResult)
         assert column.elapsed_seconds >= 0.0
         assert column.targets.size == small_mesh.n_elements
@@ -216,20 +221,52 @@ class TestBatchedAssembly:
         assert np.all(times > 0.0)
 
     def test_scatter_columns_matches_scatter_column(self, small_mesh, uniform_soil):
-        from repro.bem.assembly import scatter_column, scatter_columns
+        """Scattering a batch equals scattering its columns one at a time."""
+        from repro.bem.assembly import scatter_columns
 
         kernel = kernel_for_soil(uniform_soil)
         dofs = DofManager(small_mesh, ElementType.LINEAR)
         assembler = ColumnAssembler(small_mesh, kernel, dofs, n_gauss=4)
-        columns = [compute_column(assembler, i) for i in range(4)]
+        columns = [_column(assembler, i) for i in range(4)]
         dof_matrix = dofs.element_dof_matrix()
         n = dofs.n_dofs
         one_by_one = np.zeros((n, n))
         for column in columns:
-            scatter_column(one_by_one, dof_matrix, column)
+            scatter_columns(one_by_one, dof_matrix, [column])
         all_at_once = np.zeros((n, n))
         scatter_columns(all_at_once, dof_matrix, columns)
         assert np.allclose(all_at_once, one_by_one, rtol=0.0, atol=1e-12)
+
+
+    def test_collect_column_times_matches_batched_matrix(self, rodded_mesh, two_layer_soil):
+        timed = assemble_system(
+            rodded_mesh, two_layer_soil, gpr=500.0, collect_column_times=True
+        )
+        batched = assemble_system(rodded_mesh, two_layer_soil, gpr=500.0)
+        times = np.asarray(timed.metadata["column_seconds"])
+        assert times.shape == (rodded_mesh.n_elements,)
+        assert np.all(times > 0.0)
+        scale = np.abs(batched.matrix).max()
+        assert np.allclose(timed.matrix, batched.matrix, rtol=0.0, atol=1e-12 * scale)
+
+
+class TestColumnOrder:
+    """A column order that is not a permutation of 0..M-1 is rejected."""
+
+    def test_duplicate_column_rejected(self, small_mesh, uniform_soil):
+        order = [0] + list(range(small_mesh.n_elements))
+        with pytest.raises(AssemblyError):
+            assemble_system(small_mesh, uniform_soil, column_order=order)
+
+    def test_missing_column_rejected(self, small_mesh, uniform_soil):
+        order = list(range(small_mesh.n_elements - 1))
+        with pytest.raises(AssemblyError):
+            assemble_system(small_mesh, uniform_soil, column_order=order)
+
+    def test_out_of_range_column_rejected(self, small_mesh, uniform_soil):
+        order = list(range(1, small_mesh.n_elements)) + [small_mesh.n_elements]
+        with pytest.raises(AssemblyError):
+            assemble_system(small_mesh, uniform_soil, column_order=order)
 
 
 class TestRefinementConvergence:

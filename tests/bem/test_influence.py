@@ -96,7 +96,7 @@ class TestColumnAssembler:
         kernel = kernel_for_soil(uniform_soil)
         dofs = DofManager(small_mesh, ElementType.LINEAR)
         source_index = 2
-        targets, blocks = uniform_assembler.column_blocks(source_index)
+        [(targets, blocks)] = uniform_assembler.column_batch([source_index])
         assert targets.tolist() == list(range(source_index, small_mesh.n_elements))
         for target, block in zip(targets, blocks):
             reference = element_pair_influence(
@@ -116,7 +116,7 @@ class TestColumnAssembler:
         # kernels are exercised.
         layers = rodded_mesh.element_layers()
         source_index = int(np.flatnonzero(layers == 2)[0])
-        targets, blocks = two_layer_assembler.column_blocks(source_index)
+        [(targets, blocks)] = two_layer_assembler.column_batch([source_index])
         for target, block in zip(targets, blocks):
             reference = element_pair_influence(
                 rodded_mesh.elements[int(target)],
@@ -127,22 +127,22 @@ class TestColumnAssembler:
             assert np.allclose(block, reference, rtol=1e-12)
 
     def test_explicit_target_list(self, uniform_assembler):
-        targets, blocks = uniform_assembler.column_blocks(0, target_indices=[5, 7])
+        [(targets, blocks)] = uniform_assembler.column_batch([0], [[5, 7]])
         assert targets.tolist() == [5, 7]
         assert blocks.shape[0] == 2
 
     def test_empty_target_list(self, uniform_assembler):
-        targets, blocks = uniform_assembler.column_blocks(0, target_indices=[])
+        [(targets, blocks)] = uniform_assembler.column_batch([0], [[]])
         assert targets.size == 0
         assert blocks.shape == (0, 2, 2)
 
     def test_out_of_range_source(self, uniform_assembler):
         with pytest.raises(AssemblyError):
-            uniform_assembler.column_blocks(10_000)
+            uniform_assembler.column_batch([10_000])
 
     def test_out_of_range_target(self, uniform_assembler):
         with pytest.raises(AssemblyError):
-            uniform_assembler.column_blocks(0, target_indices=[99_999])
+            uniform_assembler.column_batch([0], [[99_999]])
 
     def test_column_sizes_decreasing(self, uniform_assembler, small_mesh):
         sizes = uniform_assembler.column_sizes()
@@ -205,10 +205,11 @@ class TestColumnBatch:
                 assert np.allclose(block, reference, rtol=1e-12, atol=1e-12)
 
     def test_batch_matches_column_blocks(self, two_layer_assembler, rodded_mesh):
+        """A whole-mesh batch equals the one-source column calls."""
         sources = list(range(rodded_mesh.n_elements))
         batch = two_layer_assembler.column_batch(sources)
         for source, (targets, blocks) in zip(sources, batch):
-            single_targets, single_blocks = two_layer_assembler.column_blocks(source)
+            [(single_targets, single_blocks)] = two_layer_assembler.column_batch([source])
             assert np.array_equal(targets, single_targets)
             assert np.allclose(blocks, single_blocks, rtol=0.0, atol=1e-12)
 
@@ -216,25 +217,23 @@ class TestColumnBatch:
         batch = uniform_assembler.column_batch([7, 0, 3, 8])
         assert [targets[0] for targets, _ in batch] == [7, 0, 3, 8]
         for source, (targets, blocks) in zip([7, 0, 3, 8], batch):
-            single_targets, single_blocks = uniform_assembler.column_blocks(source)
+            [(single_targets, single_blocks)] = uniform_assembler.column_batch([source])
             assert np.array_equal(targets, single_targets)
             assert np.allclose(blocks, single_blocks, rtol=0.0, atol=1e-12)
 
     def test_shared_explicit_targets(self, uniform_assembler):
-        batch = uniform_assembler.column_batch([1, 4], target_indices=[5, 7])
+        batch = uniform_assembler.column_batch([1, 4], [[5, 7], [5, 7]])
         assert len(batch) == 2
         for source, (targets, blocks) in zip([1, 4], batch):
             assert targets.tolist() == [5, 7]
-            single_targets, single_blocks = uniform_assembler.column_blocks(
-                source, target_indices=[5, 7]
-            )
+            [(_, single_blocks)] = uniform_assembler.column_batch([source], [[5, 7]])
             assert np.allclose(blocks, single_blocks, rtol=0.0, atol=1e-12)
 
     def test_empty_batch(self, uniform_assembler):
         assert uniform_assembler.column_batch([]) == []
 
     def test_empty_shared_targets(self, uniform_assembler):
-        batch = uniform_assembler.column_batch([0, 1], target_indices=[])
+        batch = uniform_assembler.column_batch([0, 1], [[], []])
         assert len(batch) == 2
         for targets, blocks in batch:
             assert targets.size == 0
@@ -246,7 +245,30 @@ class TestColumnBatch:
 
     def test_out_of_range_targets(self, uniform_assembler):
         with pytest.raises(AssemblyError):
-            uniform_assembler.column_batch([0], target_indices=[99_999])
+            uniform_assembler.column_batch([0], [[99_999]])
+
+    def test_target_lists_length_mismatch(self, uniform_assembler):
+        with pytest.raises(AssemblyError):
+            uniform_assembler.column_batch([0, 1], [np.array([0])])
+
+    def test_exact_target_lists_equal_single_source_calls_bitwise(
+        self, two_layer_assembler, rodded_mesh
+    ):
+        """The exact engine evaluates target lists one source at a time, so
+        the hierarchical near field does not depend on how sources batch."""
+        m = rodded_mesh.n_elements
+        sources = [0, 3, 5, m - 1]
+        lists = [
+            np.array([0, 2, 9]),
+            np.array([4, 6, 1]),
+            np.array([], dtype=int),
+            np.arange(m),
+        ]
+        batch = two_layer_assembler.column_batch(sources, lists)
+        for source, targets, (got_targets, blocks) in zip(sources, lists, batch):
+            [(_, single)] = two_layer_assembler.column_batch([source], [targets])
+            assert np.array_equal(got_targets, targets)
+            assert np.array_equal(blocks, single)
 
     def test_small_memory_budget_still_exact(self, small_mesh, uniform_soil):
         # A tiny budget forces many sub-batches; results must not change.

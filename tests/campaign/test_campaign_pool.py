@@ -106,20 +106,11 @@ class TestCampaignOnPool:
         flag = tmp_path / "killed.flag"
         original = WorkerPool.submit
 
-        def killing_submit(self, task, partition, batch_fn=None, cost_hint=None,
-                           label="Pool"):
-            # Route every block through the task function (no batch fn) so the
-            # kill wrapper sees each index; results are identical either way.
-            # submit is the single dispatch entry (run_partition wraps it), so
-            # both the blocking and the multiplexing runner paths are covered.
-            return original(
-                self,
-                KillOnce(task, str(flag)),
-                partition,
-                batch_fn=None,
-                cost_hint=cost_hint,
-                label=label,
-            )
+        def killing_submit(self, task, partition, label="Pool"):
+            # The kill wrapper sees every block index.  submit is the single
+            # dispatch entry (run_partition wraps it), so both the blocking
+            # and the multiplexing runner paths are covered.
+            return original(self, KillOnce(task, str(flag)), partition, label=label)
 
         monkeypatch.setattr(WorkerPool, "submit", killing_submit)
         with WorkerPool(2) as pool:

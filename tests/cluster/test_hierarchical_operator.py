@@ -218,28 +218,6 @@ class TestAssemblerHelpers:
         with pytest.raises(AssemblyError):
             assembler.pair_block_row(3, np.array([1, 3]))
 
-    def test_column_batch_lists_matches_column_batch(self, rodded_mesh, two_layer_soil):
-        from repro.kernels.truncation import AdaptiveControl
-
-        kernel = kernel_for_soil(two_layer_soil)
-        dofs = DofManager(rodded_mesh, ElementType.LINEAR)
-        assembler = ColumnAssembler(
-            rodded_mesh, kernel, dofs, adaptive=AdaptiveControl()
-        )
-        sources = [0, 3, 5]
-        lists = [np.array([0, 2, 9]), np.array([4, 6]), np.array([5, 7, 8, 10])]
-        blocks = assembler.column_batch_lists(sources, lists)
-        for source, targets, block in zip(sources, lists, blocks):
-            [(_, expected)] = assembler.column_batch([source], target_indices=targets)
-            assert np.allclose(block, expected, rtol=0.0, atol=1e-12)
-
-    def test_column_batch_lists_validates(self, small_mesh, uniform_soil):
-        kernel = kernel_for_soil(uniform_soil)
-        dofs = DofManager(small_mesh, ElementType.LINEAR)
-        assembler = ColumnAssembler(small_mesh, kernel, dofs)
-        with pytest.raises(AssemblyError):
-            assembler.column_batch_lists([0, 1], [np.array([0])])
-
 
 class TestLongRodMeshes:
     def test_deep_rod_mesh_keeps_entrywise_contract(self):

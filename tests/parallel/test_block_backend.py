@@ -248,15 +248,12 @@ class TestRunPartition:
         assert outcome.ordered_results() == [0, 3, 6, 9]
         assert outcome.backend == "pool-process"
 
-    def test_batch_fn_partition(self):
-        def batch(indices):
-            return [(int(i), int(i) - 1) for i in indices]
-
+    def test_permuted_partition_times_every_task(self):
         with WorkerPool(2, backend="serial") as pool:
-            outcome = pool.run_partition(
-                lambda i: i - 1, [[2, 0], [3, 1]], batch_fn=batch, cost_hint=np.ones(4)
-            )
+            outcome = pool.run_partition(lambda i: i - 1, [[2, 0], [3, 1]])
         assert outcome.ordered_results() == [-1, 0, 1, 2]
+        assert outcome.task_seconds.shape == (4,)
+        assert np.all(outcome.task_seconds >= 0.0)
 
 
 def _triple(index: int) -> int:

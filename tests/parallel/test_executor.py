@@ -12,29 +12,34 @@ import pytest
 from repro.exceptions import ParallelExecutionError
 from repro.parallel.executor import ScheduledExecutor, run_scheduled_tasks
 from repro.parallel.options import Backend
-from repro.parallel.schedule import Schedule
+from repro.parallel.schedule import Schedule, ScheduleKind
 
 
-def square(index: int) -> int:
-    return index * index
+def square(indices: list[int]) -> list[int]:
+    return [i * i for i in indices]
 
 
-def tiny_work(index: int) -> float:
+def tiny_work(indices: list[int]) -> list[float]:
     # A small but non-trivial numpy task so worker processes have real work.
-    values = np.arange(1, 200 + index % 7)
-    return float(np.sqrt(values).sum())
+    return [float(np.sqrt(np.arange(1, 200 + i % 7)).sum()) for i in indices]
 
 
-def tiny_work_batch(indices):
-    return [(int(i), tiny_work(int(i))) for i in indices]
+def array_task(indices: list[int]) -> list[np.ndarray]:
+    return [np.full(3, float(i)) for i in indices]
 
 
-def array_task(index: int) -> np.ndarray:
-    return np.full(3, float(index))
+def heavy(indices: list[int]) -> list[float]:
+    return [math.fsum(1.0 / (k + 1) for k in range(1000 + i)) for i in indices]
 
 
-def heavy(index: int) -> float:
-    return math.fsum(1.0 / (k + 1) for k in range(1000 + index))
+def short_by_one(indices: list[int]) -> list[int]:
+    return list(indices)[:-1]
+
+
+def schedule_chunk_count(schedule: Schedule, n_tasks: int, n_workers: int) -> int:
+    if schedule.kind is ScheduleKind.STATIC:
+        return sum(1 for tasks in schedule.static_assignment(n_tasks, n_workers) if tasks)
+    return len(schedule.chunk_sequence(n_tasks, n_workers))
 
 
 BACKENDS = [Backend.SERIAL, Backend.PROCESS]
@@ -132,41 +137,40 @@ class TestReuse:
             executor.run(range(4), Schedule.parse("Dynamic,1"))
 
 
-def square_batch(indices):
-    return [(int(i), i * i) for i in indices]
-
-
 class TestBatchedChunks:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("label", ["Static", "Static,2", "Dynamic,1", "Dynamic,4", "Guided,1"])
     def test_batch_results_match_per_task(self, backend, label):
         outcome = run_scheduled_tasks(
-            square,
-            23,
-            Schedule.parse(label),
-            n_workers=3,
-            backend=backend,
-            batch_fn=square_batch,
+            square, 23, Schedule.parse(label), n_workers=3, backend=backend
         )
-        assert outcome.ordered_results() == [i * i for i in range(23)]
+        assert outcome.ordered_results() == [square([i])[0] for i in range(23)]
+
+    @pytest.mark.parametrize("label", ["Static", "Static,3", "Dynamic,1", "Guided,2"])
+    def test_one_pool_task_per_schedule_chunk(self, label):
+        schedule = Schedule.parse(label)
+        expected = schedule_chunk_count(schedule, 23, 2)
+        with ScheduledExecutor(square, n_workers=2, backend=Backend.PROCESS) as executor:
+            outcome = executor.run(range(23), schedule)
+        assert outcome.n_chunks == expected
+        assert executor.pool.stats["chunks_dispatched"] == expected
+        assert executor.pool.stats["tasks_executed"] == expected
+        assert outcome.ordered_results() == square(list(range(23)))
 
     def test_chunk_time_apportioned_by_cost_hint(self):
-        import numpy as np
-
-        def slow_batch(indices):
+        def slow_chunk(indices):
             import time as _time
 
             _time.sleep(0.01)
-            return [(int(i), i) for i in indices]
+            return list(indices)
 
         cost_hint = np.array([3.0, 1.0])
         outcome = run_scheduled_tasks(
-            square,
+            slow_chunk,
             2,
             Schedule.parse("Dynamic,2"),
             n_workers=1,
             backend=Backend.SERIAL,
-            batch_fn=slow_batch,
             cost_hint=cost_hint,
         )
         # Task 0 carries three quarters of the (single) chunk's wall time.
@@ -174,30 +178,23 @@ class TestBatchedChunks:
         assert outcome.sequential_seconds >= 0.01
 
     def test_batch_size_mismatch_raises(self):
-        def broken_batch(indices):
-            return [(int(i), i) for i in list(indices)[:-1]]
-
         with pytest.raises(ParallelExecutionError):
             run_scheduled_tasks(
-                square,
+                short_by_one,
                 4,
                 Schedule.parse("Dynamic,4"),
                 n_workers=1,
                 backend=Backend.SERIAL,
-                batch_fn=broken_batch,
             )
 
     def test_equal_apportioning_without_hint(self):
         outcome = run_scheduled_tasks(
-            tiny_work,
-            6,
-            Schedule.parse("Dynamic,3"),
-            n_workers=2,
-            backend=Backend.PROCESS,
-            batch_fn=tiny_work_batch,
+            tiny_work, 6, Schedule.parse("Dynamic,3"), n_workers=2, backend=Backend.PROCESS
         )
         assert outcome.task_seconds.shape == (6,)
         assert np.all(outcome.task_seconds >= 0.0)
+        for chunk in ([0, 1, 2], [3, 4, 5]):
+            assert np.ptp(outcome.task_seconds[chunk]) == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.skipif(os.cpu_count() is not None and os.cpu_count() < 2, reason="needs >= 2 CPUs")
@@ -207,9 +204,9 @@ class TestProcessBackend:
         (contract MSG001 enforced at runtime), before any chunk executes."""
         marker = tmp_path / "ran"
 
-        def with_closure(index: int) -> int:
+        def with_closure(indices: list[int]) -> list[int]:
             marker.touch()
-            return index
+            return list(indices)
 
         executor = ScheduledExecutor(with_closure, n_workers=2, backend=Backend.PROCESS)
         with pytest.raises((AttributeError, pickle.PicklingError)):
@@ -229,4 +226,4 @@ class TestProcessBackend:
             heavy, 10, Schedule.parse("Dynamic,2"), n_workers=4, backend=Backend.PROCESS
         )
         assert len(outcome.results) == 10
-        assert outcome.results[0] == pytest.approx(heavy(0))
+        assert outcome.results[0] == pytest.approx(heavy([0])[0])

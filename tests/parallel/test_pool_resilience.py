@@ -200,7 +200,7 @@ class TestCloseEscalation:
         pool.shutdown_grace = 0.5
         task = SigtermProofSleeper(str(tmp_path / "slept.flag"))
         handle = pool._workers[0]
-        handle.connection.send(("context", 1, task, None, None, None, False))
+        handle.connection.send(("context", 1, task, None, False))
         handle.connection.send(("run", 999, 1, [0]))
         deadline = time.monotonic() + 5.0
         while not (tmp_path / "slept.flag").exists():
