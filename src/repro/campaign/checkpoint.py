@@ -18,6 +18,11 @@ the campaign invalidates exactly the groups it affects.
 Writes are atomic (temp file + ``os.replace``), so a kill *during* a
 checkpoint write leaves the previous consistent state on disk — the resumed
 run recomputes at most the group whose write was interrupted.
+
+Reads go through a restricted unpickler that resolves only the globals a
+stored :class:`~repro.campaign.result.ScenarioResult` needs (the class
+itself and NumPy's array reconstruction), so a crafted checkpoint file
+cannot make the loader import or call anything else.
 """
 
 from __future__ import annotations
@@ -39,6 +44,27 @@ __all__ = ["CampaignCheckpoint", "structure_fingerprint"]
 
 #: On-disk format version; bump on incompatible payload changes.
 _FORMAT_VERSION = 1
+
+#: The only globals a checkpoint may reference: the result class and the
+#: NumPy helpers that rebuild its float64 arrays (``numpy.core`` is the
+#: NumPy 1.x spelling of ``numpy._core``).
+_ALLOWED_GLOBALS = frozenset(
+    {
+        ("repro.campaign.result", "ScenarioResult"),
+        ("numpy", "dtype"),
+        ("numpy._core.numeric", "_frombuffer"),
+        ("numpy.core.numeric", "_frombuffer"),
+    }
+)
+
+
+class _ResultUnpickler(pickle.Unpickler):
+    """Unpickler that resolves only :data:`_ALLOWED_GLOBALS`."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) not in _ALLOWED_GLOBALS:
+            raise pickle.UnpicklingError(f"global {module}.{name} is not allowed")
+        return super().find_class(module, name)
 
 
 def structure_fingerprint(
@@ -106,7 +132,7 @@ class CampaignCheckpoint:
         if self.path.exists():
             try:
                 with open(self.path, "rb") as stream:
-                    payload = pickle.load(stream)
+                    payload = _ResultUnpickler(stream).load()
             except (OSError, pickle.UnpicklingError, EOFError, AttributeError) as error:
                 raise CheckpointError(
                     f"cannot read campaign checkpoint {self.path}: {error}"

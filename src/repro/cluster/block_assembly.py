@@ -9,7 +9,7 @@ The hierarchical engine decomposes the Galerkin matrix into the blocks of a
   (or ``None`` when the block must fall back to dense near-field assembly);
 * :func:`near_block_pair_columns` — the dense-engine pair columns of one
   inadmissible (or fallback) block;
-* :func:`near_block_triplets` — the sparse upper-triangle COO triplets of one
+* :func:`near_block_triplets` — the summed upper-triangle dof entries of one
   near-field block, evaluated through
   :meth:`~repro.bem.influence.ColumnAssembler.column_batch`, the column
   kernel of the dense engine;
@@ -419,7 +419,7 @@ def near_block_triplets(
     diagonal: bool,
     dof_matrix: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Upper-triangle COO triplets of one near-field (or fallback) block.
+    """Summed upper-triangle dof entries of one near-field (or fallback) block.
 
     The block's pair columns run through
     :meth:`~repro.bem.influence.ColumnAssembler.column_batch` (one target
@@ -430,11 +430,17 @@ def near_block_triplets(
     leaf blocks always fit one call).  Evaluated values are therefore
     bit-identical for every shard partition, while the transient kernel work
     arrays stay bounded.
+
+    The :func:`upper_triangle_scatter` triplets of all columns are then
+    summed per dof pair — the paper's elemental-to-nodal addition, done where
+    the block is computed, in the block's own scatter order.  Returns
+    ``(rows, cols, vals)``: int32 dof pairs with ``rows <= cols``, each pair
+    once, sorted by ``(row, col)``, and their float64 sums.
     """
     nb = assembler.basis_per_element
     pair_sources, pair_targets = near_block_pair_columns(rows_e, cols_e, diagonal)
     if pair_sources.size == 0:
-        empty_i = np.zeros(0, dtype=int)
+        empty_i = np.zeros(0, dtype=np.int32)
         return empty_i, empty_i.copy(), np.zeros(0)
     unique_sources, first = np.unique(pair_sources, return_index=True)
     boundaries = np.concatenate((first, [pair_sources.size]))
@@ -470,8 +476,13 @@ def near_block_triplets(
         if chunk_pairs >= _NEAR_BATCH_PAIRS:
             _flush()
     _flush()
-    return (
-        np.concatenate(rows_parts),
-        np.concatenate(cols_parts),
-        np.concatenate(vals_parts),
+    # Sum the block's duplicate dof pairs here, in the worker: ``bincount``
+    # adds in input order, a function of the block alone.
+    n_dofs = assembler.dof_manager.n_dofs
+    keys, inverse = np.unique(
+        np.concatenate(rows_parts).astype(np.int64) * n_dofs + np.concatenate(cols_parts),
+        return_inverse=True,
     )
+    vals = np.bincount(inverse, weights=np.concatenate(vals_parts), minlength=keys.size)
+    rows, cols = np.divmod(keys, n_dofs)
+    return rows.astype(np.int32), cols.astype(np.int32), vals

@@ -8,8 +8,9 @@ This module executes the LPT split of that profile
 blocks and ACA far-field blocks are assembled by a
 :class:`~repro.parallel.pool.WorkerPool` — the caller's persistent pool, or a
 transient one that runs in this process for ``workers == 0`` and forks
-``workers`` processes otherwise — and only the block results (sparse triplets
-and low-rank factors) travel back to the master, which regroups them into a
+``workers`` processes otherwise — and only the block results (each near
+block's dof entries, summed in the worker, and low-rank factors) travel back
+to the master, which regroups them into a
 :class:`~repro.cluster.operator.HierarchicalOperator`.  The protocol is pure
 message passing: workers share nothing mutable, every task is a
 self-contained block.
@@ -24,8 +25,10 @@ reproducible across machines with different core counts:
 * every block is assembled by the per-block routines of
   :mod:`repro.cluster.block_assembly`, whose batch composition depends only on
   the block itself — never on the shard it landed in;
-* the near-field triplets of all blocks are summed into one upper-triangle
-  matrix in ascending block order, so every dof pair is stored once;
+* each near-field block sums its own duplicate dof pairs in the worker that
+  computed it (in the block's scatter order), and the master adds the
+  compact per-block entries into one upper-triangle matrix in ascending
+  block order, so every dof pair is stored once;
 * the far factors are regrouped into :data:`MATVEC_SEGMENTS` *canonical
   segments* (an LPT split of the same cost profile by a fixed segment count,
   independent of the worker count), each segment concatenating its blocks in
@@ -82,10 +85,14 @@ MATVEC_SEGMENTS: int = 8
 class BlockOutcome:
     """Result of assembling one cluster block inside a shard worker.
 
-    ``kind`` is ``"far"`` (low-rank factors), ``"near"`` (sparse triplets of
-    an inadmissible block) or ``"fallback"`` (an admissible block that was not
-    worth factorising, assembled densely like a near block).  Only NumPy
-    arrays cross the process boundary.
+    ``kind`` is ``"far"`` (low-rank factors ``u``/``v`` over the block's
+    element basis functions), ``"near"`` (an inadmissible block) or
+    ``"fallback"`` (an admissible block that was not worth factorising,
+    assembled densely like a near block).  A near or fallback outcome carries
+    unique upper-triangle dof pairs — int32 ``rows``/``cols`` with
+    ``rows <= cols``, sorted — and their float64 ``vals``, already summed in
+    the worker (:func:`~repro.cluster.block_assembly.near_block_triplets`).
+    Only NumPy arrays cross the process boundary.
     """
 
     block_index: int
@@ -147,12 +154,11 @@ def _csr(rows, cols, vals, shape) -> sparse.csr_matrix:
 
     if not rows:
         return sparse.csr_matrix(shape, dtype=float)
-    matrix = sparse.coo_matrix(
+    # tocsr() sums the duplicates across blocks into canonical format.
+    return sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=shape,
     ).tocsr()
-    matrix.sum_duplicates()
-    return matrix
 
 
 def sharded_operator_steps(
@@ -217,7 +223,7 @@ def sharded_operator_steps(
             outcome = job.run(transient)
     outcomes: dict[int, BlockOutcome] = outcome.results
 
-    # ---- the near field, stored once: one upper triangle in ascending block order ----
+    # ---- the near field, stored once: per-block sums added in ascending block order ----
     near_rows: list[np.ndarray] = []
     near_cols: list[np.ndarray] = []
     near_vals: list[np.ndarray] = []

@@ -10,6 +10,7 @@ aborting the study.
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -144,6 +145,19 @@ class TestResume:
         path.write_bytes(b"not a pickle")
         with pytest.raises(CheckpointError, match="cannot read"):
             run_campaign(_campaign(), checkpoint=path)
+
+    def test_checkpoint_referencing_other_globals_is_rejected(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(os, "system", calls.append)
+        path = tmp_path / "campaign.ckpt"
+        # Protocol-0 opcodes for ``os.system("echo pwned")``.
+        path.write_bytes(b"cos\nsystem\n(S'echo pwned'\ntR.")
+        with pytest.raises(CheckpointError, match="os.system is not allowed"):
+            CampaignCheckpoint(path)
+        assert calls == []
+        # The plain unpickler would have called it.
+        pickle.loads(path.read_bytes())
+        assert calls == ["echo pwned"]
 
     def test_sigkill_mid_campaign_resumes_incomplete_groups_only(self, tmp_path):
         """The tentpole acceptance test: SIGKILL the campaign after its first

@@ -17,6 +17,7 @@ import pytest
 
 from repro.bem.assembly import AssemblyOptions, assemble_system
 from repro.cluster import HierarchicalControl, HierarchicalOperator
+from repro.cluster.block_assembly import near_block_pair_columns, upper_triangle_scatter
 from repro.cluster.operator import pairwise_tree_sum
 from repro.exceptions import ParallelExecutionError
 from repro.parallel.pool import WorkerPool
@@ -135,6 +136,101 @@ class TestGoldenDeterminism:
         assert golden_case["serial"].metadata["backend"] == "hierarchical"
         for system in _engines(golden_case).values():
             assert system.metadata["backend"] == "hierarchical"
+
+
+class TestCompactNearField:
+    """Near and fallback blocks are summed in the worker before they ship."""
+
+    @pytest.fixture(scope="class", params=["flat", "rodded"])
+    def near_case(self, request, small_mesh, uniform_soil, rodded_mesh, two_layer_soil):
+        """Every block outcome of one golden mesh, its raw scatter and operator."""
+        from repro.bem.elements import DofManager
+        from repro.bem.influence import ColumnAssembler
+        from repro.cluster.block_assembly import build_block_profile
+        from repro.kernels.base import kernel_for_soil
+        from repro.parallel.block_backend import _BlockShardTask
+
+        mesh, soil = {
+            "flat": (small_mesh, uniform_soil),
+            "rodded": (rodded_mesh, two_layer_soil),
+        }[request.param]
+        options = AssemblyOptions(hierarchical=_control())
+        assembler = ColumnAssembler(
+            mesh,
+            kernel_for_soil(soil, options.series_control),
+            DofManager(mesh, options.element_type),
+            options.n_gauss,
+            adaptive=options.adaptive,
+        )
+        profile = build_block_profile(assembler, options.hierarchical)
+        task = _BlockShardTask(
+            assembler,
+            profile.tree,
+            profile.partition.blocks,
+            options.hierarchical,
+            profile.stopping,
+            profile.dof_matrix,
+        )
+        outcomes = [task(index) for index in range(len(profile.partition.blocks))]
+        near = [outcome for outcome in outcomes if outcome.kind != "far"]
+        assert near
+        return {
+            "assembler": assembler,
+            "profile": profile,
+            "near": near,
+            "operator": _assemble(mesh, soil, _control()).matrix,
+        }
+
+    @staticmethod
+    def _raw_triplets(assembler, profile, block):
+        """The unsummed upper-triangle scatter of one block's element pairs."""
+        tree = profile.tree
+        sources, targets = near_block_pair_columns(
+            tree.elements_of(block.row), tree.elements_of(block.col), block.is_diagonal
+        )
+        parts = []
+        for source in np.unique(sources):
+            targets_k = targets[sources == source]
+            ((_, values),) = assembler.column_batch([int(source)], [targets_k])
+            parts.append(
+                upper_triangle_scatter(
+                    int(source), targets_k, values, profile.dof_matrix, profile.nb
+                )
+            )
+        return [np.concatenate(column) for column in zip(*parts)]
+
+    def test_entries_are_unique_int32_upper_pairs(self, near_case):
+        for outcome in near_case["near"]:
+            assert outcome.rows.dtype == np.int32 and outcome.cols.dtype == np.int32
+            assert outcome.vals.dtype == np.float64
+            assert np.all(outcome.rows <= outcome.cols)
+            # Strictly increasing keys: sorted by (row, col), no pair twice.
+            keys = outcome.rows.astype(np.int64) * near_case["profile"].n_dofs + outcome.cols
+            assert np.all(np.diff(keys) > 0)
+
+    def test_shipped_entries_bounded_by_near_nnz(self, near_case):
+        # Raw element-pair triplets would be 6-10x near_nnz on these meshes.
+        # What remains is the overlap between blocks sharing nodes: 2.18x on
+        # the 16-dof flat mesh, where every block is near.
+        shipped = sum(outcome.rows.size for outcome in near_case["near"])
+        assert shipped <= 2.5 * near_case["operator"].stats["near_nnz"]
+
+    def test_near_csr_matches_raw_scatter_sum(self, near_case):
+        from scipy import sparse
+
+        profile = near_case["profile"]
+        raw = [
+            self._raw_triplets(
+                near_case["assembler"], profile, profile.partition.blocks[outcome.block_index]
+            )
+            for outcome in near_case["near"]
+        ]
+        rows, cols, vals = (np.concatenate(column) for column in zip(*raw))
+        shape = (profile.n_dofs, profile.n_dofs)
+        reference = sparse.coo_matrix((vals, (rows, cols)), shape=shape).toarray()
+        near = near_case["operator"]._parts[0].upper.toarray()
+        scale = np.abs(reference).max()
+        assert np.abs(near - reference).max() <= 1e-14 * scale
 
 
 class TestBackendEquivalence:
