@@ -44,14 +44,16 @@ echo "== hierarchical scaling benchmark (quick mode) =="
 BENCH_QUICK=1 python -m pytest -q -p no:randomly \
   benchmarks/bench_hierarchical_scaling.py::test_hierarchical_scaling
 
-echo "== sharded hierarchical benchmark + compact near field (quick mode, workers 0+1+2) =="
+echo "== sharded hierarchical benchmark + compact near field + one thread per process (quick mode, workers 0+1+2) =="
 # Asserts that workers 1 and 2 reproduce the in-process workers=0 solution
 # bit for bit (solution_rel_error == 0.0, identical PCG iterate counts)
-# alongside the flagged-oversubscription rows, and that every near block
-# ships its worker-summed unique upper-triangle dof pairs.
+# alongside the flagged-oversubscription rows, that every near block
+# ships its worker-summed unique upper-triangle dof pairs, and that pooled
+# assembly, matvec, PCG and a concurrent-group campaign start no thread.
 BENCH_QUICK=1 python -m pytest -q -p no:randomly \
   benchmarks/bench_hierarchical_scaling.py::test_sharded_hierarchical \
-  tests/parallel/test_block_backend.py::TestCompactNearField
+  tests/parallel/test_block_backend.py::TestCompactNearField \
+  tests/parallel/test_block_backend.py::TestOneThreadPerProcess
 
 echo "== perf harness (traced quick run of every benchmark workload) =="
 # The traced run resolves every layer wrapper of benchmarks/perf/layers.py, so

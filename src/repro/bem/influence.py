@@ -117,10 +117,9 @@ class ColumnAssembler:
 
     The assembler pre-computes, once per mesh, every per-element array needed by
     the hot loop (Gauss points, lengths, layers, radii) so that each batch
-    evaluation is a handful of NumPy calls.  It is deliberately free of any
-    mutable shared state: the same instance can be used concurrently from
-    several threads, and it pickles cleanly for process-based parallel
-    assembly.
+    evaluation is a handful of NumPy calls.  It pickles cleanly for
+    process-based parallel assembly; each worker process then evaluates with
+    its own geometry cache.
     """
 
     def __init__(
@@ -204,7 +203,7 @@ class ColumnAssembler:
         self._plans: dict[tuple, TruncationPlan] = {}
         self._adaptive_costs: np.ndarray | None = None
 
-    # -- pickling (the geometry cache holds a lock and stays process-local) ---------
+    # -- pickling (the geometry cache stays process-local, never shipped) -----------
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()

@@ -28,8 +28,6 @@ single vectorised call.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from repro.exceptions import AssemblyError
@@ -207,8 +205,9 @@ class _Workspace:
     The adaptive kernels run the same handful of element-wise operations over
     arrays of a few hundred kilobytes; allocating fresh temporaries for each
     of them roughly doubles the runtime (measured 1.7x on the reference
-    container).  One workspace per thread keeps every intermediate in
-    pre-allocated, cache-resident buffers.
+    container).  One workspace per process keeps every intermediate in
+    pre-allocated, cache-resident buffers; forked workers each get a
+    copy-on-write copy.
     """
 
     __slots__ = ("_buffers",)
@@ -227,15 +226,8 @@ class _Workspace:
         return buffer[:size].reshape(n_rows, n_cols)
 
 
-_workspace_local = threading.local()
-
-
-def _workspace() -> _Workspace:
-    workspace = getattr(_workspace_local, "workspace", None)
-    if workspace is None:
-        workspace = _Workspace()
-        _workspace_local.workspace = workspace
-    return workspace
+#: The adaptive kernels' scratch buffers, one set per process.
+_WORKSPACE = _Workspace()
 
 
 def _exact_term_sums(
@@ -605,7 +597,7 @@ def adaptive_segment_sums(
     n_pairs = p_axis.size
     w0 = np.zeros(n_pairs)
     w1 = np.zeros(n_pairs)
-    ws = _workspace()
+    ws = _WORKSPACE
     d_min = np.maximum(radius, _D_FLOOR)
 
     scalar_source = np.ndim(z0) == 0 and np.ndim(z_slope) == 0 and np.ndim(length) == 0

@@ -44,7 +44,6 @@ hierarchical operator matches the dense matrix entrywise to
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -102,8 +101,7 @@ class HierarchicalControl:
         forks that many workers for the call.  Either way the blocks run
         through :mod:`repro.parallel.block_backend` (the LPT partition of
         :func:`repro.parallel.costs.partition_block_work`), and the result is
-        bit-identical for every worker count.  The matvec fans its partials
-        out over as many threads.
+        bit-identical for every worker count.
     """
 
     leaf_size: int = 64
@@ -122,8 +120,8 @@ class HierarchicalControl:
             raise ClusterError(
                 f"tolerance must lie strictly between 0 and 1, got {self.tolerance!r}"
             )
-        if self.safety < 1.0:
-            raise ClusterError(f"safety factor must be >= 1, got {self.safety!r}")
+        if self.safety < 1.0 or not np.isfinite(self.safety):
+            raise ClusterError(f"safety factor must be finite and >= 1, got {self.safety!r}")
         if self.max_rank < 1:
             raise ClusterError(f"max_rank must be at least 1, got {self.max_rank!r}")
         if self.workers < 0:
@@ -212,10 +210,9 @@ class HierarchicalOperator:
 
     ``near`` is the upper triangle of the near field; ``far`` lists the
     canonical far segments as ``(U, V)`` factor pairs.  ``matvec`` evaluates
-    the near-field partial and one partial per far segment — over a thread
-    pool when ``matvec_workers > 1`` — and reduces them with
-    :func:`pairwise_tree_sum` in fixed order, so the result is bit-identical
-    for any assembly worker count and any matvec thread count.
+    the near-field partial and one partial per far segment and reduces them
+    with :func:`pairwise_tree_sum` in fixed order, so the result is
+    bit-identical for any assembly worker count.
     """
 
     def __init__(
@@ -223,7 +220,6 @@ class HierarchicalOperator:
         near: sparse.csr_matrix,
         far: Sequence[tuple[sparse.csr_matrix, sparse.csr_matrix]],
         stats: dict[str, Any],
-        matvec_workers: int = 1,
     ) -> None:
         self._parts: list[_NearField | _FarSegment] = [
             _NearField(near),
@@ -232,23 +228,11 @@ class HierarchicalOperator:
         self.stats = stats
         self.shape = (int(near.shape[0]), int(near.shape[0]))
         self.dtype = np.dtype(float)
-        self.matvec_workers = max(1, int(matvec_workers))
         self._diagonal = pairwise_tree_sum(
             [part.diagonal_contribution() for part in self._parts]
         )
-        self._pool: ThreadPoolExecutor | None = None
 
     # ------------------------------------------------------------------ linear algebra
-
-    def _partials(self, x: np.ndarray) -> list[np.ndarray]:
-        if self.matvec_workers > 1 and len(self._parts) > 1:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=min(self.matvec_workers, len(self._parts))
-                )
-            # Executor.map preserves part order, keeping the reduction fixed.
-            return list(self._pool.map(lambda part: part.apply(x), self._parts))
-        return [part.apply(x) for part in self._parts]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Apply the operator: near and per-segment partials, pairwise-tree reduced."""
@@ -257,7 +241,7 @@ class HierarchicalOperator:
             raise ClusterError(
                 f"operand shape {x.shape} does not match operator size {self.shape[0]}"
             )
-        return pairwise_tree_sum(self._partials(x))
+        return pairwise_tree_sum([part.apply(x) for part in self._parts])
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)
@@ -273,25 +257,6 @@ class HierarchicalOperator:
     def memory_bytes(self) -> int:
         """Bytes stored by the operator (matrix data plus sparse index arrays)."""
         return int(self._diagonal.nbytes + sum(part.memory_bytes() for part in self._parts))
-
-    # ------------------------------------------------------------------ lifecycle
-
-    def close(self) -> None:
-        """Shut the matvec thread pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_pool"] = None  # thread pools stay process-local
-        return state
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter-dependent
-        try:
-            self.close()
-        except Exception:  # contracts: disable=RES001 -- interpreter-teardown guard: __del__ must never raise
-            pass
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

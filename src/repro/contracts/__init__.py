@@ -11,8 +11,9 @@ invariants that the runtime golden/hypothesis suites can only *sample*:
 * no accumulation over unordered (dict/set) iteration in the operator /
   matvec modules, where summation order is the determinism contract itself
   (**DET003**),
-* every long-lived :class:`threading.Lock` re-armed after ``fork()`` the way
-  :mod:`repro.bem.geometry_cache` does (**FORK001**),
+* every long-lived :class:`threading.Lock` re-armed after ``fork()`` by an
+  ``os.register_at_fork`` ``after_in_child`` hook in the module that creates
+  it (**FORK001**),
 * worker tasks dispatched to :class:`~repro.parallel.pool.WorkerPool` /
   :class:`~repro.parallel.executor.ScheduledExecutor` must be module-level
   callables, never closures (**MSG001**) — both ship their task to the

@@ -5,7 +5,7 @@ Both encode invariants the worker-pool architecture depends on:
 * the worker pool ``fork()``s its workers, and a ``threading.Lock`` held by
   another parent thread at fork time stays locked forever in the child —
   every module that creates locks outliving a function call must re-arm them
-  with ``os.register_at_fork`` the way :mod:`repro.bem.geometry_cache` does;
+  with an ``os.register_at_fork`` ``after_in_child`` hook that replaces them;
 * the worker protocol is pure message passing — the task callables are
   shipped by pickle once per run, so they must be
   module-level objects; a closure or lambda drags its enclosing frame (live
@@ -35,10 +35,11 @@ class ForkSafeLockRule(ContractRule):
     (at module scope, class scope or as instance attributes) without calling
     ``os.register_at_fork`` anywhere in the same module is flagged at each
     creation site.  The check is per module on purpose: the re-arm handler
-    must live next to the locks it resets (see
-    ``repro.bem.geometry_cache._reset_locks_after_fork`` for the pattern —
-    a ``weakref.WeakSet`` of instances whose locks the ``after_in_child``
-    hook replaces).
+    must live next to the locks it resets.  The pattern: the module keeps a
+    ``weakref.WeakSet`` of the instances that own locks, and a module-level
+    function registered with ``os.register_at_fork(after_in_child=...)``
+    replaces the module's locks and every tracked instance's lock with fresh,
+    open ones.
     """
 
     rule_id = "FORK001"
@@ -61,7 +62,7 @@ class ForkSafeLockRule(ContractRule):
                 f"{name}() created in a module without an os.register_at_fork "
                 "re-arm: a lock held at fork time deadlocks the forked worker; "
                 "register an after_in_child handler that replaces the module's "
-                "locks (see repro.bem.geometry_cache)",
+                "locks and those of the instances it tracks in a weakref.WeakSet",
             )
 
 

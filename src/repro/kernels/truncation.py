@@ -155,8 +155,8 @@ class AdaptiveControl:
             raise KernelError(
                 f"adaptive tolerance must lie strictly between 0 and 1, got {self.tolerance!r}"
             )
-        if self.safety < 1.0:
-            raise KernelError(f"safety factor must be >= 1, got {self.safety!r}")
+        if self.safety < 1.0 or not np.isfinite(self.safety):
+            raise KernelError(f"safety factor must be finite and >= 1, got {self.safety!r}")
         if len(self.bin_edges) < 1 or any(
             b <= a for a, b in zip(self.bin_edges, self.bin_edges[1:])
         ):

@@ -351,7 +351,7 @@ def sharded_operator_steps(
         "shard_makespan_units": float(max(shard_loads)) if shard_loads else 0.0,
         "n_far_segments": len(far),
     }
-    operator = HierarchicalOperator(near, far, stats, matvec_workers=n_workers)
+    operator = HierarchicalOperator(near, far, stats)
     stats["memory_bytes"] = operator.memory_bytes()
     stats["dense_bytes"] = 8 * n_dofs * n_dofs
     stats["compression"] = stats["memory_bytes"] / max(stats["dense_bytes"], 1)

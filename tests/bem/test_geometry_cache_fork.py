@@ -1,15 +1,14 @@
-"""Fork-safety and eviction-determinism tests of the GeometryCache.
+"""Fork-isolation and eviction-determinism tests of the GeometryCache.
 
-The sharded block backend forks worker processes that inherit the
-process-wide geometry cache.  The contract under test:
+The cache is process-local: the worker pool forks processes that inherit a
+copy-on-write snapshot of the process-wide geometry cache.  The contract
+under test:
 
 * eviction is a deterministic function of the access sequence (same sequence,
   same survivors — on any process);
 * a forked worker's cache churn never leaks back into the parent's LRU state
   (copy-on-write isolation);
-* locks are re-armed in the child after a fork, so a lock held by a parent
-  thread at fork time cannot deadlock the worker
-  (``os.register_at_fork`` handler of :mod:`repro.bem.geometry_cache`).
+* a forked worker's inherited cache stays usable for reads and writes.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import multiprocessing as mp
 import numpy as np
 import pytest
 
-from repro.bem import geometry_cache as gc_module
 from repro.bem.geometry_cache import GeometryCache, default_geometry_cache
 
 
@@ -68,7 +66,7 @@ def _child_churn(n_entries: int) -> dict:
 
 
 def _child_uses_lock(_: int) -> bool:
-    """Runs inside a forked worker: the cache lock must be usable."""
+    """Runs inside a forked worker: the inherited cache must be usable."""
     cache = default_geometry_cache()
     cache.put(("fork-probe",), (np.zeros(8),))
     return cache.get(("fork-probe",)) is not None
@@ -105,32 +103,3 @@ class TestForkIsolation:
         with context.Pool(processes=2) as pool:
             assert pool.map(_child_uses_lock, [0, 1]) == [True, True]
 
-
-class TestAtForkHandler:
-    def test_held_lock_is_rearmed(self):
-        cache = GeometryCache(max_bytes=1024)
-        cache.put(("x",), (np.zeros(4),))
-        # Simulate forking while another thread holds the locks: the child
-        # handler must replace them, or the first get() would deadlock.
-        cache._lock.acquire()
-        gc_module._default_lock.acquire()
-        try:
-            gc_module._reset_locks_after_fork()
-            assert cache.get(("x",)) is not None
-            assert default_geometry_cache() is not None
-        finally:
-            # The pre-fork lock objects were replaced; nothing to release on
-            # the cache, but drop our references cleanly.
-            pass
-
-    def test_handler_registered(self):
-        import os
-
-        assert hasattr(os, "register_at_fork")
-        # The module registers the handler at import; calling it directly must
-        # be idempotent and leave every tracked cache usable.
-        gc_module._reset_locks_after_fork()
-        gc_module._reset_locks_after_fork()
-        cache = default_geometry_cache()
-        cache.put(("idempotent",), (np.zeros(2),))
-        assert cache.get(("idempotent",)) is not None

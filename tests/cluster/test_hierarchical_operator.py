@@ -50,6 +50,11 @@ class TestHierarchicalControl:
         with pytest.raises(ClusterError):
             HierarchicalControl(**kwargs)
 
+    @pytest.mark.parametrize("safety", [float("nan"), float("inf")])
+    def test_rejects_non_finite_safety(self, safety):
+        with pytest.raises(ClusterError):
+            HierarchicalControl(safety=safety)
+
 
 class TestOperatorMatchesDense:
     def test_entrywise_against_dense(self, small_mesh, uniform_soil, hier_small):

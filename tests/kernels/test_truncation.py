@@ -45,6 +45,11 @@ class TestAdaptiveControl:
         with pytest.raises(KernelError):
             AdaptiveControl(safety=0.5)
 
+    @pytest.mark.parametrize("safety", [float("nan"), float("inf")])
+    def test_rejects_non_finite_safety(self, safety):
+        with pytest.raises(KernelError):
+            AdaptiveControl(safety=safety)
+
 
 class TestBounds:
     def test_i0_upper_bound_is_an_upper_bound(self):

@@ -4,13 +4,16 @@ The contract under test (see :mod:`repro.parallel.block_backend`): the
 in-process build (``workers=0``), forked builds for workers in {1, 2, 3, 7}
 and a persistent ``WorkerPool(2)`` build are **bit-identical** — matvec,
 diagonal, ``todense`` and the PCG solution with its iteration count — on a
-flat and a rodded mesh (canonical matvec segments + pairwise tree-sum
-reduction in fixed segment order).  Worker counts beyond the host's cores
-run oversubscribed (1-core hosts included) and must change nothing, and so
-must the pool backend and the matvec thread fan-out.
+flat, a rodded and a far-field mesh (canonical matvec segments + pairwise
+tree-sum reduction in fixed segment order).  Worker counts beyond the host's
+cores run oversubscribed (1-core hosts included) and must change nothing, and
+so must the pool backend.  No step of an assembly, a matvec, a PCG solve or a
+campaign starts a thread: the process runtime is one thread per process.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
@@ -25,13 +28,17 @@ from repro.solvers import solve_system
 
 WORKER_COUNTS = (1, 2, 3, 7)
 
-#: Small leaves force a real block hierarchy (near + far + possible
-#: fallbacks) even on the deliberately small test meshes.
+#: Small leaves force a real block hierarchy even on the deliberately small
+#: flat and rodded meshes (near blocks plus admissible blocks, which all fall
+#: back to dense there).
 LEAF_SIZE = 6
+#: Leaves of the far-field mesh: large enough that ACA pays, so the operator
+#: has several far segments.
+FAR_LEAF_SIZE = 16
 
 
-def _control(workers: int = 0, **kwargs) -> HierarchicalControl:
-    return HierarchicalControl(leaf_size=LEAF_SIZE, workers=workers, **kwargs)
+def _control(workers: int = 0, leaf_size: int = LEAF_SIZE) -> HierarchicalControl:
+    return HierarchicalControl(leaf_size=leaf_size, workers=workers)
 
 
 def _assemble(mesh, soil, control: HierarchicalControl, pool=None):
@@ -40,20 +47,41 @@ def _assemble(mesh, soil, control: HierarchicalControl, pool=None):
     )
 
 
-@pytest.fixture(scope="module", params=["flat", "rodded"])
-def golden_case(request, small_mesh, uniform_soil, rodded_mesh, two_layer_soil):
+@pytest.fixture(scope="module")
+def far_field_mesh(two_layer_soil):
+    """A rodded 4 x 4 grid at 1 m elements: its operator has far segments.
+
+    On the flat and rodded meshes every admissible block falls back to dense,
+    so only a mesh like this one reaches the far-segment partials of the matvec.
+    """
+    from repro.geometry.builder import GridBuilder
+    from repro.geometry.discretize import discretize_grid
+
+    builder = GridBuilder(
+        depth=0.6, conductor_radius=5.0e-3, rod_radius=7.0e-3, rod_length=2.0, name="far"
+    )
+    grid = builder.rectangular_mesh(24.0, 24.0, 4, 4)
+    builder.add_rods(grid, [(0.0, 0.0), (24.0, 0.0), (0.0, 24.0), (24.0, 24.0)])
+    return discretize_grid(grid, soil=two_layer_soil, max_element_length=1.0)
+
+
+@pytest.fixture(scope="module", params=["flat", "rodded", "far-field"])
+def golden_case(request, small_mesh, uniform_soil, rodded_mesh, two_layer_soil, far_field_mesh):
     """In-process, forked and pooled systems of one mesh."""
-    mesh, soil = {
-        "flat": (small_mesh, uniform_soil),
-        "rodded": (rodded_mesh, two_layer_soil),
+    mesh, soil, leaf_size = {
+        "flat": (small_mesh, uniform_soil, LEAF_SIZE),
+        "rodded": (rodded_mesh, two_layer_soil, LEAF_SIZE),
+        "far-field": (far_field_mesh, two_layer_soil, FAR_LEAF_SIZE),
     }[request.param]
-    serial = _assemble(mesh, soil, _control())
+    serial = _assemble(mesh, soil, _control(leaf_size=leaf_size))
+    if request.param == "far-field":
+        assert serial.matrix.stats["n_far_segments"] > 1
     sharded = {
-        workers: _assemble(mesh, soil, _control(workers=workers))
+        workers: _assemble(mesh, soil, _control(workers, leaf_size))
         for workers in WORKER_COUNTS
     }
     with WorkerPool(2) as pool:
-        pooled = _assemble(mesh, soil, _control(), pool=pool)
+        pooled = _assemble(mesh, soil, _control(leaf_size=leaf_size), pool=pool)
     return {"name": request.param, "serial": serial, "sharded": sharded, "pooled": pooled}
 
 
@@ -234,7 +262,7 @@ class TestCompactNearField:
 
 
 class TestBackendEquivalence:
-    """Persistent pool backends and the matvec fan-out are bit-identical."""
+    """Persistent pool backends and block worker counts are bit-identical."""
 
     @pytest.fixture(scope="class")
     def process_system(self, rodded_mesh, two_layer_soil):
@@ -248,15 +276,52 @@ class TestBackendEquivalence:
         x = np.linspace(-1.0, 1.0, system.rhs.size)
         assert np.array_equal(system.matrix.matvec(x), process_system.matrix.matvec(x))
 
-    def test_matvec_thread_fanout_bitwise_equal(self, rodded_mesh, two_layer_soil, process_system):
-        # The matvec fans out over as many threads as block workers.
-        fanned = _assemble(rodded_mesh, two_layer_soil, _control(workers=3))
-        try:
-            assert fanned.matrix.matvec_workers == 3
-            x = np.linspace(-1.0, 1.0, fanned.rhs.size)
-            assert np.array_equal(fanned.matrix.matvec(x), process_system.matrix.matvec(x))
-        finally:
-            fanned.matrix.close()
+    def test_worker_counts_matvec_bitwise_equal(
+        self, rodded_mesh, two_layer_soil, process_system
+    ):
+        three = _assemble(rodded_mesh, two_layer_soil, _control(workers=3))
+        x = np.linspace(-1.0, 1.0, three.rhs.size)
+        assert np.array_equal(three.matrix.matvec(x), process_system.matrix.matvec(x))
+
+
+def _alive_threads() -> list[str]:
+    return [thread.name for thread in threading.enumerate()]
+
+
+class TestOneThreadPerProcess:
+    """The library starts no thread: dispatch is one loop over processes."""
+
+    def test_hierarchical_assembly_matvec_and_solve(self, far_field_mesh, two_layer_soil):
+        with WorkerPool(2) as pool:
+            system = _assemble(
+                far_field_mesh, two_layer_soil, _control(leaf_size=FAR_LEAF_SIZE), pool=pool
+            )
+            # The operator stays alive while the count is taken.
+            system.matrix.matvec(np.ones(system.rhs.size))
+            solved = solve_system(system.matrix, system.rhs, method="pcg")
+            assert solved.converged
+            assert threading.active_count() == 1, _alive_threads()
+
+    def test_campaign_with_concurrent_groups(self):
+        from repro.campaign import Campaign, GeometryVariant, ScenarioSpec, run_campaign
+        from repro.soil.two_layer import TwoLayerSoil
+        from repro.soil.uniform import UniformSoil
+
+        grid = GeometryVariant(name="g", width=60.0, height=60.0, nx=10, ny=10, rods="corners")
+        soil = TwoLayerSoil(0.005, 0.016, 1.0)
+        campaign = Campaign(
+            name="one-thread",
+            scenarios=(
+                ScenarioSpec(name="base", geometry=grid, soil=soil),
+                ScenarioSpec(name="hot", geometry=grid, soil=soil, gpr=15_000.0),
+                ScenarioSpec(name="uni", geometry=grid, soil=UniformSoil(0.01)),
+            ),
+            hierarchical=HierarchicalControl(leaf_size=FAR_LEAF_SIZE),
+        )
+        with WorkerPool(2) as pool:
+            result = run_campaign(campaign, pool=pool, group_concurrency=2)
+            assert len(result.scenarios) == 3
+            assert threading.active_count() == 1, _alive_threads()
 
 
 class TestMeasureShardedSpeedup:
