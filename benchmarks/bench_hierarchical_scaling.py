@@ -212,7 +212,7 @@ def test_hierarchical_scaling(record_table, record_snapshot):
 
 def test_sharded_hierarchical(record_table, record_snapshot):
     """Block builder on forked workers vs its in-process run at scale."""
-    from repro.parallel.speedup import measure_sharded_speedup
+    from repro.experiments.scaling import measure_sharded_speedup
 
     cases = SHARDED_QUICK_CASES if QUICK else SHARDED_FULL_CASES
     record: dict = {"quick": QUICK, "spacing_m": SPACING, "gpr_v": GPR}

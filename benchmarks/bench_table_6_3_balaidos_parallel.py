@@ -26,7 +26,7 @@ PROCESSORS = (1, 2, 4, 8)
 def test_table_6_3_simulated(benchmark, record_table):
     rows = benchmark.pedantic(
         table_6_3_rows,
-        kwargs=dict(processor_counts=PROCESSORS, models=("A", "B", "C"), simulate=True),
+        kwargs=dict(processor_counts=PROCESSORS, models=("A", "B", "C")),
         rounds=1,
         iterations=1,
     )

@@ -112,9 +112,12 @@ def main() -> None:
     )
 
     if args.sharded:
-        from repro.experiments.scaling import resolve_case
+        from repro.experiments.scaling import (
+            measure_sharded_speedup,
+            resolve_case,
+            sharded_speedup_table,
+        )
         from repro.geometry.discretize import discretize_grid
-        from repro.parallel.speedup import measure_sharded_speedup, sharded_speedup_table
 
         print("\nHierarchical block builder (in-process workers=0 reference):")
         grid, soil, gpr = resolve_case(args.case, coarse=args.coarse)

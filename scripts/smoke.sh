@@ -32,6 +32,14 @@ for i in $(seq 1 "${reruns}"); do
   python -m pytest -q -p no:randomly tests/experiments/test_scaling_drivers.py
 done
 
+echo "== Section 6 study drivers: one Section 6 study path (repro.experiments.scaling) =="
+# The CLI's scaling command and examples/parallel_scaling.py import the study
+# functions lazily: run both end to end so a moved function fails here.
+python -m pytest -q -p no:randomly tests/experiments/test_scaling_drivers.py \
+  tests/parallel/test_executor.py tests/parallel/test_parallel_assembly.py
+python -m pytest -q -p no:randomly tests/test_cli.py -k scaling
+python examples/parallel_scaling.py --coarse --sharded
+
 echo "== coarse benchmark (batched matrix generation) =="
 python -m pytest -q -p no:randomly \
   benchmarks/bench_table_6_1_phase_times.py::test_matrix_generation_batched_speedup

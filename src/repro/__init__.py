@@ -73,8 +73,6 @@ from repro.parallel import (
     ParallelOptions,
     Schedule,
     ScheduleKind,
-    Backend,
-    LoopLevel,
     MachineModel,
     ScheduleSimulator,
     WorkerPool,
@@ -161,8 +159,6 @@ __all__ = [
     "ParallelOptions",
     "Schedule",
     "ScheduleKind",
-    "Backend",
-    "LoopLevel",
     "MachineModel",
     "ScheduleSimulator",
     "WorkerPool",

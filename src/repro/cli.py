@@ -360,9 +360,12 @@ def _scaling_body(args: argparse.Namespace) -> int:
     )
 
     if args.hierarchical:
-        from repro.experiments.scaling import resolve_case
+        from repro.experiments.scaling import (
+            measure_sharded_speedup,
+            resolve_case,
+            sharded_speedup_table,
+        )
         from repro.geometry.discretize import discretize_grid
-        from repro.parallel.speedup import measure_sharded_speedup, sharded_speedup_table
 
         grid, soil, gpr = resolve_case(args.case, coarse=args.coarse)
         mesh = discretize_grid(grid, soil=soil)

@@ -115,10 +115,8 @@ class WallClockRule(ContractRule):
     forbidden: a clock-dependent value that leaks into a numeric result (or
     into work partitioning) silently breaks the bit-identical contract.
     Observability timing goes through the sanctioned facade
-    :func:`repro.timing.wall_clock`; the measurement module
-    ``repro.parallel.speedup``, ``repro.timing`` itself and benchmarks are
-    allowlisted (``repro.parallel.timing`` is a pure re-export shim of
-    ``repro.timing`` and needs no allowance of its own).
+    :func:`repro.timing.wall_clock`; only ``repro.timing`` itself (and
+    benchmark code) may read the clock.
     """
 
     rule_id = "DET002"
@@ -126,7 +124,7 @@ class WallClockRule(ContractRule):
     node_types = (ast.Call,)
 
     SCOPED_PACKAGES = ("repro.bem", "repro.cluster", "repro.kernels", "repro.parallel")
-    ALLOWED_MODULES = ("repro.parallel.speedup", "repro.timing")
+    ALLOWED_MODULES = ("repro.timing",)
 
     _FORBIDDEN = {
         "time.time", "time.time_ns", "time.perf_counter", "time.perf_counter_ns",

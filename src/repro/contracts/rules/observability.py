@@ -18,8 +18,9 @@ new ad-hoc accumulator inside ``repro.bem``, ``repro.cluster``,
   :func:`repro.timing.wall_clock` call directly, i.e. raw
   ``d[k] = wall_clock() - start`` delta bookkeeping.
 
-Measurement modules (``repro.parallel.speedup``) are allowlisted, and a
-module that deliberately keeps a legacy stats payload can carry a
+No module is allowlisted: the measurement studies live in
+:mod:`repro.experiments.scaling`, outside the scoped packages, and a module
+that deliberately keeps a legacy stats payload can carry a
 ``# contracts: disable-file=OBS001 -- <why>`` pragma.
 """
 
@@ -70,12 +71,9 @@ class PhaseBookkeepingRule(ContractRule):
         "repro.parallel",
         "repro.campaign",
     )
-    ALLOWED_MODULES = ("repro.parallel.speedup",)
 
     def applies_to(self, context: ModuleContext) -> bool:
         if context.is_test_code or context.module is None:
-            return False
-        if context.module in self.ALLOWED_MODULES:
             return False
         return any(
             context.module == package or context.module.startswith(package + ".")
@@ -144,7 +142,6 @@ class PhaseBookkeepingRule(ContractRule):
     _CLOCK_CALLS = frozenset(
         {
             "repro.timing.wall_clock",
-            "repro.parallel.timing.wall_clock",
             "repro.observe.wall_clock",
         }
     )

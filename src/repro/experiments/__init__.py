@@ -30,6 +30,7 @@ from repro.experiments.scaling import (
     figure_6_1_curves,
     table_6_2_speedups,
     table_6_3_rows,
+    measure_sharded_speedup,
 )
 from repro.experiments.registry import EXPERIMENTS, ExperimentSpec, get_experiment
 
@@ -48,6 +49,7 @@ __all__ = [
     "figure_6_1_curves",
     "table_6_2_speedups",
     "table_6_3_rows",
+    "measure_sharded_speedup",
     "EXPERIMENTS",
     "ExperimentSpec",
     "get_experiment",

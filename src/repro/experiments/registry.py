@@ -126,7 +126,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             modules=(
                 "repro.parallel.block_backend",
                 "repro.cluster.block_assembly",
-                "repro.parallel.speedup",
+                "repro.experiments.scaling",
             ),
             benchmark="benchmarks/bench_hierarchical_scaling.py",
             examples=("examples/parallel_scaling.py",),

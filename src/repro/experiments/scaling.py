@@ -17,27 +17,36 @@ The three artefacts of the paper's parallel study are driven from here:
 * :func:`table_6_2_speedups` — the schedule × chunk × processors speed-up table
   (Table 6.2);
 * :func:`table_6_3_rows` — CPU time and speed-up of the Balaidos soil models
-  A/B/C for several processor counts (Table 6.3).
+  A/B/C for several processor counts (Table 6.3);
+* :func:`measure_real_speedups` — real process-pool runs of the paper's
+  column loop on this host, against the sequential reference;
+* :func:`measure_sharded_speedup` — the same study for the hierarchical block
+  builder, against its in-process ``workers=0`` build
+  (:func:`sharded_speedup_table` prints it).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
 from typing import Any, Sequence
 
 import numpy as np
 
 from repro.bem.assembly import AssemblyOptions, assemble_system
-from repro.exceptions import ExperimentError
+from repro.exceptions import ExperimentError, ParallelExecutionError
 from repro.experiments.balaidos import balaidos_case
 from repro.experiments.barbera import barbera_case
-from repro.geometry.discretize import discretize_grid
+from repro.geometry.discretize import Mesh, discretize_grid
 from repro.kernels.base import kernel_for_soil
-from repro.parallel.costs import analytic_column_costs, blend_costs, scale_costs
+from repro.parallel.costs import analytic_column_costs, scale_costs
 from repro.parallel.machine import MachineModel
-from repro.parallel.options import Backend, ParallelOptions
+from repro.parallel.options import ParallelOptions
 from repro.parallel.parallel_assembly import assemble_system_parallel
 from repro.parallel.schedule import Schedule
 from repro.parallel.simulator import ScheduleSimulator
+from repro.soil.base import SoilModel
+from repro.timing import wall_clock
 
 __all__ = [
     "PAPER_TABLE_6_2",
@@ -49,6 +58,8 @@ __all__ = [
     "table_6_2_speedups",
     "table_6_3_rows",
     "measure_real_speedups",
+    "measure_sharded_speedup",
+    "sharded_speedup_table",
 ]
 
 #: Schedules evaluated in the paper's Table 6.2 (label → Schedule spec).
@@ -116,10 +127,6 @@ def resolve_case(name: str, coarse: bool = False):
     raise ExperimentError(f"unknown case {name!r}; expected 'barbera/...' or 'balaidos/...'")
 
 
-#: Backward-compatible private alias (internal call sites predate the rename).
-_case = resolve_case
-
-
 def measure_column_costs(
     case: str = "barbera/two_layer",
     coarse: bool = False,
@@ -157,13 +164,17 @@ def measure_column_costs(
     if reduction not in ("min", "median"):
         raise ExperimentError(f"reduction must be 'min' or 'median', got {reduction!r}")
 
-    grid, soil, gpr = _case(case, coarse=coarse)
+    grid, soil, gpr = resolve_case(case, coarse=coarse)
     mesh = discretize_grid(grid, soil=soil)
     options = options or AssemblyOptions()
     kernel = kernel_for_soil(soil, options.series_control)
 
     warmup = ColumnAssembler(
-        mesh, kernel, DofManager(mesh, options.element_type), options.n_gauss
+        mesh,
+        kernel,
+        DofManager(mesh, options.element_type),
+        options.n_gauss,
+        adaptive=options.adaptive,
     )
     warmup.column_batch([0], [np.arange(min(8, mesh.n_elements))])
 
@@ -199,7 +210,7 @@ def deterministic_column_costs(
     event-driven (non-measured) concurrency treatment: correctness never pins
     on the host's core count or timer resolution.
     """
-    grid, soil, _ = _case(case, coarse=coarse)
+    grid, soil, _ = resolve_case(case, coarse=coarse)
     mesh = discretize_grid(grid, soil=soil)
     options = options or AssemblyOptions()
     kernel = kernel_for_soil(soil, options.series_control)
@@ -257,7 +268,6 @@ def measure_real_speedups(
     case: str = "barbera/two_layer",
     processor_counts: Sequence[int] = (1, 2, 4, 8),
     schedule: str | Schedule = "Dynamic,1",
-    backend: Backend | str = Backend.PROCESS,
     coarse: bool = False,
     options: AssemblyOptions | None = None,
     max_workers: int | None = None,
@@ -271,11 +281,11 @@ def measure_real_speedups(
     count produces a row, flagged ``"oversubscribed": True`` when it exceeds
     the available cores (its speed-up then reflects time-sliced execution, not
     genuine parallel hardware).  Use ``max_workers`` to bound pool sizes on
-    hosts where very large requests would be pathological.
+    hosts where very large requests would be pathological.  A row's
+    ``backend`` is that of the pool the run used (``"process"`` for more
+    than one worker).
     """
-    import os
-
-    grid, soil, gpr = _case(case, coarse=coarse)
+    grid, soil, gpr = resolve_case(case, coarse=coarse)
     mesh = discretize_grid(grid, soil=soil)
     options = options or AssemblyOptions()
     kernel = kernel_for_soil(soil, options.series_control)
@@ -304,7 +314,7 @@ def measure_real_speedups(
             continue
         if max_workers is not None and count > max_workers:
             continue
-        parallel = ParallelOptions(n_workers=count, schedule=schedule, backend=backend)
+        parallel = ParallelOptions(n_workers=count, schedule=schedule)
         system = assemble_system_parallel(
             mesh, soil, gpr=gpr, options=options, kernel=kernel, parallel=parallel
         )
@@ -316,7 +326,7 @@ def measure_real_speedups(
                 "schedule": schedule.label(),
                 "cpu_seconds": wall,
                 "speedup": reference / wall if wall > 0 else float(count),
-                "backend": parallel.backend.value,
+                "backend": system.metadata["backend"],
                 "oversubscribed": count > available,
             }
         )
@@ -328,68 +338,141 @@ def table_6_3_rows(
     models: Sequence[str] = ("A", "B", "C"),
     schedule: str | Schedule = "Dynamic,1",
     machine: MachineModel | None = None,
-    simulate: bool = True,
-    cost_source: str = "measured",
 ) -> list[dict[str, Any]]:
     """CPU time and speed-up of the Balaidos matrix generation (Table 6.3).
 
-    The sequential time of every soil model is measured on this host; the
-    speed-ups for the requested processor counts are obtained from the machine
-    simulator (``simulate=True``, default) or from real process-pool runs
-    (``simulate=False``).
-
-    Parameters
-    ----------
-    cost_source:
-        Profile replayed by the simulator: ``"measured"`` (wall-clock column
-        times, the default), ``"analytic"`` (the deterministic cost model
-        scaled to the measured total — reproducible across hosts while keeping
-        real CPU seconds), or ``"blended"`` (50/50 mix damping the timing
-        noise).  Ignored when ``simulate=False``.
+    The sequential column profile of every soil model is measured on this
+    host (:func:`measure_column_costs`) and replayed by the machine simulator
+    for the requested processor counts.  Real process-pool rows come from
+    :func:`measure_real_speedups`.
     """
-    if cost_source not in ("measured", "analytic", "blended"):
-        raise ExperimentError(
-            f"cost_source must be 'measured', 'analytic' or 'blended', got {cost_source!r}"
-        )
     schedule = schedule if isinstance(schedule, Schedule) else Schedule.parse(str(schedule))
+    machine = machine or MachineModel.origin2000(max(int(p) for p in processor_counts))
     rows: list[dict[str, Any]] = []
     for model in models:
         column_seconds, total = measure_column_costs(f"balaidos/{model}")
-        if cost_source != "measured":
-            analytic = deterministic_column_costs(
-                f"balaidos/{model}", total_seconds=float(column_seconds.sum())
+        simulator = ScheduleSimulator(column_seconds, machine)
+        for count in processor_counts:
+            result = simulator.run(schedule, int(count))
+            rows.append(
+                {
+                    "soil_model": model,
+                    "n_processors": int(count),
+                    # The simulated times cover the column computations (the
+                    # parallelised work); the measured wall time of the whole
+                    # matrix-generation phase is reported alongside for the
+                    # sequential row.
+                    "cpu_seconds": result.makespan,
+                    "speedup": result.speedup,
+                    "sequential_wall_seconds": total,
+                }
             )
-            if cost_source == "analytic":
-                column_seconds = analytic
-            else:
-                column_seconds = blend_costs(column_seconds, analytic, analytic_weight=0.5)
-        if simulate:
-            machine_model = machine or MachineModel.origin2000(
-                max(int(p) for p in processor_counts)
-            )
-            simulator = ScheduleSimulator(column_seconds, machine_model)
-            for count in processor_counts:
-                result = simulator.run(schedule, int(count))
-                rows.append(
-                    {
-                        "soil_model": model,
-                        "n_processors": int(count),
-                        # The simulated times cover the column computations (the
-                        # parallelised work); the measured wall time of the whole
-                        # matrix-generation phase is reported alongside for the
-                        # sequential row.
-                        "cpu_seconds": result.makespan,
-                        "speedup": result.speedup,
-                        "sequential_wall_seconds": total,
-                        "source": f"simulated/{cost_source}",
-                    }
-                )
-        else:
-            for row in measure_real_speedups(
-                f"balaidos/{model}", processor_counts, schedule=schedule
-            ):
-                row = dict(row)
-                row["soil_model"] = model
-                row["source"] = "measured"
-                rows.append(row)
     return rows
+
+
+def measure_sharded_speedup(
+    mesh: Mesh,
+    soil: SoilModel,
+    control=None,
+    worker_counts: Sequence[int] = (1, 2, 4),
+    options: AssemblyOptions | None = None,
+    gpr: float = 1.0,
+    solver: str = "pcg",
+) -> list[dict[str, Any]]:
+    """Hierarchical assemble+solve per block-worker count, against ``workers=0``.
+
+    The reference is the in-process block assembly (``workers=0``); every
+    requested worker count then runs the same block builder of
+    :mod:`repro.parallel.block_backend` on forked workers, and one row per
+    count (reference first) is returned.  Conventions follow
+    :func:`measure_real_speedups`: counts above the host's cores are *not*
+    skipped but flagged ``"oversubscribed": True`` (their speed-up reflects
+    time-sliced execution, not parallel hardware).
+    Each row carries the PCG iteration count and ``solution_rel_error``, the
+    maximum relative deviation from the reference solution — exactly zero for
+    every worker count under the deterministic-reduction contract (canonical
+    segments, fixed-order pairwise tree-sum).
+    """
+    from repro.cluster.operator import HierarchicalControl
+    from repro.solvers import solve_system
+
+    control = control or HierarchicalControl()
+    if options is not None and options.hierarchical is not None:
+        raise ParallelExecutionError(
+            "pass the hierarchical control through the 'control' argument; "
+            "'options' configures the shared element/kernel settings only"
+        )
+    base_options = options or AssemblyOptions()
+
+    def _run(workers: int):
+        # Every run starts from a cold process-wide geometry cache; the
+        # reference would otherwise pay all cache misses and gift the later
+        # runs (and their forked workers) a warm cache, biasing the speed-up
+        # the acceptance gate asserts on.
+        from repro.bem.geometry_cache import default_geometry_cache
+
+        default_geometry_cache().clear()
+        run_control = dataclasses.replace(control, workers=int(workers))
+        run_options = dataclasses.replace(base_options, hierarchical=run_control)
+        start = wall_clock()
+        system = assemble_system(mesh, soil, gpr=gpr, options=run_options)
+        assemble_seconds = wall_clock() - start
+        start = wall_clock()
+        solved = solve_system(system.matrix, system.rhs, method=solver)
+        solve_seconds = wall_clock() - start
+        return system, solved, assemble_seconds, solve_seconds
+
+    available = os.cpu_count() or 1
+    rows: list[dict[str, Any]] = []
+    reference: np.ndarray | None = None
+    for count in (0, *(int(w) for w in worker_counts)):
+        system, solved, assemble_seconds, solve_seconds = _run(count)
+        wall = assemble_seconds + solve_seconds
+        if reference is None:
+            reference, reference_seconds = solved.solution, wall
+            reference_norm = float(np.abs(reference).max())
+        rows.append(
+            {
+                "n_workers": count,
+                "backend": str(system.metadata["hierarchical"]["backend"]),
+                "assemble_seconds": assemble_seconds,
+                "solve_seconds": solve_seconds,
+                "wall_seconds": wall,
+                "speedup": reference_seconds / wall if wall > 0 else 1.0,
+                "oversubscribed": count > available,
+                "solution_rel_error": float(
+                    np.abs(solved.solution - reference).max() / reference_norm
+                ),
+                "pcg_iterations": solved.iterations,
+            }
+        )
+    return rows
+
+
+def sharded_speedup_table(rows: Sequence[dict]) -> tuple[list[str], list[list[Any]]]:
+    """Printable (headers, rows) of a :func:`measure_sharded_speedup` result.
+
+    Shared by the CLI's ``scaling --hierarchical`` table and the
+    ``examples/parallel_scaling.py --sharded`` report, so the displayed
+    columns stay in one place.
+    """
+    headers = [
+        "workers",
+        "assemble s",
+        "solve s",
+        "speed-up",
+        "oversubscribed",
+        "solution rel err",
+    ]
+    table = [
+        [
+            row["n_workers"],
+            row["assemble_seconds"],
+            row["solve_seconds"],
+            row["speedup"],
+            "yes" if row["oversubscribed"] else "no",
+            row["solution_rel_error"],
+        ]
+        for row in rows
+    ]
+    return headers, table

@@ -28,16 +28,13 @@ This sub-package reproduces that study with two complementary back-ends:
 
 The schedule implementations are shared by both back-ends, so a simulated
 result can be validated against a real run on the processor counts available
-locally.
+locally.  The studies that combine them — the paper's Fig. 6.1 and Tables
+6.2/6.3, and the hierarchical block builder's worker scaling — live in
+:mod:`repro.experiments.scaling`.
 """
 
-from repro.parallel.options import ParallelOptions, Backend, LoopLevel
-from repro.parallel.costs import (
-    analytic_column_costs,
-    blend_costs,
-    scale_costs,
-    smooth_costs,
-)
+from repro.parallel.options import ParallelOptions
+from repro.parallel.costs import analytic_column_costs, scale_costs
 from repro.parallel.schedule import Schedule, ScheduleKind
 from repro.timing import PhaseTimer, Timer
 from repro.parallel.machine import MachineModel
@@ -45,23 +42,12 @@ from repro.parallel.simulator import ScheduleSimulator, SimulationResult
 from repro.parallel.executor import run_scheduled_tasks
 from repro.parallel.parallel_assembly import assemble_system_parallel
 from repro.parallel.pool import TaskRunResult, WorkerPool
-from repro.parallel.speedup import (
-    SpeedupStudy,
-    measure_sharded_speedup,
-    measure_speedup,
-    simulate_speedup_curve,
-)
 
 __all__ = [
     "WorkerPool",
-    "measure_sharded_speedup",
     "ParallelOptions",
-    "Backend",
-    "LoopLevel",
     "analytic_column_costs",
-    "blend_costs",
     "scale_costs",
-    "smooth_costs",
     "Schedule",
     "ScheduleKind",
     "Timer",
@@ -72,7 +58,4 @@ __all__ = [
     "run_scheduled_tasks",
     "TaskRunResult",
     "assemble_system_parallel",
-    "SpeedupStudy",
-    "measure_speedup",
-    "simulate_speedup_curve",
 ]

@@ -15,8 +15,9 @@ where ``L(b, c)`` is the truncated image-series length of the kernel ``k_bc``
 deterministic, host-independent, and reproduces the linearly decreasing
 triangle workload that drives the schedule comparison of Table 6.2.
 
-Helpers are provided to scale the profile to a wall-clock total, to blend it
-with a measured profile, and to smooth a jittery measured profile.
+:func:`scale_costs` scales the profile to a wall-clock total.  The adaptive
+engine's matching profile is
+:meth:`repro.bem.influence.ColumnAssembler.adaptive_column_costs`.
 """
 
 from __future__ import annotations
@@ -31,14 +32,11 @@ from repro.timing import wall_clock
 
 __all__ = [
     "analytic_column_costs",
-    "adaptive_column_costs",
     "hierarchical_block_costs",
     "partition_block_work",
     "cost_shares",
     "timed_batch",
     "scale_costs",
-    "blend_costs",
-    "smooth_costs",
 ]
 
 #: Default rank assumed for far-field blocks by the deterministic block-cost
@@ -139,30 +137,6 @@ def analytic_column_costs(
     return costs * float(n_gauss)
 
 
-def adaptive_column_costs(assembler) -> np.ndarray:
-    """Per-column work profile of an *adaptive* assembler.
-
-    The uniform model of :func:`analytic_column_costs` assumes every
-    (source, target) pair evaluates the full image series at equal cost; the
-    adaptive evaluation layer (see :mod:`repro.kernels.truncation`) instead
-    drops, merges and down-weights terms per pair distance.  This helper
-    exposes the matching deterministic profile —
-    ``cost(α) = n_gauss · Σ_{β ≥ α} units(α, β)`` with ``units`` counting the
-    double-precision, single-precision and midpoint-tail terms actually
-    evaluated — so the Fig. 6.1 / Table 6.2 schedule replays stay consistent
-    with what the adaptive engine really executes.
-
-    Parameters
-    ----------
-    assembler:
-        A :class:`repro.bem.influence.ColumnAssembler` built with an
-        :class:`~repro.kernels.truncation.AdaptiveControl`.
-    """
-    if getattr(assembler, "adaptive", None) is None:
-        raise ScheduleError("adaptive_column_costs requires an adaptive ColumnAssembler")
-    return assembler.adaptive_column_costs()
-
-
 def hierarchical_block_costs(
     row_sizes: Sequence[int] | np.ndarray,
     col_sizes: Sequence[int] | np.ndarray,
@@ -255,58 +229,3 @@ def scale_costs(costs: Sequence[float] | np.ndarray, total_seconds: float) -> np
     if current <= 0.0:
         raise ScheduleError("cannot scale a profile with non-positive total cost")
     return profile * (float(total_seconds) / current)
-
-
-def blend_costs(
-    measured: Sequence[float] | np.ndarray,
-    analytic: Sequence[float] | np.ndarray,
-    analytic_weight: float = 0.5,
-) -> np.ndarray:
-    """Convex blend of a measured and an analytic cost profile.
-
-    The analytic profile is first rescaled to the measured total, so the blend
-    keeps the measured wall-clock sum while the analytic share damps the
-    per-column timing noise.  ``analytic_weight = 0`` returns the measured
-    profile, ``1`` the (rescaled) analytic one.
-    """
-    observed = np.asarray(measured, dtype=float)
-    if observed.ndim != 1 or observed.size == 0:
-        raise ScheduleError("measured costs must be a non-empty 1D sequence")
-    model = np.asarray(analytic, dtype=float)
-    if model.shape != observed.shape:
-        raise ScheduleError(
-            f"profile shapes differ: measured {observed.shape}, analytic {model.shape}"
-        )
-    if not 0.0 <= analytic_weight <= 1.0:
-        raise ScheduleError(f"analytic_weight must lie in [0, 1], got {analytic_weight}")
-    total = observed.sum()
-    if total <= 0.0:
-        raise ScheduleError("measured profile must have a positive total")
-    return (1.0 - analytic_weight) * observed + analytic_weight * scale_costs(model, total)
-
-
-def smooth_costs(costs: Sequence[float] | np.ndarray, window: int = 5) -> np.ndarray:
-    """Centered moving-median smoothing of a measured cost profile.
-
-    Removes isolated scheduler-jitter spikes from coarse measured profiles
-    while preserving the profile total (the smoothed profile is rescaled to the
-    original sum).
-    """
-    profile = np.asarray(costs, dtype=float)
-    if profile.ndim != 1 or profile.size == 0:
-        raise ScheduleError("costs must be a non-empty 1D sequence")
-    if window < 1:
-        raise ScheduleError(f"window must be at least 1, got {window}")
-    if window == 1 or profile.size == 1:
-        return profile.copy()
-    half = window // 2
-    smoothed = np.empty_like(profile)
-    for i in range(profile.size):
-        lo = max(0, i - half)
-        hi = min(profile.size, i + half + 1)
-        smoothed[i] = np.median(profile[lo:hi])
-    total = profile.sum()
-    smoothed_total = smoothed.sum()
-    if total > 0.0 and smoothed_total > 0.0:
-        smoothed *= total / smoothed_total
-    return smoothed

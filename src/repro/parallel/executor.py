@@ -30,14 +30,11 @@ tracing; the pool's ``tasks_executed`` counter counts chunks.  The chunk
 function travels to the workers by pickle and must be module-level and
 closure-free (contract ``MSG001``).
 
-Backends:
-
-``process`` (default)
-    A :class:`~repro.parallel.pool.WorkerPool` of ``n_workers`` forked
-    worker processes.
-``serial``
-    Runs all tasks as one chunk in the calling process (baseline and
-    debugging); so does ``process`` with a single worker.
+With ``n_workers > 1`` the pool has that many forked worker processes (its
+``backend`` is ``"process"``); a single worker runs all tasks as one chunk
+in the calling process on an in-process pool (``"serial"``).  The run's
+:attr:`~repro.parallel.pool.TaskRunResult.backend` is the backend of the pool
+it used.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ from typing import Any, Callable, Sequence
 
 from repro.exceptions import ParallelExecutionError
 from repro.parallel.costs import timed_batch
-from repro.parallel.options import Backend
 from repro.parallel.pool import TaskRunResult, WorkerPool, collect_chunk_results
 from repro.parallel.schedule import Schedule, ScheduleKind
 from repro.timing import wall_clock
@@ -83,7 +79,7 @@ class ScheduledExecutor:
 
     Use as a context manager so the worker pool is reliably torn down::
 
-        with ScheduledExecutor(chunk_fn, n_workers=8, backend=Backend.PROCESS) as ex:
+        with ScheduledExecutor(chunk_fn, n_workers=8) as ex:
             outcome = ex.run(range(n_tasks), Schedule.parse("Dynamic,1"))
 
     Parameters
@@ -92,9 +88,7 @@ class ScheduledExecutor:
         Module-level callable evaluating a whole chunk: called with the task
         ids of one chunk, returns their results in the same order.
     n_workers:
-        Number of workers.
-    backend:
-        ``process`` or ``serial``.
+        Number of workers; one worker runs in the calling process.
     cost_hint:
         Optional per-task relative costs (array indexed by task id, or a
         mapping) used to apportion a chunk's wall time to its tasks;
@@ -105,7 +99,6 @@ class ScheduledExecutor:
         self,
         fn: Callable[[list[int]], Sequence[Any]],
         n_workers: int,
-        backend: Backend | str = Backend.PROCESS,
         cost_hint: Any = None,
     ) -> None:
         if n_workers < 1:
@@ -113,13 +106,12 @@ class ScheduledExecutor:
         self.fn = fn
         self.cost_hint = cost_hint
         self.n_workers = int(n_workers)
-        self.backend = Backend(backend)
         self.pool: WorkerPool | None = None
 
     @property
     def serial(self) -> bool:
         """Whether every run executes as one chunk in the calling process."""
-        return self.backend is Backend.SERIAL or self.n_workers == 1
+        return self.n_workers == 1
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -165,7 +157,7 @@ class ScheduledExecutor:
             len(chunks),
             self.n_workers,
             schedule.label(),
-            self.backend.value,
+            self.pool.backend,
         )
 
     def _chunks_for(self, indices: list[int], schedule: Schedule) -> list[list[int]]:
@@ -183,13 +175,10 @@ def run_scheduled_tasks(
     n_tasks: int,
     schedule: Schedule,
     n_workers: int,
-    backend: Backend | str = Backend.PROCESS,
     cost_hint: Any = None,
 ) -> TaskRunResult:
     """One-shot convenience wrapper around :class:`ScheduledExecutor`."""
     if n_tasks < 0:
         raise ParallelExecutionError("n_tasks cannot be negative")
-    with ScheduledExecutor(
-        fn, n_workers=n_workers, backend=backend, cost_hint=cost_hint
-    ) as executor:
+    with ScheduledExecutor(fn, n_workers=n_workers, cost_hint=cost_hint) as executor:
         return executor.run(range(n_tasks), schedule)

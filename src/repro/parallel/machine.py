@@ -21,6 +21,7 @@ schedules with large chunks and many processors).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.exceptions import ScheduleError
@@ -57,12 +58,18 @@ class MachineModel:
     def __post_init__(self) -> None:
         if self.n_processors < 1:
             raise ScheduleError(f"a machine needs at least one processor, got {self.n_processors}")
-        if self.chunk_dispatch_overhead < 0 or self.fork_join_overhead < 0:
-            raise ScheduleError("overheads cannot be negative")
-        if self.per_task_overhead < 0:
-            raise ScheduleError("overheads cannot be negative")
-        if self.relative_speed <= 0:
-            raise ScheduleError("relative_speed must be positive")
+        overheads = (
+            self.chunk_dispatch_overhead,
+            self.fork_join_overhead,
+            self.per_task_overhead,
+        )
+        # NaN fails every comparison, so finiteness is checked explicitly.
+        if not all(math.isfinite(value) and value >= 0 for value in overheads):
+            raise ScheduleError(f"overheads must be finite and non-negative, got {overheads}")
+        if not (math.isfinite(self.relative_speed) and self.relative_speed > 0):
+            raise ScheduleError(
+                f"relative_speed must be finite and positive, got {self.relative_speed}"
+            )
 
     @classmethod
     def origin2000(cls, n_processors: int = 64) -> "MachineModel":

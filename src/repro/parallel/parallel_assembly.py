@@ -22,8 +22,8 @@ curve comes from replaying the column costs in the schedule simulator
 The executor's chunk function is :class:`_ColumnChunk`: every schedule chunk
 is **one batched evaluation** — a single
 :meth:`~repro.bem.influence.ColumnAssembler.column_batch` call, the same
-kernel entry the sequential driver uses — on the serial and process backends
-alike.  Chunk wall times are apportioned to the individual columns with the
+kernel entry the sequential driver uses — whether the pool runs in the calling
+process (one worker) or on forked workers.  Chunk wall times are apportioned to the individual columns with the
 deterministic cost model of
 :meth:`~repro.bem.influence.ColumnAssembler.column_cost_estimate`.
 """
@@ -45,7 +45,7 @@ from repro.exceptions import ParallelExecutionError
 from repro.geometry.discretize import Mesh
 from repro.kernels.base import LayeredKernel, kernel_for_soil
 from repro.parallel.executor import ScheduledExecutor
-from repro.parallel.options import Backend, ParallelOptions
+from repro.parallel.options import ParallelOptions
 from repro.soil.base import SoilModel
 from repro.timing import wall_clock
 
@@ -58,9 +58,9 @@ def generate_columns_parallel(
 ) -> tuple[list[ColumnResult], dict]:
     """Compute every assembly column under the requested parallel options.
 
-    Returns the column results (in column order) plus timing metadata:
-    ``parallel_wall_seconds`` (the wall-clock time of the scheduled loop) and
-    ``column_seconds`` (per-column execution times measured inside the
+    Returns the column results (in column order) plus run metadata:
+    ``backend`` (of the pool the loop ran on), ``parallel_wall_seconds`` (the
+    wall-clock time of the scheduled loop) and ``column_seconds`` (per-column execution times measured inside the
     workers — the task-cost profile consumed by the schedule simulator; with
     batched chunks each column carries its cost-model share of the chunk
     time).
@@ -69,7 +69,6 @@ def generate_columns_parallel(
     with ScheduledExecutor(
         _ColumnChunk(assembler),
         n_workers=parallel.n_workers,
-        backend=parallel.backend,
         cost_hint=assembler.column_cost_estimate(),
     ) as executor:
         outcome = executor.run(range(n_columns), parallel.schedule)
@@ -85,6 +84,7 @@ def generate_columns_parallel(
             )
         )
     metadata = {
+        "backend": outcome.backend,
         "parallel_wall_seconds": outcome.wall_seconds,
         "column_seconds": outcome.task_seconds.copy(),
         "n_chunks": outcome.n_chunks,
@@ -115,10 +115,11 @@ def assemble_system_parallel(
 
     Drop-in replacement for :func:`repro.bem.assembly.assemble_system`; the
     returned system carries the parallel-execution metadata
-    (``parallel_wall_seconds``, ``schedule``, ``n_workers``, ...).
+    (``backend``, ``parallel_wall_seconds``, ``schedule``, ``n_workers``,
+    ...).  ``parallel=None`` runs one worker in the calling process.
     """
     if parallel is None:
-        parallel = ParallelOptions(backend=Backend.SERIAL, n_workers=1)
+        parallel = ParallelOptions(n_workers=1)
     options = options or AssemblyOptions()
     if options.hierarchical is not None:
         raise ParallelExecutionError(
@@ -146,7 +147,7 @@ def assemble_system_parallel(
         "element_type": options.element_type.value,
         "n_gauss": options.n_gauss,
         "soil_layers": soil.n_layers,
-        "backend": parallel.backend.value,
+        "backend": parallel_metadata["backend"],
         "schedule": parallel.schedule.label(),
         "n_workers": parallel.n_workers,
         "parallel_wall_seconds": parallel_metadata["parallel_wall_seconds"],

@@ -71,7 +71,13 @@ class Schedule:
         if not isinstance(self.kind, ScheduleKind):
             object.__setattr__(self, "kind", ScheduleKind(str(self.kind).lower()))
         if self.chunk is not None:
-            chunk = int(self.chunk)
+            try:
+                integral = float(self.chunk).is_integer()
+            except (TypeError, ValueError):
+                integral = False
+            if not integral:
+                raise ScheduleError(f"chunk size must be an integer, got {self.chunk!r}")
+            chunk = int(float(self.chunk))
             if chunk < 1:
                 raise ScheduleError(f"chunk size must be >= 1, got {self.chunk!r}")
             object.__setattr__(self, "chunk", chunk)

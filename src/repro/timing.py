@@ -18,11 +18,9 @@ module.  The rule of thumb enforced across the tree:
   deterministic cost models of :mod:`repro.parallel.costs`).
 
 This module also hosts the elapsed-time bookkeeping helpers (:class:`Timer`,
-:class:`PhaseTimer`) that used to live in ``repro.parallel.timing``; that
-module remains as a pure re-export shim so old imports keep working, and
-the companion contract rule **OBS001** steers new phase bookkeeping through
-these helpers (or :mod:`repro.observe`) instead of hand-rolled
-``timings[...] += wall_clock() - start`` dicts.
+:class:`PhaseTimer`); the companion contract rule **OBS001** steers new
+phase bookkeeping through these helpers (or :mod:`repro.observe`) instead of
+hand-rolled ``timings[...] += wall_clock() - start`` dicts.
 """
 
 from __future__ import annotations

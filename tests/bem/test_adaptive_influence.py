@@ -124,10 +124,10 @@ class TestAdaptiveColumns:
         assert exact.metadata["adaptive"] is None
 
     def test_adaptive_cost_estimate(self, flat_mesh, barbera_like_soil):
-        from repro.parallel.costs import adaptive_column_costs, analytic_column_costs
+        from repro.parallel.costs import analytic_column_costs
 
         assembler = _assembler(flat_mesh, barbera_like_soil, AdaptiveControl())
-        costs = adaptive_column_costs(assembler)
+        costs = assembler.adaptive_column_costs()
         assert costs.shape == (flat_mesh.n_elements,)
         assert np.all(costs > 0.0)
         # Adaptive columns never cost more than the uniform full-series model.
@@ -139,11 +139,10 @@ class TestAdaptiveColumns:
         assert np.allclose(assembler.column_cost_estimate(), costs)
 
     def test_adaptive_cost_estimate_requires_adaptive(self, flat_mesh, barbera_like_soil):
-        from repro.exceptions import ScheduleError
-        from repro.parallel.costs import adaptive_column_costs
+        from repro.exceptions import AssemblyError
 
-        with pytest.raises(ScheduleError):
-            adaptive_column_costs(_assembler(flat_mesh, barbera_like_soil))
+        with pytest.raises(AssemblyError):
+            _assembler(flat_mesh, barbera_like_soil).adaptive_column_costs()
 
     def test_pickling_drops_and_restores_cache(self, flat_mesh, barbera_like_soil):
         assembler = _assembler(flat_mesh, barbera_like_soil, AdaptiveControl())

@@ -10,7 +10,7 @@ import pytest
 from repro.cad.project import PHASES, GroundingProject, PhaseReport, load_results_json
 from repro.exceptions import ExperimentError
 from repro.geometry.io import save_grid
-from repro.parallel.options import Backend, ParallelOptions
+from repro.parallel.options import ParallelOptions
 
 
 class TestPhaseReport:
@@ -95,7 +95,7 @@ class TestGroundingProject:
             small_grid,
             uniform_soil,
             gpr=1000.0,
-            parallel=ParallelOptions(n_workers=2, backend=Backend.PROCESS),
+            parallel=ParallelOptions(n_workers=2),
         )
         results = project.run()
         assert results.equivalent_resistance == pytest.approx(

@@ -21,7 +21,7 @@ import pytest
 def _reseed_global_rngs(request):
     """Reseed the *global* RNGs deterministically before every test.
 
-    A few tests (timing helpers of :mod:`repro.parallel.timing`, kernel and
+    A few tests (timing helpers of :mod:`repro.timing`, kernel and
     solver randomised checks) draw from the legacy global ``numpy.random`` /
     ``random`` state instead of a local generator.  Seeding that state from
     the test's node id makes every test see the same stream no matter which

@@ -108,11 +108,17 @@ class TestDET002WallClock:
         source = "import time\n\ndef t():\n    return time.perf_counter()\n"
         for clean in (
             "src/repro/campaign/probe.py",      # package not in DET002 scope
-            "src/repro/parallel/speedup.py",    # allowlisted measurement module
             "src/repro/timing.py",              # the sanctioned facade itself
         ):
             active, _ = run(source, clean)
             assert rule_ids(active) == set(), clean
+
+    def test_former_measurement_module_path_is_in_scope(self):
+        # The Section 6 studies moved to repro.experiments.scaling; only
+        # repro.timing may read the clock inside the numeric packages.
+        source = "import time\n\ndef t():\n    return time.perf_counter()\n"
+        active, _ = run(source, "src/repro/parallel/speedup.py")
+        assert [f.rule_id for f in active] == ["DET002"]
 
     def test_wall_clock_facade_is_sanctioned_in_scope(self):
         active, _ = run(
@@ -414,7 +420,6 @@ class TestOBS001PhaseBookkeeping:
             """
         for clean in (
             "src/repro/experiments/probe.py",   # package not in OBS001 scope
-            "src/repro/parallel/speedup.py",    # allowlisted measurement module
             "benchmarks/bench_probe.py",        # measurement code is exempt
         ):
             active, _ = run(source, clean)

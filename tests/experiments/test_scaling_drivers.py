@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.bem.assembly import AssemblyOptions
 from repro.exceptions import ExperimentError
 from repro.experiments.scaling import (
     PAPER_TABLE_6_2,
@@ -23,6 +24,7 @@ from repro.experiments.scaling import (
     measure_column_costs,
     measure_real_speedups,
     table_6_2_speedups,
+    table_6_3_rows,
 )
 
 
@@ -66,6 +68,23 @@ class TestMeasureColumnCosts:
     def test_unknown_case_rejected(self):
         with pytest.raises(ExperimentError):
             measure_column_costs("unknown/case")
+
+    def test_warmup_runs_the_timed_engine(self, monkeypatch):
+        # The warm-up column must pay the one-off costs of the engine the
+        # timed assembly runs (the adaptive one by default), not the exact one.
+        import repro.bem.influence as influence
+
+        controls = []
+
+        class RecordingAssembler(influence.ColumnAssembler):
+            def __init__(self, *args, **kwargs):
+                controls.append(kwargs.get("adaptive"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(influence, "ColumnAssembler", RecordingAssembler)
+        options = AssemblyOptions()
+        measure_column_costs("barbera/uniform", coarse=True, options=options, repeats=1)
+        assert controls and controls[0] == options.adaptive
 
 
 class TestDeterministicCosts:
@@ -129,6 +148,24 @@ class TestTable62:
         assert PAPER_TABLE_6_3["C"][8] == (53.53, 8.28)
 
 
+class TestTable63:
+    def test_simulated_rows_from_measured_profile(self):
+        rows = table_6_3_rows(processor_counts=(1, 2), models=("A",))
+        assert [(row["soil_model"], row["n_processors"]) for row in rows] == [
+            ("A", 1),
+            ("A", 2),
+        ]
+        assert set(rows[0]) == {
+            "soil_model",
+            "n_processors",
+            "cpu_seconds",
+            "speedup",
+            "sequential_wall_seconds",
+        }
+        assert rows[0]["sequential_wall_seconds"] == rows[1]["sequential_wall_seconds"] > 0.0
+        assert np.isfinite(rows[1]["speedup"]) and rows[1]["speedup"] > rows[0]["speedup"]
+
+
 class TestRealSpeedups:
     def test_rows_and_reference(self):
         # Counts above the host's CPU count oversubscribe instead of being
@@ -139,6 +176,7 @@ class TestRealSpeedups:
         assert rows[0]["n_processors"] == 1
         assert rows[0]["speedup"] == pytest.approx(1.0)
         assert rows[0]["oversubscribed"] is False
+        assert [row["backend"] for row in rows] == ["sequential", "process"]
         assert {row["n_processors"] for row in rows} == {1, 2}
         available = os.cpu_count() or 1
         for row in rows:

@@ -11,7 +11,7 @@ from repro.cad.project import GroundingProject, load_results_json
 from repro.cad.report import design_report
 from repro.geometry.builder import GridBuilder
 from repro.geometry.io import save_grid
-from repro.parallel.options import Backend, ParallelOptions
+from repro.parallel.options import ParallelOptions
 from repro.soil.two_layer import TwoLayerSoil
 from repro.soil.uniform import UniformSoil
 from repro.soil.inversion import fit_two_layer_model
@@ -28,7 +28,7 @@ class TestFileToReportWorkflow:
             gpr=10_000.0,
             workdir=tmp_path / "out",
             name="substation",
-            parallel=ParallelOptions(n_workers=2, backend=Backend.PROCESS),
+            parallel=ParallelOptions(n_workers=2),
         )
         results = project.run()
 
@@ -148,7 +148,7 @@ class TestParallelSerialEquivalence:
             rodded_grid,
             two_layer_soil,
             gpr=10_000.0,
-            parallel=ParallelOptions(n_workers=4, backend=Backend.PROCESS),
+            parallel=ParallelOptions(n_workers=4),
         ).run()
         # Re-baselined with the adaptive assembly default: the engine's
         # decisions are grouping-independent, but the BLAS term reductions

@@ -326,7 +326,7 @@ class TestOneThreadPerProcess:
 
 class TestMeasureShardedSpeedup:
     def test_rows_and_agreement_fields(self, small_mesh, uniform_soil):
-        from repro.parallel.speedup import measure_sharded_speedup
+        from repro.experiments.scaling import measure_sharded_speedup
 
         rows = measure_sharded_speedup(
             small_mesh,
@@ -346,7 +346,7 @@ class TestMeasureShardedSpeedup:
 
     def test_rejects_hierarchical_options(self, small_mesh, uniform_soil):
         from repro.bem.assembly import AssemblyOptions
-        from repro.parallel.speedup import measure_sharded_speedup
+        from repro.experiments.scaling import measure_sharded_speedup
 
         with pytest.raises(ParallelExecutionError):
             measure_sharded_speedup(

@@ -7,12 +7,7 @@ import pytest
 
 from repro.exceptions import ScheduleError
 from repro.kernels.base import kernel_for_soil
-from repro.parallel.costs import (
-    analytic_column_costs,
-    blend_costs,
-    scale_costs,
-    smooth_costs,
-)
+from repro.parallel.costs import analytic_column_costs, scale_costs
 
 
 class _StubKernel:
@@ -71,47 +66,6 @@ class TestScaleCosts:
     def test_rejects_zero_profile(self):
         with pytest.raises(ScheduleError):
             scale_costs([0.0, 0.0], total_seconds=1.0)
-
-
-class TestBlendCosts:
-    def test_endpoints(self):
-        measured = np.array([4.0, 2.0, 2.0])
-        analytic = np.array([3.0, 2.0, 1.0])
-        assert np.allclose(blend_costs(measured, analytic, 0.0), measured)
-        blended_full = blend_costs(measured, analytic, 1.0)
-        # Fully analytic, but rescaled to the measured total.
-        assert blended_full.sum() == pytest.approx(measured.sum())
-        assert np.allclose(blended_full, analytic * (8.0 / 6.0))
-
-    def test_preserves_measured_total(self):
-        measured = np.array([5.0, 1.0, 1.0, 1.0])
-        analytic = np.array([4.0, 3.0, 2.0, 1.0])
-        blended = blend_costs(measured, analytic, 0.5)
-        assert blended.sum() == pytest.approx(measured.sum())
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ScheduleError):
-            blend_costs([1.0, 2.0], [1.0, 2.0, 3.0])
-
-    def test_rejects_bad_weight(self):
-        with pytest.raises(ScheduleError):
-            blend_costs([1.0], [1.0], analytic_weight=1.5)
-
-
-class TestSmoothCosts:
-    def test_removes_isolated_spike(self):
-        profile = np.array([1.0, 1.0, 50.0, 1.0, 1.0])
-        smoothed = smooth_costs(profile, window=3)
-        assert smoothed.max() < profile.max()
-        assert smoothed.sum() == pytest.approx(profile.sum())
-
-    def test_window_one_is_identity(self):
-        profile = np.array([3.0, 1.0, 2.0])
-        assert np.array_equal(smooth_costs(profile, window=1), profile)
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ScheduleError):
-            smooth_costs([1.0, 2.0], window=0)
 
 
 class TestHierarchicalBlockCosts:

@@ -1,4 +1,4 @@
-"""Tests for the scheduled executor on its serial and process pools."""
+"""Tests for the scheduled executor on its in-process and process pools."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import pytest
 
 from repro.exceptions import ParallelExecutionError
 from repro.parallel.executor import ScheduledExecutor, run_scheduled_tasks
-from repro.parallel.options import Backend
 from repro.parallel.schedule import Schedule, ScheduleKind
 
 
@@ -42,26 +41,25 @@ def schedule_chunk_count(schedule: Schedule, n_tasks: int, n_workers: int) -> in
     return len(schedule.chunk_sequence(n_tasks, n_workers))
 
 
-BACKENDS = [Backend.SERIAL, Backend.PROCESS]
+#: One worker runs on the in-process pool, more than one on forked workers;
+#: the ids name the pool backend each count selects.
+WORKER_COUNTS = [pytest.param(1, id="serial"), pytest.param(3, id="process")]
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("n_workers", WORKER_COUNTS)
     @pytest.mark.parametrize("label", ["Static", "Static,2", "Dynamic,1", "Guided,1"])
-    def test_all_results_present_and_correct(self, backend, label):
-        outcome = run_scheduled_tasks(
-            square, 23, Schedule.parse(label), n_workers=3, backend=backend
-        )
+    def test_all_results_present_and_correct(self, n_workers, label):
+        outcome = run_scheduled_tasks(square, 23, Schedule.parse(label), n_workers=n_workers)
         assert sorted(outcome.results) == list(range(23))
         assert outcome.ordered_results() == [i * i for i in range(23)]
-        assert outcome.n_workers == 3
+        assert outcome.n_workers == n_workers
+        assert outcome.backend == ("serial" if n_workers == 1 else "process")
         assert outcome.schedule == Schedule.parse(label).label()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_zero_tasks(self, backend):
-        outcome = run_scheduled_tasks(
-            square, 0, Schedule.parse("Dynamic,1"), n_workers=2, backend=backend
-        )
+    @pytest.mark.parametrize("n_workers", WORKER_COUNTS)
+    def test_zero_tasks(self, n_workers):
+        outcome = run_scheduled_tasks(square, 0, Schedule.parse("Dynamic,1"), n_workers=n_workers)
         assert outcome.results == {}
         assert outcome.n_chunks == 0
 
@@ -71,7 +69,7 @@ class TestCorrectness:
 
     def test_single_worker_falls_back_to_serial_path(self):
         outcome = run_scheduled_tasks(
-            square, 10, Schedule.parse("Dynamic,1"), n_workers=1, backend=Backend.PROCESS
+            square, 10, Schedule.parse("Dynamic,1"), n_workers=1
         )
         assert outcome.ordered_results() == [i * i for i in range(10)]
 
@@ -83,25 +81,25 @@ class TestCorrectness:
 class TestChunkAccounting:
     def test_dynamic_chunk_count(self):
         outcome = run_scheduled_tasks(
-            square, 12, Schedule.parse("Dynamic,1"), n_workers=2, backend=Backend.PROCESS
+            square, 12, Schedule.parse("Dynamic,1"), n_workers=2
         )
         assert outcome.n_chunks == 12
 
     def test_dynamic_chunk_four(self):
         outcome = run_scheduled_tasks(
-            square, 12, Schedule.parse("Dynamic,4"), n_workers=2, backend=Backend.PROCESS
+            square, 12, Schedule.parse("Dynamic,4"), n_workers=2
         )
         assert outcome.n_chunks == 3
 
     def test_static_chunks_at_most_workers(self):
         outcome = run_scheduled_tasks(
-            square, 12, Schedule.parse("Static"), n_workers=4, backend=Backend.PROCESS
+            square, 12, Schedule.parse("Static"), n_workers=4
         )
         assert outcome.n_chunks == 4
 
     def test_task_seconds_recorded(self):
         outcome = run_scheduled_tasks(
-            tiny_work, 8, Schedule.parse("Dynamic,1"), n_workers=2, backend=Backend.PROCESS
+            tiny_work, 8, Schedule.parse("Dynamic,1"), n_workers=2
         )
         assert outcome.task_seconds.shape == (8,)
         assert np.all(outcome.task_seconds >= 0.0)
@@ -111,22 +109,22 @@ class TestChunkAccounting:
 
 class TestReuse:
     def test_executor_can_run_multiple_batches(self):
-        with ScheduledExecutor(square, n_workers=2, backend=Backend.PROCESS) as executor:
+        with ScheduledExecutor(square, n_workers=2) as executor:
             first = executor.run(range(5), Schedule.parse("Dynamic,1"))
             second = executor.run(range(5, 9), Schedule.parse("Static"))
         assert sorted(first.results) == [0, 1, 2, 3, 4]
         assert sorted(second.results) == [5, 6, 7, 8]
 
     def test_process_backend_requires_context_manager(self):
-        executor = ScheduledExecutor(square, n_workers=2, backend=Backend.PROCESS)
+        executor = ScheduledExecutor(square, n_workers=2)
         with pytest.raises(ParallelExecutionError):
             executor.run(range(4), Schedule.parse("Dynamic,1"))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_close_shuts_pools_down_deterministically(self, backend):
+    @pytest.mark.parametrize("n_workers", WORKER_COUNTS)
+    def test_close_shuts_pools_down_deterministically(self, n_workers):
         """close() is the explicit counterpart of leaving the with-block, so
         pool-backed executors never rely on interpreter atexit ordering."""
-        executor = ScheduledExecutor(square, n_workers=2, backend=backend)
+        executor = ScheduledExecutor(square, n_workers=n_workers)
         executor.__enter__()
         outcome = executor.run(range(4), Schedule.parse("Dynamic,1"))
         assert sorted(outcome.results) == [0, 1, 2, 3]
@@ -138,19 +136,17 @@ class TestReuse:
 
 
 class TestBatchedChunks:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("n_workers", WORKER_COUNTS)
     @pytest.mark.parametrize("label", ["Static", "Static,2", "Dynamic,1", "Dynamic,4", "Guided,1"])
-    def test_batch_results_match_per_task(self, backend, label):
-        outcome = run_scheduled_tasks(
-            square, 23, Schedule.parse(label), n_workers=3, backend=backend
-        )
+    def test_batch_results_match_per_task(self, n_workers, label):
+        outcome = run_scheduled_tasks(square, 23, Schedule.parse(label), n_workers=n_workers)
         assert outcome.ordered_results() == [square([i])[0] for i in range(23)]
 
     @pytest.mark.parametrize("label", ["Static", "Static,3", "Dynamic,1", "Guided,2"])
     def test_one_pool_task_per_schedule_chunk(self, label):
         schedule = Schedule.parse(label)
         expected = schedule_chunk_count(schedule, 23, 2)
-        with ScheduledExecutor(square, n_workers=2, backend=Backend.PROCESS) as executor:
+        with ScheduledExecutor(square, n_workers=2) as executor:
             outcome = executor.run(range(23), schedule)
         assert outcome.n_chunks == expected
         assert executor.pool.stats["chunks_dispatched"] == expected
@@ -170,7 +166,6 @@ class TestBatchedChunks:
             2,
             Schedule.parse("Dynamic,2"),
             n_workers=1,
-            backend=Backend.SERIAL,
             cost_hint=cost_hint,
         )
         # Task 0 carries three quarters of the (single) chunk's wall time.
@@ -184,12 +179,11 @@ class TestBatchedChunks:
                 4,
                 Schedule.parse("Dynamic,4"),
                 n_workers=1,
-                backend=Backend.SERIAL,
             )
 
     def test_equal_apportioning_without_hint(self):
         outcome = run_scheduled_tasks(
-            tiny_work, 6, Schedule.parse("Dynamic,3"), n_workers=2, backend=Backend.PROCESS
+            tiny_work, 6, Schedule.parse("Dynamic,3"), n_workers=2
         )
         assert outcome.task_seconds.shape == (6,)
         assert np.all(outcome.task_seconds >= 0.0)
@@ -208,7 +202,7 @@ class TestProcessBackend:
             marker.touch()
             return list(indices)
 
-        executor = ScheduledExecutor(with_closure, n_workers=2, backend=Backend.PROCESS)
+        executor = ScheduledExecutor(with_closure, n_workers=2)
         with pytest.raises((AttributeError, pickle.PicklingError)):
             with executor:
                 executor.run(range(6), Schedule.parse("Dynamic,1"))
@@ -217,13 +211,13 @@ class TestProcessBackend:
 
     def test_numpy_results_supported(self):
         outcome = run_scheduled_tasks(
-            array_task, 5, Schedule.parse("Guided,1"), n_workers=2, backend=Backend.PROCESS
+            array_task, 5, Schedule.parse("Guided,1"), n_workers=2
         )
         assert np.allclose(outcome.results[4], 4.0)
 
     def test_math_heavy_tasks(self):
         outcome = run_scheduled_tasks(
-            heavy, 10, Schedule.parse("Dynamic,2"), n_workers=4, backend=Backend.PROCESS
+            heavy, 10, Schedule.parse("Dynamic,2"), n_workers=4
         )
         assert len(outcome.results) == 10
         assert outcome.results[0] == pytest.approx(heavy([0])[0])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 
@@ -9,32 +10,30 @@ import pytest
 
 from repro.exceptions import ScheduleError
 from repro.parallel.machine import MachineModel
-from repro.parallel.options import Backend, ParallelOptions
-from repro.parallel.schedule import Schedule, ScheduleKind
-from repro.parallel.timing import PhaseTimer, Timer
+from repro.parallel.options import ParallelOptions
+from repro.parallel.schedule import ScheduleKind
+from repro.timing import PhaseTimer, Timer
 
 
 class TestParallelOptions:
     def test_defaults(self):
         options = ParallelOptions()
         assert options.n_workers == (os.cpu_count() or 1)
-        assert options.backend is Backend.PROCESS
         assert options.schedule.kind is ScheduleKind.DYNAMIC
 
     def test_string_coercion(self):
-        options = ParallelOptions(n_workers=4, schedule="static,2", backend="SERIAL")
+        options = ParallelOptions(n_workers=4, schedule="static,2")
         assert options.schedule.label() == "Static,2"
-        assert options.backend is Backend.SERIAL
+
+    def test_fields_are_workers_and_schedule(self):
+        assert [f.name for f in dataclasses.fields(ParallelOptions)] == [
+            "n_workers",
+            "schedule",
+        ]
 
     def test_rejects_bad_workers(self):
         with pytest.raises(ScheduleError):
             ParallelOptions(n_workers=-2)
-
-    def test_describe(self):
-        options = ParallelOptions(n_workers=2, schedule=Schedule.parse("Guided,4"))
-        description = options.describe()
-        assert description["n_workers"] == 2
-        assert description["schedule"] == "Guided,4"
 
 
 class TestTimer:
@@ -90,6 +89,15 @@ class TestMachineModel:
             MachineModel(n_processors=2, chunk_dispatch_overhead=-1.0)
         with pytest.raises(ScheduleError):
             MachineModel(n_processors=2, relative_speed=0.0)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["chunk_dispatch_overhead", "fork_join_overhead", "per_task_overhead", "relative_speed"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ScheduleError):
+            MachineModel(n_processors=4, **{field: value})
 
     def test_origin2000_defaults(self):
         machine = MachineModel.origin2000()

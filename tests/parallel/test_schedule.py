@@ -52,6 +52,14 @@ class TestParsing:
         with pytest.raises(ScheduleError):
             Schedule(kind=ScheduleKind.DYNAMIC, chunk=0)
 
+    @pytest.mark.parametrize("chunk", [1.5, 0.5, float("nan"), float("inf"), "two"])
+    def test_non_integral_chunk(self, chunk):
+        with pytest.raises(ScheduleError):
+            Schedule(kind=ScheduleKind.DYNAMIC, chunk=chunk)
+
+    def test_integral_float_chunk_accepted(self):
+        assert Schedule(kind=ScheduleKind.DYNAMIC, chunk=4.0).label() == "Dynamic,4"
+
     def test_kind_from_string(self):
         assert Schedule(kind="static", chunk=None).kind is ScheduleKind.STATIC
 

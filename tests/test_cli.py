@@ -135,3 +135,15 @@ class TestCaseStudyCommands:
         output = capsys.readouterr().out
         assert "simulated speed-up" in output
         assert "real process-pool measurements" in output
+
+    def test_scaling_hierarchical_coarse(self, capsys):
+        # End to end through the command's lazy imports: a moved study
+        # function fails here, not only at argument parsing.
+        exit_code = main(["scaling", "--hierarchical", "--coarse", "--workers", "1"])
+        assert exit_code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("hierarchical block builder")
+        rows = [line.split() for line in lines[3:]]
+        assert [row[0] for row in rows] == ["0", "1"]
+        # Deterministic-reduction contract: every row reproduces workers=0.
+        assert [row[-1] for row in rows] == ["0", "0"]
