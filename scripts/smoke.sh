@@ -63,6 +63,15 @@ BENCH_QUICK=1 python -m pytest -q -p no:randomly \
   tests/parallel/test_block_backend.py::TestCompactNearField \
   tests/parallel/test_block_backend.py::TestOneThreadPerProcess
 
+echo "== surface-potential maps (bounded working set, typed input errors) =="
+# A 61x61 Barbera map must peak at most 1.5x a 21x21 one (tracemalloc), the
+# pair-block size must move results only at float32 rounding, and bad points,
+# margins and rasters must raise typed errors; the quick bench re-checks the
+# adaptive-vs-exact contract on a 31x31 map.
+python -m pytest -q -p no:randomly tests/bem/test_potential.py tests/bem/test_safety.py
+BENCH_QUICK=1 python -m pytest -q -p no:randomly \
+  benchmarks/bench_adaptive_truncation.py::test_adaptive_surface_potential_speedup
+
 echo "== perf harness (traced quick run of every benchmark workload) =="
 # The traced run resolves every layer wrapper of benchmarks/perf/layers.py, so
 # a renamed or moved entry point (e.g. the hierarchical block builder) fails

@@ -1,13 +1,16 @@
-"""Byte-budgeted LRU cache for in-plane pair geometry.
+"""Byte-budgeted LRU cache for the in-plane geometry of assembly columns.
 
 The image transforms of a layered-soil kernel only move the *z* coordinate of
-a source segment, so the in-plane part of the pair geometry — the axial
-projection of the field points and their squared in-plane distance to the
-segment axis — is identical for every image term *and* for every repeated
-evaluation of the same (mesh, field points) combination.  Sweeps that
-re-assemble the same mesh (soil-model comparisons such as the Balaídos A/B/C
-study, repeated GPR/fault-scenario analyses in the design optimiser, or
-benchmark rounds) therefore recompute arrays that never change.
+a source segment, so the in-plane part of a matrix column's pair geometry —
+the axial projection of every Gauss point of the mesh on the source axis and
+its squared in-plane distance to it — is identical for every image term *and*
+for every re-assembly of the same mesh.  Sweeps that re-assemble the same
+mesh (soil-model comparisons such as the Balaídos A/B/C study, repeated
+GPR/fault-scenario analyses in the design optimiser, or benchmark rounds)
+would otherwise recompute arrays that never change.  Only the column
+assembler (:class:`~repro.bem.influence.ColumnAssembler`) stores entries;
+surface-potential maps compute their pair geometry block by block and cache
+nothing.
 
 :class:`GeometryCache` stores those arrays keyed by content fingerprints.  It
 is a plain LRU with a byte budget: entries are evicted oldest-first once the

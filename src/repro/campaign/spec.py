@@ -321,6 +321,10 @@ class Campaign:
             )
         if self.assess_safety and self.safety_raster < 3:
             raise ReproError("safety_raster must be at least 3 samples per axis")
+        if self.assess_safety and not (np.isfinite(self.safety_margin) and self.safety_margin >= 0):
+            raise ReproError(
+                f"safety_margin must be finite and non-negative, got {self.safety_margin!r}"
+            )
         if int(self.group_concurrency) != self.group_concurrency or self.group_concurrency < 1:
             raise ReproError(
                 f"group_concurrency must be a positive integer, "

@@ -2,16 +2,40 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.bem.potential import SurfaceGrid
+import repro.bem.potential as potential_module
+from repro.bem.potential import PotentialEvaluator, SurfaceGrid
 from repro.exceptions import AssemblyError
 
 
 @pytest.fixture(scope="module")
 def evaluator(small_results):
     return small_results.evaluator()
+
+
+def _exact(results):
+    return PotentialEvaluator(
+        results.mesh,
+        results.soil,
+        results.kernel,
+        results.dof_manager,
+        results.dof_values,
+        gpr=results.gpr,
+        adaptive=None,
+    )
+
+
+def _at_block_sizes(monkeypatch, evaluator, points, blocks=(7, 10**9)):
+    """Potentials at ``points`` with the pair block patched to each size."""
+    values = []
+    for block in blocks:
+        monkeypatch.setattr(potential_module, "_PAIR_BLOCK", block)
+        values.append(evaluator.potential_at(points))
+    return values
 
 
 class TestPotentialAt:
@@ -58,17 +82,27 @@ class TestPotentialAt:
         with pytest.raises(AssemblyError):
             evaluator.potential_at(np.zeros((3, 2)))
 
-    def test_batched_evaluation_matches_unbatched(self, evaluator):
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[np.nan, 0.0, 0.0], [0.0, 0.0, np.nan]],
+            [[np.inf, 0.0, 0.0]],
+            [[0.0, -np.inf, 0.5]],
+        ],
+        ids=["nan", "inf", "negative-inf"],
+    )
+    def test_rejects_non_finite_points(self, evaluator, points):
+        with pytest.raises(AssemblyError, match="finite"):
+            evaluator.potential_at(np.array(points))
+
+    def test_exact_path_pair_block_invariance(self, monkeypatch, small_results):
         points = np.column_stack(
-            (np.linspace(-5, 25, 10), np.linspace(-5, 25, 10), np.zeros(10))
+            (np.linspace(-5, 25, 10), np.linspace(-5, 25, 10), np.linspace(0.0, 2.0, 10))
         )
-        all_at_once = evaluator.potential_at(points, batch_size=1000)
-        batched = evaluator.potential_at(points, batch_size=3)
-        assert np.allclose(all_at_once, batched)
+        tiny, huge = _at_block_sizes(monkeypatch, _exact(small_results), points)
+        assert np.allclose(tiny, huge, rtol=1e-12, atol=0.0)
 
     def test_potential_scales_linearly_with_solution(self, small_results):
-        from repro.bem.potential import PotentialEvaluator
-
         doubled = PotentialEvaluator(
             mesh=small_results.mesh,
             soil=small_results.soil,
@@ -125,23 +159,29 @@ class TestSurfaceGrids:
         with pytest.raises(AssemblyError):
             SurfaceGrid(x=np.arange(3), y=np.arange(4), values=np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("margin", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_margin(self, evaluator, margin):
+        with pytest.raises(AssemblyError, match="margin"):
+            evaluator.surface_potential_over_grid(margin=margin, n_x=5, n_y=5)
+
+    @pytest.mark.parametrize("n_x, n_y", [(0, 61), (1, 61), (61, 1)])
+    def test_rejects_fewer_than_two_samples(self, evaluator, n_x, n_y):
+        with pytest.raises(AssemblyError, match="2 samples"):
+            evaluator.surface_potential_over_grid(n_x=n_x, n_y=n_y)
+
+    def test_safety_metrics_reject_a_one_sample_raster(self, evaluator):
+        from repro.campaign.runner import surface_safety_metrics
+
+        with pytest.raises(AssemblyError):
+            surface_safety_metrics(evaluator, 10.0, 1)
+
 
 class TestAdaptivePotentialPath:
     """The batched adaptive evaluator vs the exact per-element loop."""
 
     @pytest.fixture(scope="class")
     def exact_evaluator(self, small_results):
-        from repro.bem.potential import PotentialEvaluator
-
-        return PotentialEvaluator(
-            small_results.mesh,
-            small_results.soil,
-            small_results.kernel,
-            small_results.dof_manager,
-            small_results.dof_values,
-            gpr=small_results.gpr,
-            adaptive=None,
-        )
+        return _exact(small_results)
 
     def test_matches_exact_loop(self, evaluator, exact_evaluator, small_results):
         rng = np.random.default_rng(11)
@@ -156,7 +196,7 @@ class TestAdaptivePotentialPath:
         slow = exact_evaluator.potential_at(points)
         assert np.allclose(fast, slow, rtol=0.0, atol=1e-7 * small_results.gpr)
 
-    def test_batch_size_invariance_of_adaptive_path(self, evaluator):
+    def test_pair_block_invariance(self, monkeypatch, evaluator):
         points = np.column_stack(
             (
                 np.linspace(-10.0, 30.0, 120),
@@ -164,9 +204,21 @@ class TestAdaptivePotentialPath:
                 np.zeros(120),
             )
         )
-        small_batches = evaluator.potential_at(points, batch_size=17)
-        one_batch = evaluator.potential_at(points, batch_size=4096)
-        assert np.allclose(small_batches, one_batch, rtol=1e-12)
+        tiny, huge = _at_block_sizes(monkeypatch, evaluator, points)
+        assert np.allclose(tiny, huge, rtol=1e-12)
+
+    def test_pair_block_invariance_at_depth_in_two_layers(self, monkeypatch, two_layer_results):
+        """Float32 image terms may round differently per block: ≤ 1e-9 · GPR."""
+        rng = np.random.default_rng(7)
+        points = np.column_stack(
+            (
+                rng.uniform(-4.0, 16.0, 150),
+                rng.uniform(-4.0, 16.0, 150),
+                rng.uniform(0.0, 2.5, 150),
+            )
+        )
+        tiny, huge = _at_block_sizes(monkeypatch, two_layer_results.evaluator(), points)
+        assert np.allclose(tiny, huge, rtol=0.0, atol=1e-9 * two_layer_results.gpr)
 
     def test_surface_grid_through_adaptive_path(self, evaluator, exact_evaluator, small_results):
         x = np.linspace(-10.0, 28.0, 9)
@@ -177,21 +229,10 @@ class TestAdaptivePotentialPath:
             fast.values, slow.values, rtol=0.0, atol=1e-7 * small_results.gpr
         )
 
-    def test_two_layer_points_across_layers(self, rodded_grid, two_layer_soil):
+    def test_two_layer_points_across_layers(self, two_layer_results):
         """Field points in both layers of a rodded mesh (distinct kernels)."""
-        from repro.bem.formulation import GroundingAnalysis
-        from repro.bem.potential import PotentialEvaluator
-
-        results = GroundingAnalysis(rodded_grid, two_layer_soil, gpr=1000.0).run()
-        exact = PotentialEvaluator(
-            results.mesh,
-            results.soil,
-            results.kernel,
-            results.dof_manager,
-            results.dof_values,
-            gpr=results.gpr,
-            adaptive=None,
-        )
+        results = two_layer_results
+        exact = _exact(results)
         points = np.array(
             [[3.0, 4.0, 0.0], [5.0, 5.0, 0.5], [6.0, 1.0, 1.5], [2.0, 2.0, 2.5]]
         )
@@ -204,14 +245,10 @@ class TestAdaptivePotentialPath:
         values = evaluator.potential_at(np.zeros((0, 3)))
         assert values.shape == (0,)
 
-    def test_shared_cache_with_different_bin_edges(self, small_results):
-        """Regression: evaluators with different adaptive bin edges sharing
-        one geometry cache must not serve each other stale bin data."""
-        from repro.bem.geometry_cache import GeometryCache
-        from repro.bem.potential import PotentialEvaluator
+    def test_different_bin_edges_agree(self, small_results):
+        """Evaluators with different adaptive bin edges agree to the contract."""
         from repro.kernels.truncation import AdaptiveControl
 
-        cache = GeometryCache()
         points = np.column_stack(
             (np.linspace(-5.0, 25.0, 40), np.linspace(-5.0, 25.0, 40), np.zeros(40))
         )
@@ -225,7 +262,6 @@ class TestAdaptivePotentialPath:
                 small_results.dof_values,
                 gpr=small_results.gpr,
                 adaptive=control,
-                geometry_cache=cache,
             )
 
         default_bins = build(AdaptiveControl()).potential_at(points)
@@ -233,8 +269,6 @@ class TestAdaptivePotentialPath:
         assert np.allclose(default_bins, coarse_bins, rtol=0.0, atol=1e-7 * small_results.gpr)
 
     def test_rejects_bad_adaptive_argument(self, small_results):
-        from repro.bem.potential import PotentialEvaluator
-
         with pytest.raises(AssemblyError):
             PotentialEvaluator(
                 small_results.mesh,
@@ -244,3 +278,25 @@ class TestAdaptivePotentialPath:
                 small_results.dof_values,
                 adaptive="Default",
             )
+
+
+class TestMapWorkingSet:
+    """A map's traced memory peak must not grow with its raster."""
+
+    @pytest.fixture(scope="class")
+    def barbera_evaluator(self):
+        from repro.experiments.barbera import run_barbera
+
+        return run_barbera("two_layer").evaluator()
+
+    def test_61_by_61_map_peaks_like_a_21_by_21_map(self, barbera_evaluator):
+        barbera_evaluator.surface_potential_over_grid(n_x=21, n_y=21)  # warm the workspaces
+        peaks = {}
+        for n in (21, 61):
+            tracemalloc.start()
+            try:
+                barbera_evaluator.surface_potential_over_grid(n_x=n, n_y=n)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[61] <= 1.5 * peaks[21], peaks

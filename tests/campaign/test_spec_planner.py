@@ -103,6 +103,12 @@ class TestScenarioSpecAndCampaign:
         with pytest.raises(ReproError, match="adaptive"):
             Campaign(name="c", scenarios=(spec,), adaptive="fast")
 
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf"), -1.0])
+    def test_campaign_rejects_bad_safety_margin(self, margin):
+        spec = ScenarioSpec(name="s", geometry=GEOMETRY, soil=SOIL)
+        with pytest.raises(ReproError, match="safety_margin"):
+            Campaign(name="c", scenarios=(spec,), safety_margin=margin)
+
 
 class TestPlanner:
     def test_structure_grouping_and_reuse_kinds(self):
