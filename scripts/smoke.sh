@@ -132,4 +132,13 @@ BENCH_QUICK=1 python -m pytest -q -p no:randomly \
   tests/resilience tests/campaign/test_checkpoint_resume.py \
   tests/campaign/test_group_concurrency.py
 
+echo "== streamed pool results (frame digests, stale frames dropped, bounded master peak) =="
+# Workers stream one digest-headed frame per finished task: a damaged first
+# frame must be rejected once and retried with the rest of its dispatch
+# dropped as stale (bitwise equal to a fault-free run), a pooled 32x32
+# hierarchical assembly must keep the master's traced peak within 3.75x the
+# operator, and RES001 must flag a bare recv_bytes() in repro.parallel.
+python -m pytest -q -p no:randomly tests/parallel/test_pool_streaming.py \
+  tests/contracts/test_rules.py -k "CorruptFrame or MasterPeak or RES001"
+
 echo "smoke: OK (zero flaky reruns)"

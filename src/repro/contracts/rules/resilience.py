@@ -5,9 +5,10 @@ path can block forever on a dead or hung peer.  The enforceable invariant:
 every inter-process channel read in the parallel package goes through the
 deadline-aware helpers of :mod:`repro.resilience.channel`
 (:func:`~repro.resilience.channel.recv_message`,
-:func:`~repro.resilience.channel.recv_ready`,
+:func:`~repro.resilience.channel.recv_frame`,
 :func:`~repro.resilience.channel.wait_readable`), never through a bare
-``Connection.recv()`` or an untimed ``multiprocessing.connection.wait()``.
+``Connection.recv()`` / ``Connection.recv_bytes()`` or an untimed
+``multiprocessing.connection.wait()``.
 The same rule bans ``except: pass`` / ``except Exception: pass`` handlers in
 the package — a swallowed worker error turns a diagnosable fault into a
 silent hang, which is exactly what the resilience layer exists to prevent.
@@ -26,6 +27,9 @@ __all__ = ["ResilientChannelRule"]
 
 #: Package whose channel reads must be deadline-aware.
 _SCOPE_PREFIX = "repro.parallel"
+
+#: ``Connection`` methods that block until a whole message arrives.
+_RECV_METHODS = {"recv", "recv_bytes"}
 
 #: Fully qualified names of the untimed multi-connection wait.
 _WAIT_NAMES = {"multiprocessing.connection.wait"}
@@ -53,10 +57,11 @@ class ResilientChannelRule(ContractRule):
 
     Three patterns are flagged inside :mod:`repro.parallel`:
 
-    * ``connection.recv()`` — blocks forever on a hung peer; route the read
-      through :func:`repro.resilience.channel.recv_message` (deadline poll
-      loop) or :func:`~repro.resilience.channel.recv_ready` (post-``wait``
-      drain of an already-readable connection);
+    * ``connection.recv()`` or ``connection.recv_bytes()`` — blocks forever
+      on a hung peer; route the read through
+      :func:`repro.resilience.channel.recv_message` (deadline poll loop) or
+      :func:`~repro.resilience.channel.recv_frame` (post-``wait`` drain of an
+      already-readable connection);
     * ``multiprocessing.connection.wait(...)`` without a ``timeout=`` —
       same unbounded block across many connections; use
       :func:`repro.resilience.channel.wait_readable`, whose timeout is
@@ -82,13 +87,13 @@ class ResilientChannelRule(ContractRule):
             return
         assert isinstance(node, ast.Call)
         callee = node.func
-        if isinstance(callee, ast.Attribute) and callee.attr == "recv":
+        if isinstance(callee, ast.Attribute) and callee.attr in _RECV_METHODS:
             yield self.found(
                 context,
                 node,
-                "bare Connection.recv() blocks forever on a hung or dead "
-                "peer; read through repro.resilience.channel.recv_message "
-                "(deadline poll loop) or recv_ready (post-wait drain)",
+                f"bare Connection.{callee.attr}() blocks forever on a hung or "
+                "dead peer; read through repro.resilience.channel.recv_message "
+                "(deadline poll loop) or recv_frame (post-wait drain)",
             )
             return
         name = resolved_call_name(node, context)

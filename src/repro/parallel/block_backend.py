@@ -223,58 +223,9 @@ def sharded_operator_steps(
             outcome = job.run(transient)
     outcomes: dict[int, BlockOutcome] = outcome.results
 
-    # ---- the near field, stored once: per-block sums added in ascending block order ----
-    near_rows: list[np.ndarray] = []
-    near_cols: list[np.ndarray] = []
-    near_vals: list[np.ndarray] = []
-    for block_index in sorted(outcomes):
-        result = outcomes[block_index]
-        if result.kind != "far" and result.rows is not None and result.rows.size:
-            near_rows.append(result.rows)
-            near_cols.append(result.cols)
-            near_vals.append(result.vals)
-    near = _csr(near_rows, near_cols, near_vals, (n_dofs, n_dofs))
-
-    # ---- far factors regrouped into the canonical segments ----
-    far: list[tuple[sparse.csr_matrix, sparse.csr_matrix]] = []
-    total_rank = 0
-    for block_ids in segment_blocks:
-        u_rows: list[np.ndarray] = []
-        u_cols: list[np.ndarray] = []
-        u_vals: list[np.ndarray] = []
-        v_rows: list[np.ndarray] = []
-        v_cols: list[np.ndarray] = []
-        v_vals: list[np.ndarray] = []
-        segment_rank = 0
-        for block_index in block_ids:
-            result = outcomes[int(block_index)]
-            if result.kind != "far" or result.rank == 0:
-                continue
-            block = partition.blocks[int(block_index)]
-            ur, uc, uv, vr, vc, vv = far_factor_entries(
-                result.u,
-                result.v,
-                dof_matrix[tree.elements_of(block.row)].ravel(),
-                dof_matrix[tree.elements_of(block.col)].ravel(),
-                segment_rank,
-            )
-            u_rows.append(ur)
-            u_cols.append(uc)
-            u_vals.append(uv)
-            v_rows.append(vr)
-            v_cols.append(vc)
-            v_vals.append(vv)
-            segment_rank += result.rank
-        if segment_rank:
-            far.append(
-                (
-                    _csr(u_rows, u_cols, u_vals, (n_dofs, segment_rank)),
-                    _csr(v_rows, v_cols, v_vals, (n_dofs, segment_rank)),
-                )
-            )
-            total_rank += segment_rank
-
     # ---- per-block accounting in canonical (ascending block index) order ----
+    # Runs first: the folds below release each block's arrays once folded, so
+    # the master never holds every block payload next to the finished operator.
     seconds_of = {
         task_id: float(outcome.task_seconds[k])
         for k, task_id in enumerate(int(t) for shard in shards for t in shard)
@@ -307,6 +258,66 @@ def sharded_operator_steps(
             )
         n_near += 1
         near_trace_seconds += seconds
+
+    # ---- the near field, stored once: per-block sums added in ascending block order ----
+    near_blocks = [
+        result
+        for _, result in sorted(outcomes.items())
+        if result.kind != "far" and result.rows is not None and result.rows.size
+    ]
+    near = _csr(
+        [result.rows for result in near_blocks],
+        [result.cols for result in near_blocks],
+        [result.vals for result in near_blocks],
+        (n_dofs, n_dofs),
+    )
+    for result in near_blocks:
+        result.rows = result.cols = result.vals = None  # folded into `near`
+    del near_blocks
+
+    # ---- far factors regrouped into the canonical segments ----
+    far: list[tuple[sparse.csr_matrix, sparse.csr_matrix]] = []
+    total_rank = 0
+    for block_ids in segment_blocks:
+        u_rows: list[np.ndarray] = []
+        u_cols: list[np.ndarray] = []
+        u_vals: list[np.ndarray] = []
+        v_rows: list[np.ndarray] = []
+        v_cols: list[np.ndarray] = []
+        v_vals: list[np.ndarray] = []
+        segment_rank = 0
+        for block_index in block_ids:
+            result = outcomes[int(block_index)]
+            rank = result.rank
+            if result.kind != "far" or rank == 0:
+                continue
+            block = partition.blocks[int(block_index)]
+            ur, uc, uv, vr, vc, vv = far_factor_entries(
+                result.u,
+                result.v,
+                dof_matrix[tree.elements_of(block.row)].ravel(),
+                dof_matrix[tree.elements_of(block.col)].ravel(),
+                segment_rank,
+            )
+            # The entry lists are the factors' last holders: they go with the
+            # segment once its matrices are built.
+            result.u = result.v = None
+            u_rows.append(ur)
+            u_cols.append(uc)
+            u_vals.append(uv)
+            v_rows.append(vr)
+            v_cols.append(vc)
+            v_vals.append(vv)
+            segment_rank += rank
+        if segment_rank:
+            far.append(
+                (
+                    _csr(u_rows, u_cols, u_vals, (n_dofs, segment_rank)),
+                    _csr(v_rows, v_cols, v_vals, (n_dofs, segment_rank)),
+                )
+            )
+            total_rank += segment_rank
+
     if tracer.enabled:
         # The worker-measured task seconds become the span durations — the
         # same tree for every worker count and pool.

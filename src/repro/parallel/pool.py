@@ -20,8 +20,11 @@ would amortise the fork+IPC cost of repeated sweeps".
   tree and partition — to the workers once, then dispatches explicit shards,
   one chunk per shard: LPT shards of block ids for the block builder, or
   one-task shards naming the schedule chunks of the paper's column loop
-  (:class:`~repro.parallel.executor.ScheduledExecutor`); results are folded
-  through :func:`collect_chunk_results`;
+  (:class:`~repro.parallel.executor.ScheduledExecutor`).  A worker streams a
+  chunk's results back **one task per frame** as each task finishes (the
+  message table is in :func:`_pool_worker_main`), so neither side ever holds
+  a whole shard's pickled payload; the last task's frame closes the chunk,
+  and the master folds finished chunks through :func:`collect_chunk_results`;
 * **multi-run multiplexing** — :meth:`submit` registers a run and returns a
   handle without blocking; :meth:`service` advances one step of the event
   loop (dispatch queued shards, collect replies for *any* in-flight run);
@@ -37,8 +40,9 @@ would amortise the fork+IPC cost of repeated sweeps".
 * **resilience policy** (:class:`~repro.resilience.RetryPolicy`) — a worker
   that dies is detected through its broken pipe and respawned (bounded); a
   worker that holds a chunk past ``chunk_timeout`` is SIGKILLed as hung;
-  result payloads carry content checksums so corrupted results are rejected
-  instead of folded into the operator; every failed chunk is re-dispatched
+  every result frame carries a digest of its bytes, checked before anything
+  is unpickled, so corrupted results are rejected instead of folded into the
+  operator; every failed chunk (the unit of retry) is re-dispatched
   after a deterministic backoff, and once the retry budget is exhausted the
   pool walks the degradation ladder — disable the slot (shrink the pool),
   then execute the chunk serially in the master.  Because block tasks are
@@ -85,12 +89,12 @@ from repro.resilience import (
     PoolHealth,
     RetryPolicy,
     corrupt_payload,
-    payload_checksum,
 )
 from repro.resilience.channel import (
     pause,
+    recv_frame,
     recv_message,
-    recv_ready,
+    send_frame,
     wait_readable,
 )
 from repro.resilience.faults import execute_pre_fault
@@ -122,16 +126,18 @@ DEFAULT_SHUTDOWN_GRACE: float = 5.0
 # --------------------------------------------------------------------------- chunks and results
 
 
+def _run_task(task_fn: Callable[[int], Any], index: int) -> tuple[int, Any, float]:
+    """Execute one task, timed on its own: ``(index, value, seconds)``."""
+    start = wall_clock()
+    value = task_fn(int(index))
+    return int(index), value, wall_clock() - start
+
+
 def _execute_chunk(
     task_fn: Callable[[int], Any], indices: Sequence[int]
 ) -> list[tuple[int, Any, float]]:
-    """Execute one chunk of tasks, timing each task individually."""
-    output = []
-    for index in indices:
-        start = wall_clock()
-        value = task_fn(int(index))
-        output.append((int(index), value, wall_clock() - start))
-    return output
+    """Execute one chunk of tasks in this process (serial backend and fallback)."""
+    return [_run_task(task_fn, index) for index in indices]
 
 
 def collect_chunk_results(
@@ -283,9 +289,9 @@ def drive_pool_steps(steps, pool) -> Any:
 def _pool_worker_main(
     worker_id: int, generation: int, connection, stale_connections
 ) -> None:
-    """Long-lived worker loop: receive contexts and shard chunks, send results.
+    """Long-lived worker loop: receive contexts and shard chunks, stream results.
 
-    Messages from the master (tuples, first element is the kind):
+    Messages from the master (pickled tuples, first element is the kind):
 
     ``("context", seq, task_fn, fault_plan, verify)``
         Install task context ``seq``: the run's per-task callable (one per
@@ -293,18 +299,27 @@ def _pool_worker_main(
         multiplexed).  ``seq == 0`` clears every held context.  A non-empty
         ``fault_plan`` arms the deterministic fault injector (once per
         process — the injector's chunk counter spans every later run).
-        ``verify`` asks for a content checksum on every result payload of
-        that context.
+        ``verify`` asks for a real digest on every result frame of that
+        context (16 zero bytes otherwise).
     ``("drop", seq)``
         Forget context ``seq`` (its run finished; other contexts survive).
-    ``("run", job_id, seq, indices)``
-        Execute one shard chunk under context ``seq`` through the shared
-        :func:`_execute_chunk` (``task_fn(i)`` per index, each timed) and
-        reply ``("result", job_id, output, digest)`` — or ``("error",
-        job_id, text)`` when the task raises or the context is unknown (a
-        master bug).
+    ``("run", job_id, dispatch_id, seq, indices)``
+        Execute one shard chunk under context ``seq``, one task at a time
+        through the shared :func:`_run_task`.  ``dispatch_id`` names this
+        attempt of the chunk; a retried chunk gets a fresh one.
     ``("stop",)``
         Exit the loop.
+
+    Replies are frames, ``blake2b-16 digest ‖ pickle(message)``, one per
+    finished task (see :mod:`repro.resilience.channel`):
+
+    ``("part", job_id, dispatch_id, is_last, [(index, value, seconds)])``
+        One task's result, pickled once; the digest covers those exact
+        bytes.  ``is_last`` marks the chunk's final task, so a one-task
+        chunk costs one frame.
+    ``("error", job_id, dispatch_id, text)``
+        A task raised (earlier frames of the chunk may have been sent), or
+        the context is unknown (a master bug).  Always digested.
 
     ``generation`` counts how many processes have occupied this slot before
     (0 for the original spawn); the fault injector uses it so injected
@@ -343,31 +358,39 @@ def _pool_worker_main(
             contexts.pop(message[1], None)
             continue
         if kind != "run":  # pragma: no cover - defensive
-            connection.send(("error", -1, f"unknown message kind {kind!r}"))
+            send_frame(connection, ("error", -1, -1, f"unknown message kind {kind!r}"), True)
             continue
-        _, job_id, seq, indices = message
+        _, job_id, dispatch_id, seq, indices = message
         context = contexts.get(seq)
         if context is None:
-            connection.send(
-                ("error", job_id, f"worker {worker_id} does not hold context {seq}")
+            send_frame(
+                connection,
+                ("error", job_id, dispatch_id, f"worker {worker_id} does not hold context {seq}"),
+                True,
             )
             continue
         task_fn, verify = context
         firing = injector.next_chunk() if injector is not None else None
         if firing is not None:
             execute_pre_fault(firing)  # crash/hang faults never return
-        try:
-            output = _execute_chunk(task_fn, indices)
-        except BaseException:
-            connection.send(("error", job_id, traceback.format_exc()))
-            continue
-        # The digest covers the *intact* payload: an injected corruption is
-        # applied afterwards, modelling damage in flight that the master's
-        # verification must catch.
-        digest = payload_checksum(output) if verify else None
-        if firing is not None and firing.kind == "corrupt":
-            output = corrupt_payload(output, injector.plan.seed, worker_id, firing.chunk)
-        connection.send(("result", job_id, output, digest))
+        last = len(indices) - 1
+        for position, index in enumerate(indices):
+            try:
+                part = [_run_task(task_fn, index)]
+            except BaseException:
+                send_frame(
+                    connection, ("error", job_id, dispatch_id, traceback.format_exc()), True
+                )
+                break
+            reply = ("part", job_id, dispatch_id, position == last, part)
+            damaged = None
+            if position == 0 and firing is not None and firing.kind == "corrupt":
+                # Sent under the intact reply's digest: damage in flight that
+                # the master's verification must catch.
+                damaged = reply[:4] + (
+                    corrupt_payload(part, injector.plan.seed, worker_id, firing.chunk),
+                )
+            send_frame(connection, reply, verify, damaged)
 
 
 class _WorkerHandle:
@@ -379,6 +402,18 @@ class _WorkerHandle:
         self.process = process
         self.connection = connection
         self.context_seqs: set[int] = set()
+
+
+class _Dispatch:
+    """One dispatched shard: its slot, task ids, attempt id and frames so far."""
+
+    __slots__ = ("slot", "chunk", "dispatch_id", "parts")
+
+    def __init__(self, slot: int, chunk: list[int], dispatch_id: int) -> None:
+        self.slot = slot
+        self.chunk = chunk
+        self.dispatch_id = dispatch_id
+        self.parts: list[tuple[int, Any, float]] = []
 
 
 class _PoolRun:
@@ -439,7 +474,7 @@ class WorkerPool:
         protocol semantics (fallback for fork-less platforms and tests; the
         resilience policy and fault plan do not apply to it).
     max_respawns:
-        Total worker respawns tolerated over the pool's lifetime before a
+        Total worker respawns (>= 0) tolerated over the pool's lifetime before a
         dying slot is disabled (``retry.degrade == "serial"``) or the run
         aborts (``"raise"``).
     retry:
@@ -469,6 +504,8 @@ class WorkerPool:
     ) -> None:
         if n_workers < 1:
             raise ParallelExecutionError(f"n_workers must be >= 1, got {n_workers}")
+        if max_respawns < 0:
+            raise ParallelExecutionError(f"max_respawns must be >= 0, got {max_respawns}")
         if backend not in ("process", "serial"):
             raise ParallelExecutionError(
                 f"WorkerPool backend must be 'process' or 'serial', got {backend!r}"
@@ -485,11 +522,12 @@ class WorkerPool:
         self._disabled: set[int] = set()
         self._context_seq = 0
         self._job_counter = 0
+        self._dispatch_counter = 0
         self._closed = False
         # Event-loop state shared by every in-flight run.
         self._runs: dict[int, _PoolRun] = {}
         self._job_run: dict[int, _PoolRun] = {}
-        self._pending: dict[int, tuple[int, list[int]]] = {}
+        self._pending: dict[int, _Dispatch] = {}
         self._slot_job: dict[int, int] = {}
         self._deadlines: dict[int, float] = {}
         self._attempts: dict[int, int] = {}
@@ -785,16 +823,7 @@ class WorkerPool:
             if not ready:
                 self._recover_dead_workers()
             for connection in ready:
-                slot = connections[connection]
-                handle = self._workers[slot]
-                if handle is None or handle.connection is not connection:
-                    continue  # the slot was recycled while draining `ready`
-                try:
-                    message = recv_ready(connection)
-                except (EOFError, OSError):
-                    self._fail_slot_job(slot, "worker_died")
-                    continue
-                self._handle_message(slot, message)
+                self._drain(connections[connection], connection)
             self._pump()
         except BaseException:
             # Whatever aborted the loop (a task error re-raised by a caller,
@@ -828,6 +857,32 @@ class WorkerPool:
 
     # ------------------------------------------------------------------ process internals
 
+    def _owns(self, slot: int, connection) -> bool:
+        """Whether ``connection`` is still the live pipe of ``slot``."""
+        handle = self._workers[slot]
+        return handle is not None and handle.connection is connection
+
+    def _drain(self, slot: int, connection) -> None:
+        """Handle every frame a readable worker has queued (post-wait drain).
+
+        Stops at the first empty poll, or as soon as handling a frame
+        recycled the slot (its old pipe is closed then).
+        """
+        if not self._owns(slot, connection):
+            return  # the slot was recycled while an earlier slot drained
+        while True:
+            try:
+                message = recv_frame(connection, self.retry.verify_payloads)
+            except (EOFError, OSError):
+                self._fail_slot_job(slot, "worker_died")
+                return
+            if message is None:
+                self._reject_frame(slot)
+            else:
+                self._handle_message(slot, message)
+            if not (self._owns(slot, connection) and connection.poll(0)):
+                return
+
     def _install_context(self, handle: _WorkerHandle, run: _PoolRun) -> None:
         """Ship one run's task context to one worker (if not already held)."""
         if run.seq in handle.context_seqs:
@@ -841,9 +896,8 @@ class WorkerPool:
     def _serial_chunk(self, run: _PoolRun, chunk: list[int]) -> list[tuple[int, Any, float]]:
         """Execute one shard in the master (bottom of the degradation ladder).
 
-        Runs the exact :func:`_execute_chunk` path a
-        worker would, so a degraded chunk is bit-identical to the parallel
-        one.
+        Runs each task through the same :func:`_run_task` a worker does, so
+        a degraded chunk is bit-identical to the parallel one.
         """
         return _execute_chunk(run.task, chunk)
 
@@ -907,7 +961,10 @@ class WorkerPool:
             # Bookkeeping lands before the dispatch: a budget-exhaustion
             # raise inside must leave the job pending so _fail_run replaces
             # the slot that owned it, keeping the pool reusable.
-            self._pending[job_id] = (slot, run.chunk_of[job_id])
+            self._pending[job_id] = _Dispatch(
+                slot, run.chunk_of[job_id], self._dispatch_counter
+            )
+            self._dispatch_counter += 1
             self._slot_job[slot] = job_id
             try:
                 dispatched = self._dispatch(slot, job_id, run)
@@ -932,7 +989,7 @@ class WorkerPool:
         Returns ``False`` when the slot got disabled instead (the caller must
         route the shard elsewhere).
         """
-        chunk = run.chunk_of[job_id]
+        entry = self._pending[job_id]
         while True:
             if slot in self._disabled:
                 return False
@@ -943,8 +1000,12 @@ class WorkerPool:
                     return False
             try:
                 self._install_context(handle, run)
-                handle.connection.send(("run", job_id, run.seq, chunk))
-                self._trace_event("pool.dispatch", slot=slot, job=job_id, tasks=len(chunk))
+                handle.connection.send(
+                    ("run", job_id, entry.dispatch_id, run.seq, entry.chunk)
+                )
+                self._trace_event(
+                    "pool.dispatch", slot=slot, job=job_id, tasks=len(entry.chunk)
+                )
                 return True
             except (BrokenPipeError, OSError):
                 if handle.process.is_alive():  # pragma: no cover - defensive
@@ -955,8 +1016,8 @@ class WorkerPool:
     def _release_job(self, job_id: int) -> None:
         """Drop one job's in-flight bookkeeping (its slot becomes idle)."""
         entry = self._pending.pop(job_id, None)
-        if entry is not None and self._slot_job.get(entry[0]) == job_id:
-            del self._slot_job[entry[0]]
+        if entry is not None and self._slot_job.get(entry.slot) == job_id:
+            del self._slot_job[entry.slot]
         self._deadlines.pop(job_id, None)
 
     def _record_result(self, run: _PoolRun, job_id: int, output) -> None:
@@ -972,12 +1033,14 @@ class WorkerPool:
             self._drop_context(run.seq)
 
     def _handle_message(self, slot: int, message: tuple) -> None:
-        """Route one worker reply: result, corrupt rejection or task error."""
-        kind = message[0]
-        job_id = message[1]
+        """Route one verified worker frame: a task's part or a task error."""
+        kind, job_id, dispatch_id = message[:3]
         entry = self._pending.get(job_id)
-        if entry is None or entry[0] != slot:
-            return  # stale payload from an aborted earlier run
+        if entry is None or entry.slot != slot or entry.dispatch_id != dispatch_id:
+            # A frame of a superseded dispatch (a retried chunk) or of an
+            # aborted run: dropped, never folded.
+            self._trace_event("pool.stale_frame", job=job_id, slot=slot)
+            return
         run = self._job_run[job_id]
         if kind == "error":
             # The reporting worker is healthy and idle again; only workers
@@ -985,18 +1048,31 @@ class WorkerPool:
             self._release_job(job_id)
             self._fail_run(
                 run,
-                ParallelExecutionError(f"pool worker {slot} failed:\n{message[2]}"),
+                ParallelExecutionError(f"pool worker {slot} failed:\n{message[3]}"),
             )
             return
-        output, digest = message[2], message[3]
-        if digest is not None and payload_checksum(output) != digest:
-            self.health.bump("corrupt_rejections", job=job_id, slot=slot)
-            self._trace_event("pool.corrupt", job=job_id, slot=slot)
-            self._fail_job(job_id, "corrupt_payload")
-            return
+        entry.parts.extend(message[4])
+        if not message[3]:
+            return  # more frames of this chunk follow
         self._trace_event("pool.result", job=job_id, slot=slot)
         self._release_job(job_id)
-        self._record_result(run, job_id, output)
+        self._record_result(run, job_id, entry.parts)
+
+    def _reject_frame(self, slot: int) -> None:
+        """A frame failed its digest: fail the slot's chunk (retry or degrade).
+
+        The damaged bytes are never unpickled, so the job is the one the
+        slot owns (each worker holds at most one chunk).  The worker keeps
+        streaming the rest of that dispatch, and the retry is queued behind
+        it on the same slot: those frames arrive first and are dropped as
+        stale, so the retry's deadline also covers their tail.
+        """
+        job_id = self._slot_job.get(slot)
+        if job_id is None:
+            return
+        self.health.bump("corrupt_rejections", job=job_id, slot=slot)
+        self._trace_event("pool.corrupt", job=job_id, slot=slot)
+        self._fail_job(job_id, "corrupt_payload")
 
     def _fail_job(self, job_id: int, reason: str) -> None:
         """One chunk failed (death, hang, corruption): retry or degrade.
@@ -1008,7 +1084,7 @@ class WorkerPool:
         entry = self._pending.get(job_id)
         if entry is None:
             return
-        slot, chunk = entry
+        slot, chunk = entry.slot, entry.chunk
         run = self._job_run[job_id]
         self._attempts[job_id] = self._attempts.get(job_id, 0) + 1
         failures = self._attempts[job_id]
@@ -1064,9 +1140,9 @@ class WorkerPool:
         for job_id in run.job_ids:
             entry = self._pending.pop(job_id, None)
             if entry is not None:
-                owner_slots.add(entry[0])
-                if self._slot_job.get(entry[0]) == job_id:
-                    del self._slot_job[entry[0]]
+                owner_slots.add(entry.slot)
+                if self._slot_job.get(entry.slot) == job_id:
+                    del self._slot_job[entry.slot]
             self._deadlines.pop(job_id, None)
             self._attempts.pop(job_id, None)
             self._job_run.pop(job_id, None)
@@ -1110,7 +1186,7 @@ class WorkerPool:
                 continue  # failed alongside an earlier expiry
             if self._deadlines.get(job_id, now + 1.0) > now:
                 continue  # re-dispatched meanwhile: a fresh deadline applies
-            slot, _ = self._pending[job_id]
+            slot = self._pending[job_id].slot
             self.health.bump("chunk_timeouts", job=job_id, slot=slot)
             self._trace_event("pool.timeout", job=job_id, slot=slot)
             self._kill_hung_worker(slot)

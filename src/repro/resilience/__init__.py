@@ -14,14 +14,14 @@ Three pieces, consumed by :mod:`repro.parallel.pool` and
   of every recovery action a pool took.
 
 :mod:`repro.resilience.channel` holds the deadline-bounded IPC primitives
-(the RES001 contract companions) plus the payload checksum.
+(the RES001 contract companions) plus the digest-headed result frames.
 
 All fault handling flows through the pool's single dispatch loop — no
 helper threads, no signal-handler side channels — so faulty runs stay
 deterministic and the bit-identical reduction contract extends to them.
 """
 
-from repro.resilience.channel import payload_checksum
+from repro.resilience.channel import frame_digest
 from repro.resilience.faults import (
     FAULT_KINDS,
     FaultInjector,
@@ -42,6 +42,6 @@ __all__ = [
     "RetryPolicy",
     "DEFAULT_RETRY_POLICY",
     "corrupt_payload",
+    "frame_digest",
     "iter_fault_matrix",
-    "payload_checksum",
 ]

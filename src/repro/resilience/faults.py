@@ -15,9 +15,9 @@ module provides:
   no side channels, no environment variables);
 * :class:`FaultInjector` — the worker-side counter that decides, per ``run``
   message, whether a fault fires *now*;
-* :func:`corrupt_payload` — seeded, replayable corruption of a chunk result
-  (truncation or value perturbation), applied *after* the integrity checksum
-  is computed so it models corruption in flight.
+* :func:`corrupt_payload` — seeded, replayable corruption of a result
+  frame's task list (truncation or value perturbation), applied *after* the
+  frame digest is taken so it models corruption in flight.
 
 Faults fire in the original (generation-0) worker process only, except
 ``respawn_crash`` which also kills the first ``repeats - 1`` replacements on
@@ -29,6 +29,7 @@ execution, and a faulty run can be replayed bit-for-bit.
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import time
@@ -87,8 +88,10 @@ class FaultSpec:
             raise ResilienceError(f"fault worker slot must be >= 0, got {self.worker}")
         if self.chunk < 0:
             raise ResilienceError(f"fault chunk index must be >= 0, got {self.chunk}")
-        if self.seconds < 0.0:
-            raise ResilienceError(f"fault seconds must be >= 0, got {self.seconds}")
+        if not (math.isfinite(self.seconds) and self.seconds >= 0.0):
+            raise ResilienceError(
+                f"fault seconds must be finite and >= 0, got {self.seconds}"
+            )
         if self.repeats < 1:
             raise ResilienceError(f"fault repeats must be >= 1, got {self.repeats}")
         if self.kind == "delay" and self.seconds <= 0.0:
@@ -198,8 +201,8 @@ def execute_pre_fault(spec: FaultSpec) -> None:
     master sees a broken pipe).  ``hang`` makes the process unresponsive —
     SIGTERM is ignored so only SIGKILL (the master's hung-worker escalation)
     ends it.  ``delay`` sleeps and returns so the chunk completes late.
-    ``corrupt`` is a no-op here: it is applied to the result payload after
-    execution (see :func:`corrupt_payload`).
+    ``corrupt`` is a no-op here: it damages the chunk's first result frame
+    after execution (see :func:`corrupt_payload`).
     """
     if spec.kind in ("crash", "respawn_crash"):
         os._exit(CRASH_EXIT_CODE)
@@ -240,12 +243,13 @@ def corrupt_payload(
     worker: int,
     chunk: int,
 ) -> list[tuple[int, Any, float]]:
-    """Seeded, replayable corruption of a chunk result payload.
+    """Seeded, replayable corruption of a result frame's task list.
 
     Models in-flight damage: depending on the (seed, worker, chunk) hash the
-    payload is either *truncated* (last task result dropped) or *perturbed*
-    (one value changed).  The integrity checksum is computed over the intact
-    payload before this runs, so the master's verification catches both.
+    list is either *truncated* (last task result dropped; lists of two or
+    more) or *perturbed* (one value changed).  The worker takes the frame
+    digest over the intact bytes before this runs, so the master's
+    verification catches both.
     """
     digest = blake2b(
         f"{seed}:{worker}:{chunk}".encode(), digest_size=2

@@ -23,6 +23,7 @@ The degradation ladder the policy drives (see :mod:`repro.parallel.pool`):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.exceptions import ResilienceError
@@ -52,8 +53,8 @@ class RetryPolicy:
         deadline is treated as hung: SIGKILLed, respawned, the chunk retried.
         ``None`` disables deadlines (hangs then only end with the pool).
     verify_payloads:
-        Checksum every result payload and reject (and retry) corrupted ones
-        instead of folding them into the operator.
+        Digest every result frame's bytes and reject (and retry) corrupted
+        ones before unpickling, instead of folding them into the operator.
     degrade:
         ``"serial"`` (default) walks the degradation ladder — shrink the pool,
         then fall back to in-master serial execution; ``"raise"`` aborts the
@@ -69,6 +70,12 @@ class RetryPolicy:
     degrade: str = "serial"
 
     def __post_init__(self) -> None:
+        # A NaN passes every ordered comparison below, and a NaN deadline or
+        # backoff never expires or never pauses: reject non-finite values first.
+        for name in ("backoff_base", "backoff_factor", "backoff_max", "chunk_timeout"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ResilienceError(f"{name} must be finite, got {value}")
         if self.max_retries < 0:
             raise ResilienceError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.backoff_base < 0.0:

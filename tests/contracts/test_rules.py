@@ -283,15 +283,31 @@ class TestRES001ResilientChannels:
         res = [f for f in active if f.rule_id == "RES001"]
         assert len(res) == 3
 
+    def test_bare_recv_bytes_is_flagged(self):
+        active, _ = run(
+            """
+            from repro.resilience.channel import wait_readable
+
+            def drain(connections):
+                for connection in wait_readable(connections, timeout=0.2):
+                    frame = connection.recv_bytes()
+            """,
+            "src/repro/parallel/frame_probe.py",
+        )
+        res = [f for f in active if f.rule_id == "RES001"]
+        assert len(res) == 1
+        assert "recv_bytes()" in res[0].message
+
     def test_channel_helpers_and_handled_errors_are_clean(self):
         active, _ = run(
             """
-            from repro.resilience.channel import recv_message, wait_readable
+            from repro.resilience.channel import recv_frame, recv_message, wait_readable
 
             def drain(connections, connection, health):
                 ready = wait_readable(connections, timeout=0.2)
                 try:
-                    return recv_message(connection, timeout=5.0), ready
+                    frames = [recv_frame(ready_one, True) for ready_one in ready]
+                    return recv_message(connection, timeout=5.0), frames
                 except Exception as error:
                     health.bump("retries", error=repr(error))
                     raise

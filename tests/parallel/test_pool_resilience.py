@@ -201,7 +201,7 @@ class TestCloseEscalation:
         task = SigtermProofSleeper(str(tmp_path / "slept.flag"))
         handle = pool._workers[0]
         handle.connection.send(("context", 1, task, None, False))
-        handle.connection.send(("run", 999, 1, [0]))
+        handle.connection.send(("run", 999, 0, 1, [0]))
         deadline = time.monotonic() + 5.0
         while not (tmp_path / "slept.flag").exists():
             assert time.monotonic() < deadline, "worker never entered the task"

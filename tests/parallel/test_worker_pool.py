@@ -187,6 +187,10 @@ class TestWorkerPoolLifecycle:
             assert pool.alive_workers() == 2
         assert pool.closed
 
+    def test_negative_respawn_budget_rejected(self):
+        with pytest.raises(ParallelExecutionError, match="max_respawns"):
+            WorkerPool(2, backend="serial", max_respawns=-3)
+
     def test_serial_backend_spawns_nothing(self):
         with WorkerPool(3, backend="serial") as pool:
             assert pool.alive_workers() == 0

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ResilienceError
-from repro.resilience import FaultPlan, FaultSpec, corrupt_payload, payload_checksum
+from repro.resilience import FaultPlan, FaultSpec, corrupt_payload, frame_digest
 from repro.resilience.faults import FaultInjector, iter_fault_matrix
+
+
+def digest(parts):
+    """The frame digest of a task list, over the bytes a worker would send."""
+    return frame_digest(pickle.dumps(parts, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 class TestFaultSpecValidation:
@@ -25,6 +32,11 @@ class TestFaultSpecValidation:
         with pytest.raises(ResilienceError, match="seconds > 0"):
             FaultSpec(0, 0, "delay")
         FaultSpec(0, 0, "delay", seconds=0.1)  # fine
+
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_non_finite_seconds_rejected(self, seconds):
+        with pytest.raises(ResilienceError, match="finite"):
+            FaultSpec(0, 0, "delay", seconds=seconds)
 
     def test_repeats_must_be_positive(self):
         with pytest.raises(ResilienceError, match="repeats"):
@@ -105,21 +117,26 @@ class TestCorruptPayload:
 
     def test_corruption_changes_the_checksum(self):
         intact = self.payload()
-        digest = payload_checksum(intact)
         damaged = corrupt_payload(intact, seed=0, worker=0, chunk=0)
-        assert payload_checksum(damaged) != digest
+        assert digest(damaged) != digest(intact)
 
     def test_corruption_is_seeded_and_replayable(self):
         one = corrupt_payload(self.payload(), seed=3, worker=1, chunk=2)
         two = corrupt_payload(self.payload(), seed=3, worker=1, chunk=2)
-        assert payload_checksum(one) == payload_checksum(two)
+        assert digest(one) == digest(two)
 
     def test_scalar_and_tuple_values_are_damaged_too(self):
         for value in (1.5, 7, (2.0, 3.0), "opaque"):
             intact = [(0, value, 0.0)]
             damaged = corrupt_payload(intact, seed=1, worker=0, chunk=0)
-            assert payload_checksum(damaged) != payload_checksum(intact)
+            assert digest(damaged) != digest(intact)
 
     def test_empty_payload_still_corrupts_detectably(self):
         damaged = corrupt_payload([], seed=0, worker=0, chunk=0)
-        assert payload_checksum(damaged) != payload_checksum([])
+        assert digest(damaged) != digest([])
+
+    def test_digest_is_16_bytes_of_the_exact_bytes(self):
+        raw = pickle.dumps(self.payload(), protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(frame_digest(raw)) == 16
+        assert frame_digest(raw) == frame_digest(bytes(raw))
+        assert frame_digest(raw) != frame_digest(raw[:-1])

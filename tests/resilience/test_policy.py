@@ -83,6 +83,21 @@ class TestValidation:
         with pytest.raises(ResilienceError, match="attempt"):
             DEFAULT_RETRY_POLICY.backoff_delay(-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("chunk_timeout", float("nan")),
+            ("chunk_timeout", float("inf")),
+            ("backoff_max", float("nan")),
+            ("backoff_base", float("nan")),
+            ("backoff_factor", float("nan")),
+        ],
+    )
+    def test_rejects_non_finite_knobs(self, field, value):
+        """A NaN deadline never expires and a NaN backoff never pauses."""
+        with pytest.raises(ResilienceError, match=f"{field} must be finite"):
+            RetryPolicy(**{field: value})
+
     def test_policy_is_immutable_and_comparable(self):
         assert RetryPolicy() == DEFAULT_RETRY_POLICY
         assert RetryPolicy(max_retries=1) != DEFAULT_RETRY_POLICY
