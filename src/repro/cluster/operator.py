@@ -8,11 +8,13 @@ where ``N`` is a sparse near-field matrix assembled densely from the
 inadmissible blocks of a :class:`~repro.cluster.blocks.BlockClusterTree`
 (through the existing batched — optionally adaptive — kernels of
 :class:`~repro.bem.influence.ColumnAssembler`), and ``U``/``V`` aggregate the
-ACA low-rank factors of every admissible far-field block into tall sparse
-matrices (one column per rank-one term, rows living in the global dof space).
+ACA low-rank factors of every admissible far-field block into tall factors
+(one column per rank-one term, rows living in the global dof space).
 The two rank-factor products apply every off-diagonal block together with its
 transpose, so the operator is symmetric by construction, exactly like the
-dense symmetrised assembly.
+dense symmetrised assembly.  Every part is held in plain NumPy arrays — unique
+int32 ``(row, col)`` pairs sorted by row, float64 values
+(:class:`RowSortedEntries`) — so the operator needs no sparse-matrix library.
 
 Storage and matrix-vector cost are ``O(M log M)`` instead of the dense
 ``O(M^2)``, which is what lifts the solver from the ~10^3-element regime of
@@ -45,7 +47,7 @@ hierarchical operator matches the dense matrix entrywise to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -61,12 +63,10 @@ from repro.observe import ensure_tracer
 from repro.soil.base import SoilModel
 from repro.timing import wall_clock
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from scipy import sparse
-
 __all__ = [
     "HierarchicalControl",
     "HierarchicalOperator",
+    "RowSortedEntries",
     "assemble_hierarchical_steps",
     "pairwise_tree_sum",
 ]
@@ -148,8 +148,68 @@ def pairwise_tree_sum(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return items[0]
 
 
-def _sparse_bytes(matrix: sparse.csr_matrix) -> int:
-    return int(matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes)
+class RowSortedEntries:
+    """A sparse matrix held as plain NumPy arrays: unique entries sorted by (row, col).
+
+    Rows are stored compressed: ``row_ids`` (int32) lists the non-empty rows
+    in ascending order and ``row_ptr`` (intp) the offsets of their runs in
+    ``cols`` (int32) and ``vals`` (float64).  The run layout serves both
+    products of the operator's matvec: a row product is one
+    ``np.add.reduceat`` over the runs, and a transposed product expands the
+    operand by ``np.repeat`` over the runs and sums with ``np.bincount``.
+    Both reduce in the stored order, so every product is a function of the
+    stored arrays alone.
+    """
+
+    def __init__(
+        self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]
+    ) -> None:
+        rows = np.asarray(rows)
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        self.shape = (int(shape[0]), int(shape[1]))
+        self.row_ids = rows[starts].astype(np.int32)
+        self.row_ptr = np.append(starts, rows.size).astype(np.intp)
+        self.cols = np.asarray(cols, dtype=np.int32)
+        self.vals = np.asarray(vals, dtype=float)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.vals.size)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The row of every stored entry (expanded from the runs)."""
+        return np.repeat(self.row_ids, np.diff(self.row_ptr))
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """``A @ x``: one ``reduceat`` over the row runs."""
+        y = np.zeros(self.shape[0])
+        if self.nnz:
+            # Gathering through int32 indices takes NumPy's slow casting path;
+            # widening them first and ``take`` gather in about half the time.
+            gathered = x.take(self.cols.astype(np.intp))
+            y[self.row_ids] = np.add.reduceat(self.vals * gathered, self.row_ptr[:-1])
+        return y
+
+    def tdot(self, x: np.ndarray) -> np.ndarray:
+        """``A^T @ x``: entries weighted by their row's operand, summed per column."""
+        x_rows = np.repeat(x[self.row_ids], self.row_ptr[1:] - self.row_ptr[:-1])
+        return np.bincount(self.cols, weights=self.vals * x_rows, minlength=self.shape[1])
+
+    def todense(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense[self.rows, self.cols] = self.vals
+        return dense
+
+    def keys(self) -> np.ndarray:
+        """Sorted int64 ``row * n_cols + col`` key of every stored entry."""
+        return self.rows.astype(np.int64) * self.shape[1] + self.cols
+
+    @property
+    def nbytes(self) -> int:
+        return int(
+            self.row_ids.nbytes + self.row_ptr.nbytes + self.cols.nbytes + self.vals.nbytes
+        )
 
 
 class _NearField:
@@ -159,78 +219,90 @@ class _NearField:
     ``N + N^T - diag(N)``, halving the stored entries.
     """
 
-    def __init__(self, upper: sparse.csr_matrix) -> None:
+    def __init__(self, upper: RowSortedEntries) -> None:
         self.upper = upper
-        self.upper_diagonal = upper.diagonal()
+        on_diagonal = upper.rows == upper.cols
+        self.upper_diagonal = np.zeros(upper.shape[0])
+        self.upper_diagonal[upper.cols[on_diagonal]] = upper.vals[on_diagonal]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        y = self.upper @ x
-        y = y + self.upper.T @ x
-        y = y - self.upper_diagonal * x
-        return np.asarray(y).ravel()
+        return self.upper.dot(x) + self.upper.tdot(x) - self.upper_diagonal * x
 
     def diagonal_contribution(self) -> np.ndarray:
         return self.upper_diagonal.copy()
 
     def todense_contribution(self) -> np.ndarray:
-        upper = np.asarray(self.upper.todense(), dtype=float)
+        upper = self.upper.todense()
         return upper + upper.T - np.diag(self.upper_diagonal)
 
     def memory_bytes(self) -> int:
-        return self.upper_diagonal.nbytes + _sparse_bytes(self.upper)
+        return self.upper_diagonal.nbytes + self.upper.nbytes
 
 
 class _FarSegment:
     """One canonical far-field matvec segment: the stacked factors of its blocks."""
 
-    def __init__(self, u: sparse.csr_matrix, v: sparse.csr_matrix) -> None:
+    def __init__(self, u: RowSortedEntries, v: RowSortedEntries) -> None:
         self.u = u
         self.v = v
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The segment's contribution ``U V^T x + V U^T x``."""
-        y = self.u @ (self.v.T @ x)
-        y = y + self.v @ (self.u.T @ x)
-        return np.asarray(y).ravel()
+        return self.u.dot(self.v.tdot(x)) + self.v.dot(self.u.tdot(x))
 
     def diagonal_contribution(self) -> np.ndarray:
-        return 2.0 * np.asarray(self.u.multiply(self.v).sum(axis=1)).ravel()
+        """``2 sum_k U[i, k] V[i, k]``, over the (row, term) pairs both factors store."""
+        _, in_u, in_v = np.intersect1d(
+            self.u.keys(), self.v.keys(), assume_unique=True, return_indices=True
+        )
+        products = self.u.vals[in_u] * self.v.vals[in_v]
+        return 2.0 * np.bincount(self.u.rows[in_u], weights=products, minlength=self.u.shape[0])
 
     def todense_contribution(self) -> np.ndarray:
-        u = np.asarray(self.u.todense(), dtype=float)
-        v = np.asarray(self.v.todense(), dtype=float)
+        u = self.u.todense()
+        v = self.v.todense()
         return u @ v.T + v @ u.T
 
     def memory_bytes(self) -> int:
-        return _sparse_bytes(self.u) + _sparse_bytes(self.v)
+        return self.u.nbytes + self.v.nbytes
 
 
 class HierarchicalOperator:
     """Symmetric matrix-free operator: sparse near field plus low-rank far field.
 
     ``near`` is the upper triangle of the near field; ``far`` lists the
-    canonical far segments as ``(U, V)`` factor pairs.  ``matvec`` evaluates
-    the near-field partial and one partial per far segment and reduces them
-    with :func:`pairwise_tree_sum` in fixed order, so the result is
-    bit-identical for any assembly worker count.
+    canonical far segments as ``(U, V)`` factor pairs, all of them
+    :class:`RowSortedEntries`.  ``matvec`` evaluates the near-field partial
+    and one partial per far segment and reduces them with
+    :func:`pairwise_tree_sum` in fixed order, so the result is bit-identical
+    for any assembly worker count.
     """
 
     def __init__(
         self,
-        near: sparse.csr_matrix,
-        far: Sequence[tuple[sparse.csr_matrix, sparse.csr_matrix]],
+        near: RowSortedEntries,
+        far: Sequence[tuple[RowSortedEntries, RowSortedEntries]],
         stats: dict[str, Any],
     ) -> None:
-        self._parts: list[_NearField | _FarSegment] = [
-            _NearField(near),
-            *(_FarSegment(u, v) for u, v in far),
-        ]
+        self._near = _NearField(near)
+        self._far = [_FarSegment(u, v) for u, v in far]
+        self._parts: list[_NearField | _FarSegment] = [self._near, *self._far]
         self.stats = stats
-        self.shape = (int(near.shape[0]), int(near.shape[0]))
+        self.shape = (near.shape[0], near.shape[0])
         self.dtype = np.dtype(float)
         self._diagonal = pairwise_tree_sum(
             [part.diagonal_contribution() for part in self._parts]
         )
+
+    @property
+    def near_upper(self) -> RowSortedEntries:
+        """The stored upper triangle (incl. diagonal) of the near field."""
+        return self._near.upper
+
+    @property
+    def far_segments(self) -> list[tuple[RowSortedEntries, RowSortedEntries]]:
+        """The ``(U, V)`` factors of every canonical far segment, in matvec order."""
+        return [(segment.u, segment.v) for segment in self._far]
 
     # ------------------------------------------------------------------ linear algebra
 
@@ -254,14 +326,25 @@ class HierarchicalOperator:
         """Materialise the represented matrix (small problems / tests only)."""
         return pairwise_tree_sum([part.todense_contribution() for part in self._parts])
 
+    def stored_entries(self) -> int:
+        """Matrix entries stored: the near upper triangle plus every far factor entry.
+
+        A matvec applies each of them twice, in a product and in its
+        transpose (:func:`repro.solvers.cg.as_matvec_operator` counts flops
+        from this).
+        """
+        return self._near.upper.nnz + sum(
+            segment.u.nnz + segment.v.nnz for segment in self._far
+        )
+
     def memory_bytes(self) -> int:
-        """Bytes stored by the operator (matrix data plus sparse index arrays)."""
+        """Bytes of the stored arrays: entries, their row runs and column indices, diagonals."""
         return int(self._diagonal.nbytes + sum(part.memory_bytes() for part in self._parts))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"HierarchicalOperator(n={self.shape[0]}, "
-            f"far_segments={len(self._parts) - 1}, "
+            f"far_segments={len(self._far)}, "
             f"workers={self.stats.get('workers')}, "
             f"memory={self.memory_bytes() / 1e6:.1f} MB)"
         )

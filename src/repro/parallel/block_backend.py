@@ -26,13 +26,17 @@ reproducible across machines with different core counts:
   :mod:`repro.cluster.block_assembly`, whose batch composition depends only on
   the block itself — never on the shard it landed in;
 * each near-field block sums its own duplicate dof pairs in the worker that
-  computed it (in the block's scatter order), and the master adds the
-  compact per-block entries into one upper-triangle matrix in ascending
-  block order, so every dof pair is stored once;
+  computed it (in the block's scatter order), and the master sums the
+  compact per-block entries, concatenated in ascending block order, into one
+  upper triangle, so every dof pair is stored once;
 * the far factors are regrouped into :data:`MATVEC_SEGMENTS` *canonical
   segments* (an LPT split of the same cost profile by a fixed segment count,
   independent of the worker count), each segment concatenating its blocks in
   ascending block order;
+* every sum — worker and master — runs
+  :func:`~repro.cluster.block_assembly.sum_duplicate_pairs`, and the operator
+  stores the results as plain NumPy arrays
+  (:class:`~repro.cluster.operator.RowSortedEntries`);
 * the operator reduces the near-field partial and the per-segment partials
   with :func:`~repro.cluster.operator.pairwise_tree_sum` in fixed order.
 
@@ -56,16 +60,15 @@ from repro.cluster.block_assembly import (
     emit_far_block_spans,
     far_factor_entries,
     near_block_triplets,
+    sum_duplicate_pairs,
 )
-from repro.cluster.operator import HierarchicalOperator
+from repro.cluster.operator import HierarchicalOperator, RowSortedEntries
 from repro.observe import ensure_tracer
 from repro.parallel.costs import partition_block_work
 from repro.parallel.pool import PoolJob, WorkerPool
 from repro.timing import wall_clock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from scipy import sparse
-
     from repro.bem.influence import ColumnAssembler
     from repro.cluster.block_assembly import ClusterPlanCache
     from repro.cluster.operator import HierarchicalControl
@@ -147,18 +150,6 @@ class _BlockShardTask:
 
 
 # --------------------------------------------------------------------------- the builder
-
-
-def _csr(rows, cols, vals, shape) -> sparse.csr_matrix:
-    from scipy import sparse
-
-    if not rows:
-        return sparse.csr_matrix(shape, dtype=float)
-    # tocsr() sums the duplicates across blocks into canonical format.
-    return sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=shape,
-    ).tocsr()
 
 
 def sharded_operator_steps(
@@ -265,10 +256,13 @@ def sharded_operator_steps(
         for _, result in sorted(outcomes.items())
         if result.kind != "far" and result.rows is not None and result.rows.size
     ]
-    near = _csr(
-        [result.rows for result in near_blocks],
-        [result.cols for result in near_blocks],
-        [result.vals for result in near_blocks],
+    near = RowSortedEntries(
+        *sum_duplicate_pairs(
+            [result.rows for result in near_blocks],
+            [result.cols for result in near_blocks],
+            [result.vals for result in near_blocks],
+            n_dofs,
+        ),
         (n_dofs, n_dofs),
     )
     for result in near_blocks:
@@ -276,7 +270,7 @@ def sharded_operator_steps(
     del near_blocks
 
     # ---- far factors regrouped into the canonical segments ----
-    far: list[tuple[sparse.csr_matrix, sparse.csr_matrix]] = []
+    far: list[tuple[RowSortedEntries, RowSortedEntries]] = []
     total_rank = 0
     for block_ids in segment_blocks:
         u_rows: list[np.ndarray] = []
@@ -300,7 +294,7 @@ def sharded_operator_steps(
                 segment_rank,
             )
             # The entry lists are the factors' last holders: they go with the
-            # segment once its matrices are built.
+            # segment once its factors are summed.
             result.u = result.v = None
             u_rows.append(ur)
             u_cols.append(uc)
@@ -310,12 +304,10 @@ def sharded_operator_steps(
             v_vals.append(vv)
             segment_rank += rank
         if segment_rank:
-            far.append(
-                (
-                    _csr(u_rows, u_cols, u_vals, (n_dofs, segment_rank)),
-                    _csr(v_rows, v_cols, v_vals, (n_dofs, segment_rank)),
-                )
-            )
+            shape = (n_dofs, segment_rank)
+            u = sum_duplicate_pairs(u_rows, u_cols, u_vals, segment_rank)
+            v = sum_duplicate_pairs(v_rows, v_cols, v_vals, segment_rank)
+            far.append((RowSortedEntries(*u, shape), RowSortedEntries(*v, shape)))
             total_rank += segment_rank
 
     if tracer.enabled:
@@ -350,7 +342,7 @@ def sharded_operator_steps(
         "rank_min": int(rank_array.min()) if rank_array.size else 0,
         "rank_max": int(rank_array.max()) if rank_array.size else 0,
         "rank_mean": float(rank_array.mean()) if rank_array.size else 0.0,
-        "near_nnz": int(near.nnz),
+        "near_nnz": near.nnz,
         "near_pairs": int(near_pairs),
         "block_cost_units_total": float(costs.sum()),
         "workers": n_workers,

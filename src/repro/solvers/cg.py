@@ -61,10 +61,11 @@ def as_matvec_operator(matrix) -> tuple[Callable[[np.ndarray], np.ndarray], int,
             )
         apply = lambda vector: matrix @ vector  # noqa: E731 - tiny adapter
     n = int(shape[0])
-    flops = getattr(matrix, "memory_bytes", None)
-    # One multiply-add per stored entry for explicit sparse/low-rank storage;
-    # fall back to the dense count when the operator does not report it.
-    flops_per_apply = (flops() / 4.0) if callable(flops) else 2.0 * n * n
+    stored_entries = getattr(matrix, "stored_entries", None)
+    # A symmetric operator that stores each entry once (near upper triangle,
+    # far factors) applies it in a product and in its transpose: two
+    # multiply-adds.  Fall back to the dense count when it does not report.
+    flops_per_apply = 4.0 * stored_entries() if callable(stored_entries) else 2.0 * n * n
 
     def matvec(vector: np.ndarray) -> np.ndarray:
         result = np.asarray(apply(vector), dtype=float).ravel()

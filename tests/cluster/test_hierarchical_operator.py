@@ -163,6 +163,16 @@ class TestSolveIntegration:
         assert result.converged
         assert np.allclose(result.solution, reference.solution, rtol=1e-5)
 
+    def test_flop_estimate_counts_stored_entries(self, hier_rodded):
+        # Every stored entry enters a product and its transpose: two
+        # multiply-adds per apply, whatever arrays hold the entries.
+        operator = hier_rodded.matrix
+        n = operator.shape[0]
+        per_apply = 4.0 * operator.stored_entries()
+        result = solve_system(operator, hier_rodded.rhs, method="pcg")
+        assert result.iterations > 0
+        assert result.estimated_flops == result.iterations * (per_apply + 10.0 * n)
+
     def test_direct_solvers_rejected(self, hier_small):
         with pytest.raises(SolverError):
             solve_system(hier_small.matrix, hier_small.rhs, method="cholesky")

@@ -166,6 +166,73 @@ class TestGoldenDeterminism:
             assert system.metadata["backend"] == "hierarchical"
 
 
+def _sparse_reference(operator):
+    """scipy.sparse matrices of the operator's stored entries (the test oracle)."""
+    from scipy import sparse
+
+    def csr(entries):
+        return sparse.csr_matrix(
+            (entries.vals, (entries.rows, entries.cols)), shape=entries.shape
+        )
+
+    return csr(operator.near_upper), [(csr(u), csr(v)) for u, v in operator.far_segments]
+
+
+def _stored_parts(operator) -> list:
+    """The near upper triangle, then every far factor in matvec order."""
+    return [operator.near_upper, *(f for pair in operator.far_segments for f in pair)]
+
+
+def _relative_gap(result: np.ndarray, reference: np.ndarray) -> float:
+    """Norm-wise relative difference (2-norm of vectors, Frobenius of matrices)."""
+    return float(np.linalg.norm(result - reference) / np.linalg.norm(reference))
+
+
+class TestPlainNumpyStorage:
+    """The operator's NumPy storage against a scipy.sparse oracle of the same entries."""
+
+    def test_entries_are_unique_row_sorted_int32_pairs(self, golden_case):
+        operator = golden_case["serial"].matrix
+        for entries in _stored_parts(operator):
+            assert entries.row_ids.dtype == np.int32 and entries.cols.dtype == np.int32
+            assert entries.vals.dtype == np.float64
+            assert np.all(np.diff(entries.keys()) > 0)
+        upper = operator.near_upper
+        assert np.all(upper.rows <= upper.cols)
+
+    def test_matvec_diagonal_todense_match_sparse_reference(self, golden_case):
+        operator = golden_case["serial"].matrix
+        near, far = _sparse_reference(operator)
+        near_diagonal = near.diagonal()
+        dense = near.toarray()
+        dense = dense + dense.T - np.diag(near_diagonal)
+        diagonal = near_diagonal.copy()
+        for u, v in far:
+            dense += (u @ v.T + v @ u.T).toarray()
+            diagonal += 2.0 * np.asarray(u.multiply(v).sum(axis=1)).ravel()
+        assert _relative_gap(operator.todense(), dense) <= 1e-15
+        assert _relative_gap(operator.diagonal(), diagonal) <= 1e-15
+        for x in _probe_vectors(operator.shape[0]):
+            # Same partials, same fixed-order reduction as the operator.
+            expected = pairwise_tree_sum(
+                [near @ x + near.T @ x - near_diagonal * x]
+                + [u @ (v.T @ x) + v @ (u.T @ x) for u, v in far]
+            )
+            assert _relative_gap(operator.matvec(x), expected) <= 1e-15
+
+    def test_memory_bytes_counts_the_stored_arrays(self, golden_case):
+        operator = golden_case["serial"].matrix
+        parts = _stored_parts(operator)
+        stored = sum(
+            array.nbytes
+            for entries in parts
+            for array in (entries.row_ids, entries.row_ptr, entries.cols, entries.vals)
+        )
+        # Plus two float64 diagonals: the near field's and the operator's.
+        assert operator.memory_bytes() == stored + 2 * 8 * operator.shape[0]
+        assert operator.stored_entries() == sum(entries.nnz for entries in parts)
+
+
 class TestCompactNearField:
     """Near and fallback blocks are summed in the worker before they ship."""
 
@@ -256,7 +323,7 @@ class TestCompactNearField:
         rows, cols, vals = (np.concatenate(column) for column in zip(*raw))
         shape = (profile.n_dofs, profile.n_dofs)
         reference = sparse.coo_matrix((vals, (rows, cols)), shape=shape).toarray()
-        near = near_case["operator"]._parts[0].upper.toarray()
+        near = near_case["operator"].near_upper.todense()
         scale = np.abs(reference).max()
         assert np.abs(near - reference).max() <= 1e-14 * scale
 
