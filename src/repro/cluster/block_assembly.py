@@ -16,7 +16,8 @@ The hierarchical engine decomposes the Galerkin matrix into the blocks of a
 * :func:`upper_triangle_scatter` — the dense engine's symmetric scatter of
   one evaluated column, keeping only the upper triangle;
 * :func:`sum_duplicate_pairs` — the per-dof-pair sum of COO entries, run on
-  one near block in the worker and on the whole operator in the master.
+  one near block in the worker and, in the master, on the whole near field
+  and on each half of every far block.
 
 Determinism contract: every routine evaluates **one block at a time** with a
 batch composition that depends only on the block itself (never on which shard
@@ -48,7 +49,6 @@ __all__ = [
     "compress_far_block",
     "emit_block_plan_span",
     "emit_far_block_spans",
-    "far_factor_entries",
     "near_block_pair_columns",
     "near_block_triplets",
     "sum_duplicate_pairs",
@@ -241,31 +241,6 @@ def emit_far_block_spans(
     # The span context measured only the emission; the real wall belongs to
     # the far-field work that produced the entries.
     far_span.duration_seconds = far_seconds
-
-
-def far_factor_entries(
-    u: np.ndarray,
-    v: np.ndarray,
-    row_dofs: np.ndarray,
-    col_dofs: np.ndarray,
-    base_term: int,
-) -> tuple[np.ndarray, ...]:
-    """COO entries of one far block's factors in the aggregated ``U``/``V``.
-
-    ``base_term`` is the first free column of the aggregate; returns
-    ``(u_rows, u_cols, u_vals, v_rows, v_cols, v_vals)``; used by the
-    block builder's segment construction.
-    """
-    rank = int(u.shape[1])
-    term_ids = base_term + np.arange(rank)
-    return (
-        np.repeat(row_dofs, rank),
-        np.tile(term_ids, row_dofs.size),
-        u.ravel(),
-        np.repeat(col_dofs, rank),
-        np.tile(term_ids, col_dofs.size),
-        v.ravel(),
-    )
 
 
 def compress_far_block(
@@ -501,8 +476,9 @@ def sum_duplicate_pairs(
     and their order alone.  Returns ``(rows, cols, vals)``: int32 pairs, each
     once, sorted by ``(row, col)``, and their float64 sums.  ``n_cols``
     bounds the column indices.  Runs on one near block in the worker and, in
-    the master, on the near field and each far factor of the operator
-    (:mod:`repro.parallel.block_backend`).
+    the master, on the near field and on each half of every far block
+    (:class:`~repro.cluster.operator.NearField`,
+    :class:`~repro.cluster.operator.FarField`).
     """
     if not len(rows):
         empty = np.zeros(0, dtype=np.int32)

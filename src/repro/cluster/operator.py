@@ -7,14 +7,14 @@
 where ``N`` is a sparse near-field matrix assembled densely from the
 inadmissible blocks of a :class:`~repro.cluster.blocks.BlockClusterTree`
 (through the existing batched — optionally adaptive — kernels of
-:class:`~repro.bem.influence.ColumnAssembler`), and ``U``/``V`` aggregate the
-ACA low-rank factors of every admissible far-field block into tall factors
-(one column per rank-one term, rows living in the global dof space).
-The two rank-factor products apply every off-diagonal block together with its
-transpose, so the operator is symmetric by construction, exactly like the
-dense symmetrised assembly.  Every part is held in plain NumPy arrays — unique
-int32 ``(row, col)`` pairs sorted by row, float64 values
-(:class:`RowSortedEntries`) — so the operator needs no sparse-matrix library.
+:class:`~repro.bem.influence.ColumnAssembler`), and ``U V^T + V U^T`` sums
+the ACA low-rank factors ``U_b V_b^T`` of every admissible far-field block,
+each applied together with its transpose, so the operator is symmetric by
+construction, exactly like the dense symmetrised assembly.  Every part is
+held in plain NumPy arrays — the near field's upper triangle as unique pairs
+in row runs (:class:`NearField`), each far block's factors dense over their
+unique dof rows, packed into runs of equal rank (:class:`FarField`) — so the
+operator needs no sparse-matrix library.
 
 Storage and matrix-vector cost are ``O(M log M)`` instead of the dense
 ``O(M^2)``, which is what lifts the solver from the ~10^3-element regime of
@@ -24,13 +24,13 @@ benchmark (``benchmarks/bench_hierarchical_scaling.py``).
 The operator is built by the block builder of
 :mod:`repro.parallel.block_backend` — in process, on forked workers or on a
 persistent :class:`~repro.parallel.pool.WorkerPool`.  The near field is
-stored once, as one upper-triangle matrix summed in ascending block order;
-the far factors are split into canonical matvec *segments*, each
-concatenating its blocks in ascending block order.  Deterministic-reduction
+stored once, as one upper triangle summed in ascending block order; every
+far block is tagged with one of the canonical matvec *segments* and handed
+over segment by segment, in ascending block order.  Deterministic-reduction
 contract: the matvec, diagonal and ``todense`` reduce the near-field partial
 and the per-segment partials with :func:`pairwise_tree_sum` in fixed order,
-so every result (and every PCG iterate) is bit-identical for any worker
-count.
+and every partial sums its blocks in an order fixed by the stored arrays, so
+every result (and every PCG iterate) is bit-identical for any worker count.
 
 Error contract: near-field entries are evaluated by the dense engine's
 kernels one block at a time (see :mod:`repro.cluster.block_assembly`), and
@@ -47,7 +47,7 @@ hierarchical operator matches the dense matrix entrywise to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from repro.bem.assembly import AssemblyOptions, assemble_rhs
 from repro.bem.elements import DofManager
 from repro.bem.influence import ColumnAssembler
 from repro.bem.system import LinearSystem
+from repro.cluster.block_assembly import sum_duplicate_pairs
 from repro.constants import DEFAULT_GPR
 from repro.exceptions import ClusterError
 from repro.geometry.discretize import Mesh
@@ -64,9 +65,10 @@ from repro.soil.base import SoilModel
 from repro.timing import wall_clock
 
 __all__ = [
+    "FarField",
     "HierarchicalControl",
     "HierarchicalOperator",
-    "RowSortedEntries",
+    "NearField",
     "assemble_hierarchical_steps",
     "pairwise_tree_sum",
 ]
@@ -148,29 +150,54 @@ def pairwise_tree_sum(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return items[0]
 
 
-class RowSortedEntries:
-    """A sparse matrix held as plain NumPy arrays: unique entries sorted by (row, col).
+#: Values per near-field chunk and far-field run (1 MiB of float64): the
+#: matvec passes over each twice — a product and its transpose, or term sums
+#: and row sums — while it stays in cache.
+_RUN_VALUES = 1 << 17
 
-    Rows are stored compressed: ``row_ids`` (int32) lists the non-empty rows
-    in ascending order and ``row_ptr`` (intp) the offsets of their runs in
-    ``cols`` (int32) and ``vals`` (float64).  The run layout serves both
-    products of the operator's matvec: a row product is one
-    ``np.add.reduceat`` over the runs, and a transposed product expands the
-    operand by ``np.repeat`` over the runs and sums with ``np.bincount``.
-    Both reduce in the stored order, so every product is a function of the
-    stored arrays alone.
+
+class NearField:
+    """The symmetric near field, every dof pair stored once: its upper triangle.
+
+    Built from COO parts (concatenated in order, duplicate pairs summed by
+    :func:`~repro.cluster.block_assembly.sum_duplicate_pairs`), the entries
+    are held sorted by ``(row, col)`` in row runs: ``row_ids`` lists the
+    non-empty rows, ``row_ptr`` the offsets of their runs in ``cols`` and
+    ``vals``.  ``apply`` adds ``N x`` — one ``np.add.reduceat`` over the
+    runs — and ``N^T x`` — the operand expanded over the runs and summed with
+    ``np.bincount`` — and subtracts the diagonal once.  Both products walk
+    the same chunks of about :data:`_RUN_VALUES` entries, so each chunk is
+    read from memory once.  Index arrays are intp: NumPy gathers and bins
+    through int32 indices on a casting path that makes the products about
+    2.5x slower.
     """
 
     def __init__(
-        self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]
+        self,
+        rows: Sequence[np.ndarray],
+        cols: Sequence[np.ndarray],
+        vals: Sequence[np.ndarray],
+        n_dofs: int,
     ) -> None:
-        rows = np.asarray(rows)
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        self.shape = (int(shape[0]), int(shape[1]))
-        self.row_ids = rows[starts].astype(np.int32)
-        self.row_ptr = np.append(starts, rows.size).astype(np.intp)
-        self.cols = np.asarray(cols, dtype=np.int32)
-        self.vals = np.asarray(vals, dtype=float)
+        summed_rows, summed_cols, self.vals = sum_duplicate_pairs(rows, cols, vals, n_dofs)
+        starts = np.flatnonzero(np.diff(summed_rows, prepend=-1))
+        self.n_dofs = int(n_dofs)
+        self.row_ids = summed_rows[starts].astype(np.intp)
+        self.row_ptr = np.append(starts, summed_rows.size).astype(np.intp)
+        self.cols = summed_cols.astype(np.intp)
+        on_diagonal = summed_rows == summed_cols
+        self.diagonal = np.zeros(self.n_dofs)
+        self.diagonal[self.cols[on_diagonal]] = self.vals[on_diagonal]
+        # Chunk boundaries, in row runs: the first run at or past every
+        # multiple of _RUN_VALUES entries.
+        self.chunks = np.unique(
+            np.concatenate(
+                [
+                    np.searchsorted(self.row_ptr[:-1], np.arange(0, self.nnz, _RUN_VALUES)),
+                    [0, self.row_ids.size],
+                ]
+            )
+        )
 
     @property
     def nnz(self) -> int:
@@ -181,128 +208,226 @@ class RowSortedEntries:
         """The row of every stored entry (expanded from the runs)."""
         return np.repeat(self.row_ids, np.diff(self.row_ptr))
 
-    def dot(self, x: np.ndarray) -> np.ndarray:
-        """``A @ x``: one ``reduceat`` over the row runs."""
-        y = np.zeros(self.shape[0])
-        if self.nnz:
-            # Gathering through int32 indices takes NumPy's slow casting path;
-            # widening them first and ``take`` gather in about half the time.
-            gathered = x.take(self.cols.astype(np.intp))
-            y[self.row_ids] = np.add.reduceat(self.vals * gathered, self.row_ptr[:-1])
-        return y
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        rows_part = np.zeros(self.n_dofs)
+        columns_part = np.zeros(self.n_dofs)
+        for first, stop in zip(self.chunks[:-1], self.chunks[1:]):
+            row_ids = self.row_ids[first:stop]
+            starts = self.row_ptr[first : stop + 1] - self.row_ptr[first]
+            entries = slice(self.row_ptr[first], self.row_ptr[stop])
+            vals, cols = self.vals[entries], self.cols[entries]
+            rows_part[row_ids] = np.add.reduceat(vals * x.take(cols), starts[:-1])
+            x_rows = np.repeat(x[row_ids], np.diff(starts))
+            columns_part += np.bincount(cols, weights=vals * x_rows, minlength=self.n_dofs)
+        return rows_part + columns_part - self.diagonal * x
 
-    def tdot(self, x: np.ndarray) -> np.ndarray:
-        """``A^T @ x``: entries weighted by their row's operand, summed per column."""
-        x_rows = np.repeat(x[self.row_ids], self.row_ptr[1:] - self.row_ptr[:-1])
-        return np.bincount(self.cols, weights=self.vals * x_rows, minlength=self.shape[1])
-
-    def todense(self) -> np.ndarray:
-        dense = np.zeros(self.shape)
+    def upper_todense(self) -> np.ndarray:
+        """The stored upper triangle (incl. diagonal) as a dense matrix."""
+        dense = np.zeros((self.n_dofs, self.n_dofs))
         dense[self.rows, self.cols] = self.vals
         return dense
 
-    def keys(self) -> np.ndarray:
-        """Sorted int64 ``row * n_cols + col`` key of every stored entry."""
-        return self.rows.astype(np.int64) * self.shape[1] + self.cols
+    def todense(self) -> np.ndarray:
+        upper = self.upper_todense()
+        return upper + upper.T - np.diag(self.diagonal)
 
-    @property
-    def nbytes(self) -> int:
-        return int(
-            self.row_ids.nbytes + self.row_ptr.nbytes + self.cols.nbytes + self.vals.nbytes
-        )
+    def memory_bytes(self) -> int:
+        arrays = (self.row_ids, self.row_ptr, self.cols, self.vals, self.diagonal, self.chunks)
+        return int(sum(array.nbytes for array in arrays))
 
 
-class _NearField:
-    """The symmetric near field, every dof pair stored once.
+def _dof_rows(dofs: np.ndarray, factor: np.ndarray, n_dofs: int) -> tuple[np.ndarray, np.ndarray]:
+    """A factor's rows summed per dof: the sorted unique dofs and the ``(k, dofs)`` values."""
+    rank = factor.shape[1]
+    _, summed_dofs, values = sum_duplicate_pairs(
+        [np.repeat(np.arange(rank, dtype=np.int32), dofs.size)],
+        [np.tile(dofs, rank)],
+        [factor.T.ravel()],
+        n_dofs,
+    )
+    n_rows = summed_dofs.size // rank
+    return summed_dofs[:n_rows].astype(np.intp), values.reshape(rank, n_rows)
 
-    ``upper`` is the upper triangle (incl. diagonal); ``apply`` adds
-    ``N + N^T - diag(N)``, halving the stored entries.
+
+@dataclass(frozen=True)
+class _BlockRun:
+    """Consecutive far blocks of one rank ``k``, stored side by side.
+
+    ``values`` is ``(k, rows)``: every block's ``U`` half then its ``V``
+    half, each term-major over its dof rows.  ``starts``/``sizes`` locate the
+    halves among the columns — halves ``2b`` and ``2b + 1`` belong to block
+    ``b``.  ``offset`` is the run's first row in :attr:`FarField.rows`.
     """
 
-    def __init__(self, upper: RowSortedEntries) -> None:
-        self.upper = upper
-        on_diagonal = upper.rows == upper.cols
-        self.upper_diagonal = np.zeros(upper.shape[0])
-        self.upper_diagonal[upper.cols[on_diagonal]] = upper.vals[on_diagonal]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.upper.dot(x) + self.upper.tdot(x) - self.upper_diagonal * x
-
-    def diagonal_contribution(self) -> np.ndarray:
-        return self.upper_diagonal.copy()
-
-    def todense_contribution(self) -> np.ndarray:
-        upper = self.upper.todense()
-        return upper + upper.T - np.diag(self.upper_diagonal)
-
-    def memory_bytes(self) -> int:
-        return self.upper_diagonal.nbytes + self.upper.nbytes
+    values: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    offset: int
 
 
-class _FarSegment:
-    """One canonical far-field matvec segment: the stacked factors of its blocks."""
+class FarField:
+    """Every far block's ACA factors, dense over unique dof rows, in runs of one rank.
 
-    def __init__(self, u: RowSortedEntries, v: RowSortedEntries) -> None:
-        self.u = u
-        self.v = v
+    A far block couples row dofs ``R`` and column dofs ``C`` through ``U``
+    (``|R| x k``) and ``V`` (``|C| x k``) and applies ``U V^T x + V U^T x``.
+    Its halves ``(R, U)`` and ``(C, V)`` are summed per dof by
+    :func:`~repro.cluster.block_assembly.sum_duplicate_pairs`; blocks of
+    equal rank are packed, in canonical order, into :class:`_BlockRun`
+    arrays of about :data:`_RUN_VALUES` values.  A matvec costs a handful of
+    whole-array operations per run: a multiply with the gathered operand,
+    one ``np.add.reduceat`` giving every half's term sums, a swap of each
+    block's two sums, an ``np.repeat`` back over the rows, a multiply and a
+    column sum — no per-entry index.  ``rows`` lists the dof of every stored
+    row, run after run, and ``keys`` its ``segment * n_dofs + row``: one
+    ``np.bincount`` over ``keys`` adds the row sums into one partial per
+    canonical matvec segment, in fixed order.
+    """
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """The segment's contribution ``U V^T x + V U^T x``."""
-        return self.u.dot(self.v.tdot(x)) + self.v.dot(self.u.tdot(x))
+    def __init__(
+        self,
+        blocks: Iterable[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+        n_dofs: int,
+        n_segments: int,
+    ) -> None:
+        """``blocks`` yields ``(segment, row_dofs, u, col_dofs, v)`` in canonical order.
 
-    def diagonal_contribution(self) -> np.ndarray:
-        """``2 sum_k U[i, k] V[i, k]``, over the (row, term) pairs both factors store."""
-        _, in_u, in_v = np.intersect1d(
-            self.u.keys(), self.v.keys(), assume_unique=True, return_indices=True
+        ``row_dofs``/``col_dofs`` give the dof of every factor row (element
+        basis rows sharing a node repeat it); ``u``/``v`` are the block's
+        ``(rows, k)`` ACA factors.
+        """
+        self.n_dofs = int(n_dofs)
+        self.n_segments = int(n_segments)
+        by_rank: dict[int, list[tuple[int, tuple, tuple]]] = {}
+        for segment, row_dofs, u, col_dofs, v in blocks:
+            by_rank.setdefault(int(u.shape[1]), []).append(
+                (segment, _dof_rows(row_dofs, u, n_dofs), _dof_rows(col_dofs, v, n_dofs))
+            )
+        self.runs: list[_BlockRun] = []
+        rows: list[np.ndarray] = []
+        segments: list[np.ndarray] = []
+        offset = 0
+        for rank in sorted(by_rank):
+            members = by_rank.pop(rank)
+            while members:
+                count, width = 1, self._width(members[0])
+                while (
+                    count < len(members)
+                    and rank * (width + self._width(members[count])) <= _RUN_VALUES
+                ):
+                    width += self._width(members[count])
+                    count += 1
+                run, members = members[:count], members[count:]
+                halves = [half for member in run for half in member[1:]]
+                sizes = np.array([half_rows.size for half_rows, _ in halves], dtype=np.intp)
+                values = np.concatenate([half_values for _, half_values in halves], axis=1)
+                rows.extend(half_rows for half_rows, _ in halves)
+                segments.append(np.repeat(np.repeat([member[0] for member in run], 2), sizes))
+                self.runs.append(_BlockRun(values, np.cumsum(sizes) - sizes, sizes, offset))
+                offset += width
+        self.rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.intp)
+        self.keys = (
+            np.concatenate(segments).astype(np.intp) * self.n_dofs + self.rows
+            if segments
+            else np.zeros(0, dtype=np.intp)
         )
-        products = self.u.vals[in_u] * self.v.vals[in_v]
-        return 2.0 * np.bincount(self.u.rows[in_u], weights=products, minlength=self.u.shape[0])
 
-    def todense_contribution(self) -> np.ndarray:
-        u = self.u.todense()
-        v = self.v.todense()
-        return u @ v.T + v @ u.T
+    @staticmethod
+    def _width(member: tuple[int, tuple, tuple]) -> int:
+        return int(member[1][0].size + member[2][0].size)
+
+    def _by_segment(self, keys: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Sum ``weights`` into an ``(n_segments, n_dofs)`` array by ``keys``."""
+        size = self.n_segments * self.n_dofs
+        return np.bincount(keys, weights=weights, minlength=size).reshape(
+            self.n_segments, self.n_dofs
+        )
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The per-segment partials of ``sum_blocks U V^T x + V U^T x``, one row each."""
+        if not self.runs:
+            return np.zeros((self.n_segments, self.n_dofs))
+        operand = x.take(self.rows)
+        row_sums = []
+        for run in self.runs:
+            values = run.values
+            rank, width = values.shape
+            local = operand[run.offset : run.offset + width]
+            terms = np.add.reduceat(values * local, run.starts, axis=1)
+            # Each block's U half takes its V half's term sums and vice versa.
+            swapped = terms.reshape(rank, -1, 2)[:, :, ::-1].reshape(rank, -1)
+            partner = np.repeat(swapped, run.sizes, axis=1)
+            partner *= values
+            row_sums.append(partner.sum(axis=0))
+        return self._by_segment(self.keys, np.concatenate(row_sums))
+
+    def diagonal(self) -> np.ndarray:
+        """Per segment, ``2 sum_k U[i, k] V[i, k]`` over the dofs ``i`` in ``R`` and ``C``."""
+        keys: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
+        products: list[np.ndarray] = [np.zeros(0)]
+        for run in self.runs:
+            width = run.values.shape[1]
+            half = np.repeat(np.arange(run.sizes.size), run.sizes)
+            run_keys = (half // 2) * self.n_dofs + self.rows[run.offset : run.offset + width]
+            u_columns = np.flatnonzero(half % 2 == 0)
+            v_columns = np.flatnonzero(half % 2 == 1)
+            _, in_u, in_v = np.intersect1d(
+                run_keys[u_columns], run_keys[v_columns], assume_unique=True, return_indices=True
+            )
+            in_u, in_v = u_columns[in_u], v_columns[in_v]
+            keys.append(self.keys[run.offset + in_u])
+            products.append(2.0 * (run.values[:, in_u] * run.values[:, in_v]).sum(axis=0))
+        return self._by_segment(np.concatenate(keys), np.concatenate(products))
+
+    def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Yield ``(segment, R, U^T, C, V^T)`` of every stored block, run by run."""
+        for run in self.runs:
+            span = slice(run.offset, run.offset + run.values.shape[1])
+            rows, keys = self.rows[span], self.keys[span]
+            for u_half in range(0, run.sizes.size, 2):
+                u, v = (
+                    slice(run.starts[half], run.starts[half] + run.sizes[half])
+                    for half in (u_half, u_half + 1)
+                )
+                segment = int(keys[u.start]) // self.n_dofs
+                yield segment, rows[u], run.values[:, u], rows[v], run.values[:, v]
+
+    def todense(self) -> np.ndarray:
+        """Per segment, the dense ``U V^T + V U^T`` (small problems / tests only)."""
+        dense = np.zeros((self.n_segments, self.n_dofs, self.n_dofs))
+        for segment, row_dofs, u, col_dofs, v in self.blocks():
+            coupling = u.T @ v
+            dense[segment][np.ix_(row_dofs, col_dofs)] += coupling
+            dense[segment][np.ix_(col_dofs, row_dofs)] += coupling.T
+        return dense
+
+    @property
+    def nnz(self) -> int:
+        return int(sum(run.values.size for run in self.runs))
 
     def memory_bytes(self) -> int:
-        return self.u.nbytes + self.v.nbytes
+        arrays = [self.rows, self.keys]
+        for run in self.runs:
+            arrays += [run.values, run.starts, run.sizes]
+        return int(sum(array.nbytes for array in arrays))
 
 
 class HierarchicalOperator:
     """Symmetric matrix-free operator: sparse near field plus low-rank far field.
 
-    ``near`` is the upper triangle of the near field; ``far`` lists the
-    canonical far segments as ``(U, V)`` factor pairs, all of them
-    :class:`RowSortedEntries`.  ``matvec`` evaluates the near-field partial
-    and one partial per far segment and reduces them with
-    :func:`pairwise_tree_sum` in fixed order, so the result is bit-identical
-    for any assembly worker count.
+    ``near`` is the :class:`NearField` (its upper triangle) and ``far`` the
+    :class:`FarField` of every far block.  ``matvec`` evaluates the
+    near-field partial and one partial per canonical far segment and reduces
+    them with :func:`pairwise_tree_sum` in fixed order, so the result is
+    bit-identical for any assembly worker count.
     """
 
-    def __init__(
-        self,
-        near: RowSortedEntries,
-        far: Sequence[tuple[RowSortedEntries, RowSortedEntries]],
-        stats: dict[str, Any],
-    ) -> None:
-        self._near = _NearField(near)
-        self._far = [_FarSegment(u, v) for u, v in far]
-        self._parts: list[_NearField | _FarSegment] = [self._near, *self._far]
+    def __init__(self, near: NearField, far: FarField, stats: dict[str, Any]) -> None:
+        self.near = near
+        self.far = far
         self.stats = stats
-        self.shape = (near.shape[0], near.shape[0])
+        self.shape = (near.n_dofs, near.n_dofs)
         self.dtype = np.dtype(float)
-        self._diagonal = pairwise_tree_sum(
-            [part.diagonal_contribution() for part in self._parts]
-        )
-
-    @property
-    def near_upper(self) -> RowSortedEntries:
-        """The stored upper triangle (incl. diagonal) of the near field."""
-        return self._near.upper
-
-    @property
-    def far_segments(self) -> list[tuple[RowSortedEntries, RowSortedEntries]]:
-        """The ``(U, V)`` factors of every canonical far segment, in matvec order."""
-        return [(segment.u, segment.v) for segment in self._far]
+        self._diagonal = pairwise_tree_sum([near.diagonal, *far.diagonal()])
 
     # ------------------------------------------------------------------ linear algebra
 
@@ -313,7 +438,7 @@ class HierarchicalOperator:
             raise ClusterError(
                 f"operand shape {x.shape} does not match operator size {self.shape[0]}"
             )
-        return pairwise_tree_sum([part.apply(x) for part in self._parts])
+        return pairwise_tree_sum([self.near.apply(x), *self.far.apply(x)])
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)
@@ -324,27 +449,27 @@ class HierarchicalOperator:
 
     def todense(self) -> np.ndarray:
         """Materialise the represented matrix (small problems / tests only)."""
-        return pairwise_tree_sum([part.todense_contribution() for part in self._parts])
+        return pairwise_tree_sum([self.near.todense(), *self.far.todense()])
 
     def stored_entries(self) -> int:
         """Matrix entries stored: the near upper triangle plus every far factor entry.
 
-        A matvec applies each of them twice, in a product and in its
-        transpose (:func:`repro.solvers.cg.as_matvec_operator` counts flops
-        from this).
+        A matvec applies each of them twice — in a product and in its
+        transpose, or in a term sum and a row sum
+        (:func:`repro.solvers.cg.as_matvec_operator` counts flops from this).
         """
-        return self._near.upper.nnz + sum(
-            segment.u.nnz + segment.v.nnz for segment in self._far
-        )
+        return self.near.nnz + self.far.nnz
 
     def memory_bytes(self) -> int:
-        """Bytes of the stored arrays: entries, their row runs and column indices, diagonals."""
-        return int(self._diagonal.nbytes + sum(part.memory_bytes() for part in self._parts))
+        """Bytes of the stored arrays: values, their indices and runs, diagonals."""
+        return int(
+            self._diagonal.nbytes + self.near.memory_bytes() + self.far.memory_bytes()
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"HierarchicalOperator(n={self.shape[0]}, "
-            f"far_segments={len(self._far)}, "
+            f"far_segments={self.far.n_segments}, "
             f"workers={self.stats.get('workers')}, "
             f"memory={self.memory_bytes() / 1e6:.1f} MB)"
         )

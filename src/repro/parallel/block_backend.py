@@ -28,15 +28,16 @@ reproducible across machines with different core counts:
 * each near-field block sums its own duplicate dof pairs in the worker that
   computed it (in the block's scatter order), and the master sums the
   compact per-block entries, concatenated in ascending block order, into one
-  upper triangle, so every dof pair is stored once;
-* the far factors are regrouped into :data:`MATVEC_SEGMENTS` *canonical
+  upper triangle (:class:`~repro.cluster.operator.NearField`), so every dof
+  pair is stored once;
+* the far blocks are tagged with one of :data:`MATVEC_SEGMENTS` *canonical
   segments* (an LPT split of the same cost profile by a fixed segment count,
-  independent of the worker count), each segment concatenating its blocks in
+  independent of the worker count) and handed to
+  :class:`~repro.cluster.operator.FarField` segment by segment, each in
   ascending block order;
-* every sum — worker and master — runs
+* every duplicate sum — worker and master — runs
   :func:`~repro.cluster.block_assembly.sum_duplicate_pairs`, and the operator
-  stores the results as plain NumPy arrays
-  (:class:`~repro.cluster.operator.RowSortedEntries`);
+  holds plain NumPy arrays;
 * the operator reduces the near-field partial and the per-segment partials
   with :func:`~repro.cluster.operator.pairwise_tree_sum` in fixed order.
 
@@ -58,11 +59,9 @@ from repro.cluster.block_assembly import (
     compress_far_block,
     emit_block_plan_span,
     emit_far_block_spans,
-    far_factor_entries,
     near_block_triplets,
-    sum_duplicate_pairs,
 )
-from repro.cluster.operator import HierarchicalOperator, RowSortedEntries
+from repro.cluster.operator import FarField, HierarchicalOperator, NearField
 from repro.observe import ensure_tracer
 from repro.parallel.costs import partition_block_work
 from repro.parallel.pool import PoolJob, WorkerPool
@@ -250,65 +249,49 @@ def sharded_operator_steps(
         n_near += 1
         near_trace_seconds += seconds
 
+    # ---- the far field, folded first ----
+    # Summed per dof, the far factors shrink about threefold, so the near
+    # fold's transients meet the smaller far field, not the raw payload.
+    far_segments: list[list[int]] = []
+    for block_ids in segment_blocks:
+        far_ids = [int(b) for b in block_ids if outcomes[int(b)].kind == "far"]
+        far_ids = [b for b in far_ids if outcomes[b].rank]
+        if far_ids:
+            far_segments.append(far_ids)
+    total_rank = sum(outcomes[b].rank for block_ids in far_segments for b in block_ids)
+
+    def far_blocks():
+        for segment, block_ids in enumerate(far_segments):
+            for block_index in block_ids:
+                result, block = outcomes[block_index], partition.blocks[block_index]
+                u, v = result.u, result.v
+                # The far field is the factors' last holder.
+                result.u = result.v = None
+                yield (
+                    segment,
+                    dof_matrix[tree.elements_of(block.row)].ravel(),
+                    u,
+                    dof_matrix[tree.elements_of(block.col)].ravel(),
+                    v,
+                )
+
+    far = FarField(far_blocks(), n_dofs, len(far_segments))
+
     # ---- the near field, stored once: per-block sums added in ascending block order ----
     near_blocks = [
         result
         for _, result in sorted(outcomes.items())
         if result.kind != "far" and result.rows is not None and result.rows.size
     ]
-    near = RowSortedEntries(
-        *sum_duplicate_pairs(
-            [result.rows for result in near_blocks],
-            [result.cols for result in near_blocks],
-            [result.vals for result in near_blocks],
-            n_dofs,
-        ),
-        (n_dofs, n_dofs),
+    near = NearField(
+        [result.rows for result in near_blocks],
+        [result.cols for result in near_blocks],
+        [result.vals for result in near_blocks],
+        n_dofs,
     )
     for result in near_blocks:
         result.rows = result.cols = result.vals = None  # folded into `near`
     del near_blocks
-
-    # ---- far factors regrouped into the canonical segments ----
-    far: list[tuple[RowSortedEntries, RowSortedEntries]] = []
-    total_rank = 0
-    for block_ids in segment_blocks:
-        u_rows: list[np.ndarray] = []
-        u_cols: list[np.ndarray] = []
-        u_vals: list[np.ndarray] = []
-        v_rows: list[np.ndarray] = []
-        v_cols: list[np.ndarray] = []
-        v_vals: list[np.ndarray] = []
-        segment_rank = 0
-        for block_index in block_ids:
-            result = outcomes[int(block_index)]
-            rank = result.rank
-            if result.kind != "far" or rank == 0:
-                continue
-            block = partition.blocks[int(block_index)]
-            ur, uc, uv, vr, vc, vv = far_factor_entries(
-                result.u,
-                result.v,
-                dof_matrix[tree.elements_of(block.row)].ravel(),
-                dof_matrix[tree.elements_of(block.col)].ravel(),
-                segment_rank,
-            )
-            # The entry lists are the factors' last holders: they go with the
-            # segment once its factors are summed.
-            result.u = result.v = None
-            u_rows.append(ur)
-            u_cols.append(uc)
-            u_vals.append(uv)
-            v_rows.append(vr)
-            v_cols.append(vc)
-            v_vals.append(vv)
-            segment_rank += rank
-        if segment_rank:
-            shape = (n_dofs, segment_rank)
-            u = sum_duplicate_pairs(u_rows, u_cols, u_vals, segment_rank)
-            v = sum_duplicate_pairs(v_rows, v_cols, v_vals, segment_rank)
-            far.append((RowSortedEntries(*u, shape), RowSortedEntries(*v, shape)))
-            total_rank += segment_rank
 
     if tracer.enabled:
         # The worker-measured task seconds become the span durations — the
@@ -352,7 +335,7 @@ def sharded_operator_steps(
         "n_shards": len([shard for shard in shards if shard]),
         "shard_cost_units": shard_loads,
         "shard_makespan_units": float(max(shard_loads)) if shard_loads else 0.0,
-        "n_far_segments": len(far),
+        "n_far_segments": far.n_segments,
     }
     operator = HierarchicalOperator(near, far, stats)
     stats["memory_bytes"] = operator.memory_bytes()

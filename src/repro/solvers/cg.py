@@ -62,9 +62,10 @@ def as_matvec_operator(matrix) -> tuple[Callable[[np.ndarray], np.ndarray], int,
         apply = lambda vector: matrix @ vector  # noqa: E731 - tiny adapter
     n = int(shape[0])
     stored_entries = getattr(matrix, "stored_entries", None)
-    # A symmetric operator that stores each entry once (near upper triangle,
-    # far factors) applies it in a product and in its transpose: two
-    # multiply-adds.  Fall back to the dense count when it does not report.
+    # A symmetric operator that stores each entry once applies it twice — a
+    # near upper-triangle entry in a product and its transpose, a far factor
+    # entry in a term sum and a row sum: two multiply-adds.  Fall back to the
+    # dense count when it does not report.
     flops_per_apply = 4.0 * stored_entries() if callable(stored_entries) else 2.0 * n * n
 
     def matvec(vector: np.ndarray) -> np.ndarray:

@@ -164,8 +164,9 @@ class TestSolveIntegration:
         assert np.allclose(result.solution, reference.solution, rtol=1e-5)
 
     def test_flop_estimate_counts_stored_entries(self, hier_rodded):
-        # Every stored entry enters a product and its transpose: two
-        # multiply-adds per apply, whatever arrays hold the entries.
+        # Every stored entry is applied twice (a product and its transpose,
+        # or a term sum and a row sum): two multiply-adds per apply, whatever
+        # arrays hold the entries.
         operator = hier_rodded.matrix
         n = operator.shape[0]
         per_apply = 4.0 * operator.stored_entries()

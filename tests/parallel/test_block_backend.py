@@ -167,20 +167,34 @@ class TestGoldenDeterminism:
 
 
 def _sparse_reference(operator):
-    """scipy.sparse matrices of the operator's stored entries (the test oracle)."""
+    """scipy.sparse matrices of the operator's stored entries (the test oracle).
+
+    The near upper triangle, then per far segment the tall ``(U, V)`` factors
+    with one column per rank-one term of its blocks.
+    """
     from scipy import sparse
 
-    def csr(entries):
-        return sparse.csr_matrix(
-            (entries.vals, (entries.rows, entries.cols)), shape=entries.shape
-        )
+    near = operator.near
+    n = operator.shape[0]
+    upper = sparse.csr_matrix((near.vals, (near.rows, near.cols)), shape=(n, n))
+    # Per segment: COO parts of U and of V, and the next free term column.
+    coo = [([], []) for _ in range(operator.far.n_segments)]
+    next_term = [0] * operator.far.n_segments
+    for segment, row_dofs, u, col_dofs, v in operator.far.blocks():
+        rank = u.shape[0]
+        terms = next_term[segment] + np.arange(rank)
+        next_term[segment] += rank
+        for parts, dofs, values in zip(coo[segment], (row_dofs, col_dofs), (u, v)):
+            parts.append((np.tile(dofs, rank), np.repeat(terms, dofs.size), values.ravel()))
 
-    return csr(operator.near_upper), [(csr(u), csr(v)) for u, v in operator.far_segments]
+    def tall(parts, n_terms):
+        rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
+        return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n_terms))
 
-
-def _stored_parts(operator) -> list:
-    """The near upper triangle, then every far factor in matvec order."""
-    return [operator.near_upper, *(f for pair in operator.far_segments for f in pair)]
+    return upper, [
+        (tall(u_parts, terms), tall(v_parts, terms))
+        for (u_parts, v_parts), terms in zip(coo, next_term)
+    ]
 
 
 def _relative_gap(result: np.ndarray, reference: np.ndarray) -> float:
@@ -191,14 +205,23 @@ def _relative_gap(result: np.ndarray, reference: np.ndarray) -> float:
 class TestPlainNumpyStorage:
     """The operator's NumPy storage against a scipy.sparse oracle of the same entries."""
 
-    def test_entries_are_unique_row_sorted_int32_pairs(self, golden_case):
+    def test_storage_layout(self, golden_case):
         operator = golden_case["serial"].matrix
-        for entries in _stored_parts(operator):
-            assert entries.row_ids.dtype == np.int32 and entries.cols.dtype == np.int32
-            assert entries.vals.dtype == np.float64
-            assert np.all(np.diff(entries.keys()) > 0)
-        upper = operator.near_upper
-        assert np.all(upper.rows <= upper.cols)
+        near, far = operator.near, operator.far
+        assert near.row_ids.dtype == np.intp and near.cols.dtype == np.intp
+        assert near.vals.dtype == np.float64
+        # Unique pairs sorted by (row, col), upper triangle only.
+        assert np.all(np.diff(near.rows * operator.shape[0] + near.cols) > 0)
+        assert np.all(near.rows <= near.cols)
+        # Runs hold blocks of one rank, ascending.
+        ranks = [run.values.shape[0] for run in far.runs]
+        assert ranks == sorted(ranks)
+        assert far.rows.dtype == np.intp and far.keys.dtype == np.intp
+        for segment, row_dofs, u, col_dofs, v in far.blocks():
+            assert 0 <= segment < far.n_segments
+            # Each half's dofs once, ascending; values term-major.
+            assert np.all(np.diff(row_dofs) > 0) and np.all(np.diff(col_dofs) > 0)
+            assert u.shape == (len(u), row_dofs.size) and v.shape == (len(u), col_dofs.size)
 
     def test_matvec_diagonal_todense_match_sparse_reference(self, golden_case):
         operator = golden_case["serial"].matrix
@@ -222,15 +245,17 @@ class TestPlainNumpyStorage:
 
     def test_memory_bytes_counts_the_stored_arrays(self, golden_case):
         operator = golden_case["serial"].matrix
-        parts = _stored_parts(operator)
-        stored = sum(
-            array.nbytes
-            for entries in parts
-            for array in (entries.row_ids, entries.row_ptr, entries.cols, entries.vals)
+        near, far = operator.near, operator.far
+        arrays = [near.row_ids, near.row_ptr, near.cols, near.vals, near.diagonal, near.chunks]
+        arrays += [far.rows, far.keys]
+        for run in far.runs:
+            arrays += [run.values, run.starts, run.sizes]
+        # Plus the operator's float64 diagonal.
+        stored = sum(array.nbytes for array in arrays) + 8 * operator.shape[0]
+        assert operator.memory_bytes() == stored
+        assert operator.stored_entries() == near.nnz + sum(
+            run.values.size for run in far.runs
         )
-        # Plus two float64 diagonals: the near field's and the operator's.
-        assert operator.memory_bytes() == stored + 2 * 8 * operator.shape[0]
-        assert operator.stored_entries() == sum(entries.nnz for entries in parts)
 
 
 class TestCompactNearField:
@@ -323,7 +348,7 @@ class TestCompactNearField:
         rows, cols, vals = (np.concatenate(column) for column in zip(*raw))
         shape = (profile.n_dofs, profile.n_dofs)
         reference = sparse.coo_matrix((vals, (rows, cols)), shape=shape).toarray()
-        near = near_case["operator"].near_upper.todense()
+        near = near_case["operator"].near.upper_todense()
         scale = np.abs(reference).max()
         assert np.abs(near - reference).max() <= 1e-14 * scale
 
