@@ -47,7 +47,7 @@ hierarchical operator matches the dense matrix entrywise to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -285,45 +285,40 @@ class FarField:
 
     def __init__(
         self,
-        blocks: Iterable[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+        blocks: list[Any],
         n_dofs: int,
         n_segments: int,
     ) -> None:
-        """``blocks`` yields ``(segment, row_dofs, u, col_dofs, v)`` in canonical order.
+        """``blocks`` lists ``(segment, row_dofs, u, col_dofs, v)`` in canonical order.
 
         ``row_dofs``/``col_dofs`` give the dof of every factor row (element
         basis rows sharing a node repeat it); ``u``/``v`` are the block's
-        ``(rows, k)`` ACA factors.
+        ``(rows, k)`` ACA factors.  Each entry is set to ``None`` once its
+        block is folded, so no block's raw factors outlive its fold and at
+        most one run's folded blocks are held apart from the runs.
         """
         self.n_dofs = int(n_dofs)
         self.n_segments = int(n_segments)
-        by_rank: dict[int, list[tuple[int, tuple, tuple]]] = {}
-        for segment, row_dofs, u, col_dofs, v in blocks:
-            by_rank.setdefault(int(u.shape[1]), []).append(
-                (segment, _dof_rows(row_dofs, u, n_dofs), _dof_rows(col_dofs, v, n_dofs))
-            )
         self.runs: list[_BlockRun] = []
         rows: list[np.ndarray] = []
         segments: list[np.ndarray] = []
-        offset = 0
+        by_rank: dict[int, list[int]] = {}
+        for index, block in enumerate(blocks):
+            by_rank.setdefault(int(block[2].shape[1]), []).append(index)
         for rank in sorted(by_rank):
-            members = by_rank.pop(rank)
-            while members:
-                count, width = 1, self._width(members[0])
-                while (
-                    count < len(members)
-                    and rank * (width + self._width(members[count])) <= _RUN_VALUES
-                ):
-                    width += self._width(members[count])
-                    count += 1
-                run, members = members[:count], members[count:]
-                halves = [half for member in run for half in member[1:]]
-                sizes = np.array([half_rows.size for half_rows, _ in halves], dtype=np.intp)
-                values = np.concatenate([half_values for _, half_values in halves], axis=1)
-                rows.extend(half_rows for half_rows, _ in halves)
-                segments.append(np.repeat(np.repeat([member[0] for member in run], 2), sizes))
-                self.runs.append(_BlockRun(values, np.cumsum(sizes) - sizes, sizes, offset))
-                offset += width
+            run: list[tuple[int, tuple, tuple]] = []
+            width = 0
+            for index in by_rank[rank]:
+                segment, row_dofs, u, col_dofs, v = blocks[index]
+                blocks[index] = None
+                member = (segment, _dof_rows(row_dofs, u, n_dofs), _dof_rows(col_dofs, v, n_dofs))
+                member_width = member[1][0].size + member[2][0].size
+                if run and rank * (width + member_width) > _RUN_VALUES:
+                    self._append_run(run, rows, segments)
+                    run, width = [], 0
+                run.append(member)
+                width += member_width
+            self._append_run(run, rows, segments)
         self.rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.intp)
         self.keys = (
             np.concatenate(segments).astype(np.intp) * self.n_dofs + self.rows
@@ -331,9 +326,27 @@ class FarField:
             else np.zeros(0, dtype=np.intp)
         )
 
-    @staticmethod
-    def _width(member: tuple[int, tuple, tuple]) -> int:
-        return int(member[1][0].size + member[2][0].size)
+    def _append_run(
+        self,
+        run: list[tuple[int, tuple, tuple]],
+        rows: list[np.ndarray],
+        segments: list[np.ndarray],
+    ) -> None:
+        """Pack folded blocks of one rank into a :class:`_BlockRun`."""
+        halves = [half for member in run for half in member[1:]]
+        sizes = np.array([half_rows.size for half_rows, _ in halves], dtype=np.intp)
+        last = self.runs[-1] if self.runs else None
+        offset = last.offset + last.values.shape[1] if last else 0
+        self.runs.append(
+            _BlockRun(
+                np.concatenate([half_values for _, half_values in halves], axis=1),
+                np.cumsum(sizes) - sizes,
+                sizes,
+                offset,
+            )
+        )
+        rows.extend(half_rows for half_rows, _ in halves)
+        segments.append(np.repeat(np.repeat([member[0] for member in run], 2), sizes))
 
     def _by_segment(self, keys: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Sum ``weights`` into an ``(n_segments, n_dofs)`` array by ``keys``."""

@@ -260,22 +260,23 @@ def sharded_operator_steps(
             far_segments.append(far_ids)
     total_rank = sum(outcomes[b].rank for block_ids in far_segments for b in block_ids)
 
-    def far_blocks():
-        for segment, block_ids in enumerate(far_segments):
-            for block_index in block_ids:
-                result, block = outcomes[block_index], partition.blocks[block_index]
-                u, v = result.u, result.v
-                # The far field is the factors' last holder.
-                result.u = result.v = None
-                yield (
+    far_blocks: list[Any] = []
+    for segment, block_ids in enumerate(far_segments):
+        for block_index in block_ids:
+            result, block = outcomes[block_index], partition.blocks[block_index]
+            far_blocks.append(
+                (
                     segment,
                     dof_matrix[tree.elements_of(block.row)].ravel(),
-                    u,
+                    result.u,
                     dof_matrix[tree.elements_of(block.col)].ravel(),
-                    v,
+                    result.v,
                 )
-
-    far = FarField(far_blocks(), n_dofs, len(far_segments))
+            )
+            # `far_blocks` is the factors' last holder: FarField drops each
+            # block once it is folded.
+            result.u = result.v = None
+    far = FarField(far_blocks, n_dofs, len(far_segments))
 
     # ---- the near field, stored once: per-block sums added in ascending block order ----
     near_blocks = [
