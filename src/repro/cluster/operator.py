@@ -236,17 +236,29 @@ class NearField:
         return int(sum(array.nbytes for array in arrays))
 
 
-def _dof_rows(dofs: np.ndarray, factor: np.ndarray, n_dofs: int) -> tuple[np.ndarray, np.ndarray]:
-    """A factor's rows summed per dof: the sorted unique dofs and the ``(k, dofs)`` values."""
-    rank = factor.shape[1]
-    _, summed_dofs, values = sum_duplicate_pairs(
-        [np.repeat(np.arange(rank, dtype=np.int32), dofs.size)],
-        [np.tile(dofs, rank)],
-        [factor.T.ravel()],
+def _dof_halves(
+    row_dofs: np.ndarray, u: np.ndarray, col_dofs: np.ndarray, v: np.ndarray, n_dofs: int
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """A far block's ``U`` and ``V`` rows summed per dof, in one summer call.
+
+    Returns ``(R, U^T)`` and ``(C, V^T)``: each half's sorted unique dofs and
+    its ``(k, dofs)`` term-major values.  Terms ``0..k-1`` key ``U``'s
+    entries and ``k..2k-1`` ``V``'s, so the sums come out half by half.
+    """
+    rank = u.shape[1]
+    terms = np.arange(2 * rank, dtype=np.int32)
+    summed_terms, dofs, values = sum_duplicate_pairs(
+        [np.repeat(terms[:rank], row_dofs.size), np.repeat(terms[rank:], col_dofs.size)],
+        [np.tile(row_dofs, rank), np.tile(col_dofs, rank)],
+        [u.T.ravel(), v.T.ravel()],
         n_dofs,
     )
-    n_rows = summed_dofs.size // rank
-    return summed_dofs[:n_rows].astype(np.intp), values.reshape(rank, n_rows)
+    split = int(np.searchsorted(summed_terms, rank))
+    halves = []
+    for half in (slice(0, split), slice(split, None)):
+        n_rows = dofs[half].size // rank
+        halves.append((dofs[half][:n_rows].astype(np.intp), values[half].reshape(rank, n_rows)))
+    return tuple(halves)
 
 
 @dataclass(frozen=True)
@@ -311,7 +323,7 @@ class FarField:
             for index in by_rank[rank]:
                 segment, row_dofs, u, col_dofs, v = blocks[index]
                 blocks[index] = None
-                member = (segment, _dof_rows(row_dofs, u, n_dofs), _dof_rows(col_dofs, v, n_dofs))
+                member = (segment, *_dof_halves(row_dofs, u, col_dofs, v, n_dofs))
                 member_width = member[1][0].size + member[2][0].size
                 if run and rank * (width + member_width) > _RUN_VALUES:
                     self._append_run(run, rows, segments)

@@ -92,9 +92,10 @@ class TestCorruptFrameRetry:
 class TestMasterPeak:
     def test_pooled_hierarchical_assembly_peak_is_bounded(self):
         """The master's traced peak during a pooled 32 x 32 grid assembly
-        stays within 3.75x the operator it returns (3.17x when blocks stream
-        and fold one at a time; 4.33x when each worker shipped its whole
-        shard as one message, verified by re-pickling it)."""
+        stays within 3.75x the operator it returns (2.98x when blocks stream
+        and fold one at a time, far field first; 4.33x when each worker
+        shipped its whole shard as one message, verified by re-pickling
+        it)."""
         soil = TwoLayerSoil(0.005, 0.016, 1.0)
         grid = GridBuilder(depth=0.8, conductor_radius=6.0e-3).rectangular_mesh(
             160.0, 160.0, 32, 32
