@@ -254,8 +254,9 @@ def sharded_operator_steps(
     # fold's transients meet the smaller far field, not the raw payload.
     far_segments: list[list[int]] = []
     for block_ids in segment_blocks:
-        far_ids = [int(b) for b in block_ids if outcomes[int(b)].kind == "far"]
-        far_ids = [b for b in far_ids if outcomes[b].rank]
+        far_ids = [
+            b for b in map(int, block_ids) if outcomes[b].kind == "far" and outcomes[b].rank
+        ]
         if far_ids:
             far_segments.append(far_ids)
     total_rank = sum(outcomes[b].rank for block_ids in far_segments for b in block_ids)

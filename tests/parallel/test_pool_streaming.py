@@ -92,7 +92,7 @@ class TestCorruptFrameRetry:
 class TestMasterPeak:
     def test_pooled_hierarchical_assembly_peak_is_bounded(self):
         """The master's traced peak during a pooled 32 x 32 grid assembly
-        stays within 3.75x the operator it returns (2.98x when blocks stream
+        stays within 3.75x the operator it returns (2.99x when blocks stream
         and fold one at a time, far field first; 4.33x when each worker
         shipped its whole shard as one message, verified by re-pickling
         it)."""
