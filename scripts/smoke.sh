@@ -63,6 +63,17 @@ BENCH_QUICK=1 python -m pytest -q -p no:randomly \
   tests/parallel/test_block_backend.py::TestCompactNearField \
   tests/parallel/test_block_backend.py::TestOneThreadPerProcess
 
+echo "== dense column fold (bitwise across workers and schedules, bounded fold transient) =="
+# Both dense drivers fold fixed column groups (max_batch_size() columns) in
+# ascending order: with the exact engine, serial assemble_system and
+# assemble_system_parallel at {1,2} workers x five schedules must give one
+# sha256 of matrix+rhs on the full Barbera mesh, serial batch sizes and
+# per-column timing the same bits, and shuffled stored columns the same
+# matrix; the fold's traced peak must stay under half the stored columns.
+python -m pytest -q -p no:randomly \
+  tests/parallel/test_parallel_assembly.py tests/bem/test_assembly.py \
+  -k "Golden or Fold or FromColumns or exact"
+
 echo "== surface-potential maps (bounded working set, typed input errors) =="
 # A 61x61 Barbera map must peak at most 1.5x a 21x21 one (tracemalloc), the
 # pair-block size must move results only at float32 rounding, and bad points,

@@ -11,14 +11,14 @@ same batched column tasks and the same scatter step (computation of elemental
 matrices in parallel, assembly performed afterwards — the scheme the paper
 adopts to break the assembly dependency between threads).
 
-The scatter itself is vectorised: the elemental blocks of a whole batch are
-flattened into (row dof, source dof, value) triples and accumulated into a
-narrow ``(n, C)`` column slab (``C`` = the few distinct source dofs of the
-batch) with one ``numpy.bincount``, then added into the matrix columns and —
-transposed — into the mirrored rows.  This replaces the earlier bincount over
-the full ``n x n`` index space, whose ``O(n^2)`` output allocation dominated
-the scatter on coarse meshes once the adaptive kernels made the arithmetic
-cheap.
+The scatter folds the matrix in fixed column groups ``[gG, (g+1)G)``, ``G =``
+:meth:`~repro.bem.influence.ColumnAssembler.max_batch_size` (set by the mesh
+and the kernel only): a group's blocks are accumulated into a narrow
+``(n, C)`` slab (``C`` = its few source dofs) with one ``numpy.bincount``,
+added into the matrix columns and — transposed — the mirrored rows, group
+after group in ascending order.  Both drivers fold the same slabs in the same
+order whatever their batch sizes or column arrival order, so the exact engine
+gives them the same bits, and the fold's transient is one group's.
 """
 
 from __future__ import annotations
@@ -133,41 +133,34 @@ def assemble_rhs(dof_manager: DofManager, gpr: float = DEFAULT_GPR) -> np.ndarra
     return float(gpr) * dof_manager.assemble_basis_integrals()
 
 
-#: Flush threshold (in pending flat updates) of :func:`scatter_columns`, so
-#: scattering a whole mesh at once stays within a bounded transient footprint.
-_SCATTER_FLUSH_ENTRIES: int = 2_000_000
-
-
 def scatter_columns(
     matrix: np.ndarray,
     dof_matrix: np.ndarray,
     columns: Iterable[ColumnResult],
+    group_size: int,
 ) -> None:
-    """Scatter-add the blocks of a batch of columns into the global matrix.
+    """Scatter-add columns into the global matrix, one slab per column group.
 
-    A batch of source columns only touches the few global dofs of its source
-    elements on the column axis, so instead of binning flat ``row * n + col``
-    indices over the full ``n x n`` matrix (the previous engine — its
-    ``O(n^2)`` bincount *output* dominated the scatter on coarse meshes once
-    the adaptive kernels made the arithmetic cheap), the updates are
-    accumulated into a narrow ``(n, C)`` column slab with ``C`` the distinct
-    source dofs of the flush.  The slab is then added into the matrix columns
-    and — transposed — into the mirrored rows, which realises the same
-    "discard approximately half" symmetrisation as before (diagonal pairs
-    contribute half of their block to each orientation).
+    Column ``α`` belongs to group ``α // group_size``; pass the columns in
+    ascending ``source_index`` order, so the sums do not depend on arrival
+    order.  A group only touches the few global dofs of its source elements
+    on the column axis, so its updates are accumulated into a narrow
+    ``(n, C)`` slab, flushed when the next group starts, and added into the
+    matrix columns and — transposed — into the mirrored rows ("discard
+    approximately half": diagonal pairs contribute half of their block to
+    each orientation).
     """
     n = matrix.shape[0]
     #: (target-dof rows (T*nb,), source dofs (nb,), halved values (T*nb, nb)).
     pending_columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    pending = 0
+    pending_group = 0
 
     def _flush() -> None:
-        nonlocal pending
         if not pending_columns:
             return
-        # The slab's column space is just the source dofs of the flushed
-        # columns — a few per column, so the unique/compaction step works on
-        # tiny arrays, never on the concatenated update stream.
+        # The slab's column space is just the source dofs of the group — a
+        # few per column, so the unique/compaction step works on tiny arrays,
+        # never on the concatenated update stream.
         unique_cols = np.unique(np.concatenate([sd for _, sd, _ in pending_columns]))
         c = unique_cols.size
         flat_parts: list[np.ndarray] = []
@@ -177,7 +170,6 @@ def scatter_columns(
             flat_parts.append((rows_flat[:, None] * c + compact[None, :]).ravel())
             value_parts.append(values.ravel())
         pending_columns.clear()
-        pending = 0
         slab = np.bincount(
             np.concatenate(flat_parts),
             weights=np.concatenate(value_parts),
@@ -187,10 +179,13 @@ def scatter_columns(
         matrix[unique_cols, :] += slab.T
 
     for column in columns:
+        alpha = column.source_index
+        if alpha // group_size != pending_group:
+            _flush()
+            pending_group = alpha // group_size
         targets = np.asarray(column.targets, dtype=int)
         if targets.size == 0:
             continue
-        alpha = column.source_index
         source_dofs = dof_matrix[alpha]  # (nb,)
         target_dofs = dof_matrix[targets]  # (T, nb)
         weights = np.where(targets == alpha, 0.5, 1.0)  # halve the diagonal pair
@@ -198,9 +193,6 @@ def scatter_columns(
         pending_columns.append(
             (target_dofs.ravel(), source_dofs, values.reshape(-1, values.shape[2]))
         )
-        pending += values.size
-        if pending >= _SCATTER_FLUSH_ENTRIES:
-            _flush()
     _flush()
 
 
@@ -238,7 +230,6 @@ def assemble_system(
     gpr: float = DEFAULT_GPR,
     options: AssemblyOptions | None = None,
     kernel: LayeredKernel | None = None,
-    column_order: Sequence[int] | None = None,
     collect_column_times: bool = False,
     batch_size: int | None = None,
     pool=None,
@@ -260,11 +251,6 @@ def assemble_system(
     kernel:
         Pre-built kernel; by default one is created for ``soil`` with the
         options' series control.
-    column_order:
-        Optional explicit ordering of the columns (used by tests and by the
-        deterministic replay of parallel schedules); default ``0..M-1``.  Any
-        order that is not a permutation of ``0..M-1`` raises
-        :class:`~repro.exceptions.AssemblyError`.
     collect_column_times:
         When ``True`` the per-column wall-clock times are stored in the system
         metadata under ``"column_seconds"`` — this is the task-cost profile
@@ -309,7 +295,6 @@ def assemble_system(
             gpr=gpr,
             options=options,
             kernel=kernel,
-            column_order=column_order,
             collect_column_times=collect_column_times,
             batch_size=batch_size,
             pool=pool,
@@ -326,7 +311,6 @@ def assemble_system_steps(
     gpr: float = DEFAULT_GPR,
     options: AssemblyOptions | None = None,
     kernel: LayeredKernel | None = None,
-    column_order: Sequence[int] | None = None,
     collect_column_times: bool = False,
     batch_size: int | None = None,
     pool=None,
@@ -350,10 +334,10 @@ def assemble_system_steps(
             "engine does not consume pools)"
         )
     if options.hierarchical is not None:
-        if column_order is not None or collect_column_times:
+        if collect_column_times:
             raise AssemblyError(
                 "the hierarchical engine decomposes work into cluster blocks, not "
-                "columns; column_order / collect_column_times do not apply"
+                "columns; collect_column_times does not apply"
             )
         # Imported lazily: repro.cluster depends on repro.bem.
         from repro.cluster.operator import assemble_hierarchical_steps
@@ -382,12 +366,6 @@ def assemble_system_steps(
     batch_size = max(1, int(batch_size))
 
     m = mesh.n_elements
-    if column_order is None:
-        columns = list(range(m))
-    else:
-        columns = [int(i) for i in column_order]
-        if sorted(columns) != list(range(m)):
-            raise AssemblyError(f"column_order must be a permutation of 0..{m - 1}")
     n = dof_manager.n_dofs
     matrix = np.zeros((n, n))
     # The per-column cost shares only matter when the caller collects the
@@ -397,14 +375,18 @@ def assemble_system_steps(
         assembler.column_cost_estimate() if collect_column_times and batch_size > 1 else None
     )
 
-    start = wall_clock()
     column_seconds = np.zeros(m)
-    for batch_start in range(0, m, batch_size):
-        batch = columns[batch_start : batch_start + batch_size]
-        batch_results = compute_column_batch(assembler, batch, cost_hint)
-        scatter_columns(matrix, dof_matrix, batch_results)
-        for column in batch_results:
-            column_seconds[column.source_index] = column.elapsed_seconds
+
+    def evaluated_columns() -> Iterable[ColumnResult]:
+        for batch_start in range(0, m, batch_size):
+            batch = range(batch_start, min(batch_start + batch_size, m))
+            for column in compute_column_batch(assembler, batch, cost_hint):
+                column_seconds[column.source_index] = column.elapsed_seconds
+                yield column
+
+    start = wall_clock()
+    # The fold groups are the assembler's, whatever the evaluation batch size.
+    scatter_columns(matrix, dof_matrix, evaluated_columns(), assembler.max_batch_size())
     generation_seconds = wall_clock() - start
     if tracer is not None and tracer.enabled:
         # batch_size is memory/host-derived (max_batch_size), hence volatile.
@@ -454,7 +436,7 @@ def assemble_system_steps(
 
 def assemble_from_columns(
     columns: Iterable[ColumnResult],
-    dof_manager: DofManager,
+    assembler: ColumnAssembler,
     gpr: float = DEFAULT_GPR,
     metadata: dict | None = None,
 ) -> LinearSystem:
@@ -462,22 +444,36 @@ def assemble_from_columns(
 
     This is the sequential "assembly" stage that follows the (possibly
     parallel) computation of the elemental matrices, mirroring the paper's
-    scheme of taking the assembly out of the parallel loop.
+    scheme of taking the assembly out of the parallel loop.  Columns ``0..M-1``
+    come once each, in any order, and are folded and let go group by group,
+    in the assembler's column groups, as :func:`assemble_system` folds them.
     """
-    dof_matrix = dof_manager.element_dof_matrix()
+    dof_manager = assembler.dof_manager
+    group_size = assembler.max_batch_size()
+    m = dof_manager.n_elements
+    groups: list[list[ColumnResult]] = [[] for _ in range(-(-m // group_size))]
+    seen = np.zeros(m, dtype=bool)
+    for column in columns:
+        index = column.source_index
+        if not 0 <= index < m:
+            raise AssemblyError(f"column {index} is out of range 0..{m - 1}")
+        if seen[index]:
+            raise AssemblyError(f"column {index} provided twice")
+        seen[index] = True
+        groups[index // group_size].append(column)
+    if not seen.all():
+        missing = np.flatnonzero(~seen)[:10].tolist()
+        raise AssemblyError(f"missing columns in assembly: {missing} ...")
+
+    def ascending() -> Iterable[ColumnResult]:
+        for g in range(len(groups)):
+            group, groups[g] = groups[g], []
+            group.sort(key=lambda column: column.source_index)
+            yield from group
+
     n = dof_manager.n_dofs
     matrix = np.zeros((n, n))
-    seen: set[int] = set()
-    batch: list[ColumnResult] = []
-    for column in columns:
-        if column.source_index in seen:
-            raise AssemblyError(f"column {column.source_index} provided twice")
-        seen.add(column.source_index)
-        batch.append(column)
-    if len(seen) != dof_manager.n_elements:
-        missing = sorted(set(range(dof_manager.n_elements)) - seen)
-        raise AssemblyError(f"missing columns in assembly: {missing[:10]} ...")
-    scatter_columns(matrix, dof_matrix, batch)
+    scatter_columns(matrix, dof_manager.element_dof_matrix(), ascending(), group_size)
     rhs = assemble_rhs(dof_manager, gpr)
     return LinearSystem(
         matrix=matrix,

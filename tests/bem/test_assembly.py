@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,16 +88,6 @@ class TestAssembledSystem:
         assert len(times) == small_mesh.n_elements
         assert np.all(np.asarray(times) >= 0.0)
 
-    def test_column_order_does_not_change_matrix(self, small_mesh, uniform_soil):
-        forward = assemble_system(small_mesh, uniform_soil, gpr=100.0)
-        reversed_order = assemble_system(
-            small_mesh,
-            uniform_soil,
-            gpr=100.0,
-            column_order=list(reversed(range(small_mesh.n_elements))),
-        )
-        assert np.allclose(forward.matrix, reversed_order.matrix, rtol=1e-14)
-
     def test_constant_elements_system(self, small_mesh, uniform_soil):
         system = assemble_system(
             small_mesh,
@@ -119,30 +112,63 @@ class TestAssembledSystem:
 
 
 class TestAssembleFromColumns:
-    def test_matches_direct_assembly(self, small_mesh, uniform_soil, small_system):
+    @pytest.fixture
+    def assembler(self, small_mesh, uniform_soil):
         kernel = kernel_for_soil(uniform_soil)
         dofs = DofManager(small_mesh, ElementType.LINEAR)
-        assembler = ColumnAssembler(small_mesh, kernel, dofs, n_gauss=4)
+        return ColumnAssembler(small_mesh, kernel, dofs, n_gauss=4)
+
+    @staticmethod
+    def _fold(columns, assembler):
+        return assemble_from_columns(columns, assembler, gpr=1000.0)
+
+    def test_matches_direct_assembly(self, small_mesh, assembler, small_system):
         columns = [_column(assembler, i) for i in range(small_mesh.n_elements)]
-        system = assemble_from_columns(columns, dofs, gpr=1000.0)
+        system = self._fold(columns, assembler)
         assert np.allclose(system.matrix, small_system.matrix, rtol=1e-14)
         assert np.allclose(system.rhs, small_system.rhs)
 
-    def test_rejects_duplicate_columns(self, small_mesh, uniform_soil):
-        kernel = kernel_for_soil(uniform_soil)
-        dofs = DofManager(small_mesh, ElementType.LINEAR)
-        assembler = ColumnAssembler(small_mesh, kernel, dofs, n_gauss=4)
-        column = _column(assembler, 0)
-        with pytest.raises(AssemblyError):
-            assemble_from_columns([column, column], dofs, gpr=1000.0)
+    def test_shuffled_columns_fold_bitwise(self, coarse_barbera):
+        """The fold's result does not depend on the order the columns arrive in,
+        and equals the sequential driver's (same groups, same order)."""
+        mesh, soil, gpr = coarse_barbera
+        dofs = DofManager(mesh, ElementType.LINEAR)
+        assembler = ColumnAssembler(mesh, kernel_for_soil(soil), dofs, n_gauss=4)
+        assert assembler.max_batch_size() < mesh.n_elements  # several groups
+        columns = [_column(assembler, i) for i in range(mesh.n_elements)]
+        shuffled = list(columns)
+        np.random.default_rng(7).shuffle(shuffled)
+        forward = self._fold(columns, assembler)
+        assert np.array_equal(self._fold(shuffled, assembler).matrix, forward.matrix)
+        assert np.array_equal(self._fold(columns[::-1], assembler).matrix, forward.matrix)
+        exact = AssemblyOptions(adaptive=None)
+        serial = assemble_system(mesh, soil, gpr=gpr, options=exact, batch_size=1)
+        assert np.array_equal(forward.matrix, serial.matrix)
 
-    def test_rejects_missing_columns(self, small_mesh, uniform_soil):
-        kernel = kernel_for_soil(uniform_soil)
-        dofs = DofManager(small_mesh, ElementType.LINEAR)
-        assembler = ColumnAssembler(small_mesh, kernel, dofs, n_gauss=4)
+    def test_rejects_duplicate_columns(self, small_mesh, assembler):
+        columns = [_column(assembler, i) for i in range(small_mesh.n_elements)]
+        with pytest.raises(AssemblyError, match="twice"):
+            self._fold([columns[0], *columns], assembler)
+
+    def test_rejects_missing_columns(self, assembler):
         columns = [_column(assembler, 0)]
-        with pytest.raises(AssemblyError):
-            assemble_from_columns(columns, dofs, gpr=1000.0)
+        with pytest.raises(AssemblyError, match="missing"):
+            self._fold(columns, assembler)
+
+    @pytest.mark.parametrize("bad_index", ["negative", "past_end"])
+    def test_rejects_out_of_range_column(self, small_mesh, assembler, bad_index):
+        """An out-of-range index standing in for the last column is rejected.
+
+        ``-1`` would otherwise pass the count check and scatter into the last
+        element's dofs without halving its diagonal pair; ``M`` would raise a
+        bare ``IndexError``.
+        """
+        m = small_mesh.n_elements
+        columns = [_column(assembler, i) for i in range(m)]
+        last = columns[-1]
+        last.source_index = {"negative": -1, "past_end": m}[bad_index]
+        with pytest.raises(AssemblyError, match="out of range"):
+            self._fold(columns, assembler)
 
     def test_column_result_records_time(self, small_mesh, uniform_soil):
         kernel = kernel_for_soil(uniform_soil)
@@ -230,13 +256,31 @@ class TestBatchedAssembly:
         columns = [_column(assembler, i) for i in range(4)]
         dof_matrix = dofs.element_dof_matrix()
         n = dofs.n_dofs
+        group_size = assembler.max_batch_size()
         one_by_one = np.zeros((n, n))
         for column in columns:
-            scatter_columns(one_by_one, dof_matrix, [column])
+            scatter_columns(one_by_one, dof_matrix, [column], group_size)
         all_at_once = np.zeros((n, n))
-        scatter_columns(all_at_once, dof_matrix, columns)
+        scatter_columns(all_at_once, dof_matrix, columns, group_size)
         assert np.allclose(all_at_once, one_by_one, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("batch_size", [1, 7, 24, 50])
+    def test_exact_batch_size_does_not_change_bits(self, coarse_barbera, batch_size):
+        """Exact engine: every batch size folds the same column groups, bit for bit."""
+        mesh, soil, gpr = coarse_barbera
+        exact = AssemblyOptions(adaptive=None)
+        batched = assemble_system(mesh, soil, gpr=gpr, options=exact)
+        assert batched.metadata["batch_size"] < mesh.n_elements  # several groups
+        other = assemble_system(mesh, soil, gpr=gpr, options=exact, batch_size=batch_size)
+        assert np.array_equal(other.matrix, batched.matrix)
+
+    def test_exact_column_times_do_not_change_bits(self, coarse_barbera):
+        mesh, soil, gpr = coarse_barbera
+        exact = AssemblyOptions(adaptive=None)
+        timed = assemble_system(mesh, soil, gpr=gpr, options=exact, collect_column_times=True)
+        batched = assemble_system(mesh, soil, gpr=gpr, options=exact)
+        assert timed.metadata["batch_size"] == 1
+        assert np.array_equal(timed.matrix, batched.matrix)
 
     def test_collect_column_times_matches_batched_matrix(self, rodded_mesh, two_layer_soil):
         timed = assemble_system(
@@ -250,23 +294,35 @@ class TestBatchedAssembly:
         assert np.allclose(timed.matrix, batched.matrix, rtol=0.0, atol=1e-12 * scale)
 
 
-class TestColumnOrder:
-    """A column order that is not a permutation of 0..M-1 is rejected."""
+class TestFoldMemory:
+    def test_fold_transient_is_bounded_by_one_group(self, full_barbera):
+        """The fold's traced peak above its input stays under half the stored columns.
 
-    def test_duplicate_column_rejected(self, small_mesh, uniform_soil):
-        order = [0] + list(range(small_mesh.n_elements))
-        with pytest.raises(AssemblyError):
-            assemble_system(small_mesh, uniform_soil, column_order=order)
-
-    def test_missing_column_rejected(self, small_mesh, uniform_soil):
-        order = list(range(small_mesh.n_elements - 1))
-        with pytest.raises(AssemblyError):
-            assemble_system(small_mesh, uniform_soil, column_order=order)
-
-    def test_out_of_range_column_rejected(self, small_mesh, uniform_soil):
-        order = list(range(1, small_mesh.n_elements)) + [small_mesh.n_elements]
-        with pytest.raises(AssemblyError):
-            assemble_system(small_mesh, uniform_soil, column_order=order)
+        The paper's scheme stores every column (its "twice the memory"); the
+        fold adds the matrix and one column group's transient on top, not a
+        pass over the whole mesh (3.5 times the stored bytes on this mesh).
+        """
+        mesh, soil, gpr = full_barbera
+        dofs = DofManager(mesh, ElementType.LINEAR)
+        assembler = ColumnAssembler(mesh, kernel_for_soil(soil), dofs, n_gauss=4)
+        group_size = assembler.max_batch_size()
+        m = mesh.n_elements
+        columns = [
+            column
+            for start in range(0, m, group_size)
+            for column in compute_column_batch(
+                assembler, range(start, min(start + group_size, m))
+            )
+        ]
+        stored = sum(c.blocks.nbytes + c.targets.nbytes for c in columns)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assemble_from_columns(columns, assembler, gpr=gpr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * stored, (peak / 1e6, stored / 1e6)
 
 
 class TestRefinementConvergence:

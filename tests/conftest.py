@@ -121,6 +121,25 @@ def rodded_mesh(rodded_grid, two_layer_soil):
     return discretize_grid(rodded_grid, soil=two_layer_soil)
 
 
+def _barbera_two_layer(coarse: bool):
+    from repro.experiments.barbera import barbera_case
+
+    grid, soil, gpr = barbera_case("two_layer", coarse=coarse)
+    return discretize_grid(grid, soil=soil), soil, gpr
+
+
+@pytest.fixture(scope="session")
+def coarse_barbera():
+    """Coarse Barberá two-layer (mesh, soil, GPR): 120 elements, 5 column groups."""
+    return _barbera_two_layer(coarse=True)
+
+
+@pytest.fixture(scope="session")
+def full_barbera():
+    """The paper's Barberá two-layer (mesh, soil, GPR): 408 elements, 51 column groups."""
+    return _barbera_two_layer(coarse=False)
+
+
 # --------------------------------------------------------------------------- systems and results
 
 

@@ -1,11 +1,19 @@
-"""Tests that parallel matrix generation reproduces the sequential matrix."""
+"""Tests that parallel matrix generation reproduces the sequential matrix.
+
+:class:`TestGoldenDeterminism` is the dense paper loop's part of the golden
+determinism suite (the hierarchical builder's is in ``test_block_backend.py``):
+with the exact engine, the serial driver and every worker count and schedule
+give one matrix and right-hand side, bit for bit.
+"""
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from repro.bem.assembly import assemble_system
+from repro.bem.assembly import AssemblyOptions, assemble_system
 from repro.bem.elements import DofManager, ElementType
 from repro.bem.influence import ColumnAssembler
 from repro.kernels.base import kernel_for_soil
@@ -79,3 +87,27 @@ class TestGenerateColumns:
         assert metadata["parallel_wall_seconds"] > 0.0
         sizes = [c.targets.size for c in columns]
         assert sizes == list(range(small_mesh.n_elements, 0, -1))
+
+
+def _sha256(system) -> str:
+    digest = hashlib.sha256(system.matrix.tobytes())
+    digest.update(system.rhs.tobytes())
+    return digest.hexdigest()
+
+
+class TestGoldenDeterminism:
+    def test_one_hash_across_drivers_workers_and_schedules(self, full_barbera):
+        """Serial ``assemble_system`` and ``assemble_system_parallel`` at
+        {1, 2} workers x five schedules fold the same column groups in the
+        same order: one sha256 of matrix + rhs on the full Barberá mesh."""
+        mesh, soil, gpr = full_barbera
+        exact = AssemblyOptions(adaptive=None)
+        hashes = {"serial": _sha256(assemble_system(mesh, soil, gpr=gpr, options=exact))}
+        for n_workers in (1, 2):
+            for label in ("Static", "Static,3", "Dynamic,1", "Dynamic,4", "Guided,2"):
+                parallel = ParallelOptions(n_workers=n_workers, schedule=Schedule.parse(label))
+                system = assemble_system_parallel(
+                    mesh, soil, gpr=gpr, options=exact, parallel=parallel
+                )
+                hashes[(n_workers, label)] = _sha256(system)
+        assert len(set(hashes.values())) == 1, hashes
