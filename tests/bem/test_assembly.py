@@ -180,6 +180,29 @@ class TestAssembleFromColumns:
         assert column.targets.size == small_mesh.n_elements
 
 
+class TestColumnOrder:
+    """Columns arriving in an order that is not a permutation of 0..M-1 are rejected."""
+
+    @pytest.fixture
+    def columns(self, small_mesh, uniform_soil):
+        dofs = DofManager(small_mesh, ElementType.LINEAR)
+        assembler = ColumnAssembler(small_mesh, kernel_for_soil(uniform_soil), dofs, n_gauss=4)
+        return assembler, [_column(assembler, i) for i in range(small_mesh.n_elements)]
+
+    def test_duplicate_column_rejected(self, columns):
+        assembler, cols = columns
+        reversed_with_repeat = [*cols[::-1], cols[-1]]
+        with pytest.raises(AssemblyError, match="twice"):
+            assemble_from_columns(reversed_with_repeat, assembler)
+
+    def test_missing_column_rejected(self, columns):
+        assembler, cols = columns
+        middle = len(cols) // 2
+        reversed_without_middle = [c for c in cols[::-1] if c.source_index != middle]
+        with pytest.raises(AssemblyError, match=rf"missing columns in assembly: \[{middle}\]"):
+            assemble_from_columns(reversed_without_middle, assembler)
+
+
 class TestBatchedAssembly:
     def test_batched_matches_per_column_system(self, small_mesh, uniform_soil):
         per_column = assemble_system(small_mesh, uniform_soil, gpr=1000.0, batch_size=1)
