@@ -1,30 +1,33 @@
-"""Sequential assembly of the Galerkin boundary-element system.
+"""Assembly of the Galerkin boundary-element system.
 
 Following Section 6.2 of the paper, the matrix generation is organised as a
 loop over the ``M (M + 1) / 2`` element pairs arranged as a *triangle of M
 columns*: the column of source element α couples it with every element
-``β ≥ α``.  :func:`assemble_system` runs those columns in schedule-sized
-batches through the vectorised :meth:`~repro.bem.influence.ColumnAssembler.column_batch`
-engine and scatters the resulting elemental blocks into the global matrix; the
-parallel backends of :mod:`repro.parallel.parallel_assembly` reuse exactly the
-same batched column tasks and the same scatter step (computation of elemental
-matrices in parallel, assembly performed afterwards — the scheme the paper
-adopts to break the assembly dependency between threads).
+``β ≥ α``.  The loop has one driver,
+:func:`repro.parallel.parallel_assembly.assemble_system_parallel`: it computes
+the elemental blocks with the vectorised
+:meth:`~repro.bem.influence.ColumnAssembler.column_batch` engine — in the
+calling process for one worker, on a process pool otherwise — and
+:func:`assemble_from_columns` folds them into the global matrix afterwards
+(computation of elemental matrices first, assembly after: the scheme the
+paper adopts to break the assembly dependency between threads).
+:func:`assemble_system` is that driver's one-worker case, and the entry of
+the hierarchical engine.
 
-The scatter folds the matrix in fixed column groups ``[gG, (g+1)G)``, ``G =``
+The fold works in fixed column groups ``[gG, (g+1)G)``, ``G =``
 :meth:`~repro.bem.influence.ColumnAssembler.max_batch_size` (set by the mesh
 and the kernel only): a group's blocks are accumulated into a narrow
 ``(n, C)`` slab (``C`` = its few source dofs) with one ``numpy.bincount``,
 added into the matrix columns and — transposed — the mirrored rows, group
-after group in ascending order.  Both drivers fold the same slabs in the same
-order whatever their batch sizes or column arrival order, so the exact engine
+after group in ascending order.  Every worker count, schedule and column
+arrival order folds the same slabs in the same order, so the exact engine
 gives them the same bits, and the fold's transient is one group's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -34,11 +37,10 @@ from repro.bem.system import LinearSystem
 from repro.constants import DEFAULT_GAUSS_POINTS, DEFAULT_GPR
 from repro.exceptions import AssemblyError
 from repro.geometry.discretize import Mesh
-from repro.kernels.base import LayeredKernel, kernel_for_soil
+from repro.kernels.base import LayeredKernel
 from repro.kernels.series import SeriesControl
 from repro.kernels.truncation import AdaptiveControl
 from repro.soil.base import SoilModel
-from repro.timing import wall_clock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.cluster.operator import HierarchicalControl
@@ -50,7 +52,6 @@ __all__ = [
     "assemble_system_steps",
     "scatter_columns",
     "ColumnResult",
-    "compute_column_batch",
 ]
 
 
@@ -120,9 +121,9 @@ class ColumnResult:
     targets: np.ndarray
     #: Blocks of shape ``(len(targets), nb, nb)``.
     blocks: np.ndarray
-    #: Wall-clock seconds spent computing the column (used by the scheduler
-    #: simulator and the timing tables): the column's share of its batch
-    #: time (see :func:`repro.parallel.costs.timed_batch`).
+    #: Wall-clock seconds spent computing the column: the column's share of
+    #: the time of the ``column_batch`` call it came from (see
+    #: :func:`repro.parallel.costs.timed_batch`).
     elapsed_seconds: float = 0.0
 
 
@@ -133,95 +134,50 @@ def assemble_rhs(dof_manager: DofManager, gpr: float = DEFAULT_GPR) -> np.ndarra
     return float(gpr) * dof_manager.assemble_basis_integrals()
 
 
-def scatter_columns(
-    matrix: np.ndarray,
-    dof_matrix: np.ndarray,
-    columns: Iterable[ColumnResult],
-    group_size: int,
-) -> None:
-    """Scatter-add columns into the global matrix, one slab per column group.
+def _column_slab(
+    n: int, dof_matrix: np.ndarray, columns: Iterable[ColumnResult]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n, C)`` slab of a set of columns over their ``C`` source dofs.
 
-    Column ``α`` belongs to group ``α // group_size``; pass the columns in
-    ascending ``source_index`` order, so the sums do not depend on arrival
-    order.  A group only touches the few global dofs of its source elements
-    on the column axis, so its updates are accumulated into a narrow
-    ``(n, C)`` slab, flushed when the next group starts, and added into the
-    matrix columns and — transposed — into the mirrored rows ("discard
-    approximately half": diagonal pairs contribute half of their block to
-    each orientation).
+    The columns are taken in ascending ``source_index`` order, whatever order
+    they come in.  A set of columns only touches the few global dofs of its
+    source elements on the column axis, so the unique/compaction step works on
+    tiny arrays, never on the concatenated update stream.  Diagonal pairs
+    contribute half of their block ("discard approximately half"): the slab is
+    added into the matrix columns and, transposed, into the mirrored rows.
     """
-    n = matrix.shape[0]
     #: (target-dof rows (T*nb,), source dofs (nb,), halved values (T*nb, nb)).
-    pending_columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    pending_group = 0
-
-    def _flush() -> None:
-        if not pending_columns:
-            return
-        # The slab's column space is just the source dofs of the group — a
-        # few per column, so the unique/compaction step works on tiny arrays,
-        # never on the concatenated update stream.
-        unique_cols = np.unique(np.concatenate([sd for _, sd, _ in pending_columns]))
-        c = unique_cols.size
-        flat_parts: list[np.ndarray] = []
-        value_parts: list[np.ndarray] = []
-        for rows_flat, source_dofs, values in pending_columns:
-            compact = np.searchsorted(unique_cols, source_dofs)
-            flat_parts.append((rows_flat[:, None] * c + compact[None, :]).ravel())
-            value_parts.append(values.ravel())
-        pending_columns.clear()
-        slab = np.bincount(
-            np.concatenate(flat_parts),
-            weights=np.concatenate(value_parts),
-            minlength=n * c,
-        ).reshape(n, c)
-        matrix[:, unique_cols] += slab
-        matrix[unique_cols, :] += slab.T
-
-    for column in columns:
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for column in sorted(columns, key=lambda column: column.source_index):
         alpha = column.source_index
-        if alpha // group_size != pending_group:
-            _flush()
-            pending_group = alpha // group_size
         targets = np.asarray(column.targets, dtype=int)
-        if targets.size == 0:
-            continue
-        source_dofs = dof_matrix[alpha]  # (nb,)
-        target_dofs = dof_matrix[targets]  # (T, nb)
         weights = np.where(targets == alpha, 0.5, 1.0)  # halve the diagonal pair
         values = column.blocks * weights[:, None, None]  # (T, nb_j, nb_i)
-        pending_columns.append(
-            (target_dofs.ravel(), source_dofs, values.reshape(-1, values.shape[2]))
+        parts.append(
+            (dof_matrix[targets].ravel(), dof_matrix[alpha], values.reshape(-1, values.shape[2]))
         )
-    _flush()
+    dofs = np.unique(np.concatenate([source_dofs for _, source_dofs, _ in parts]))
+    c = dofs.size
+    flat = np.concatenate(
+        [
+            (rows_flat[:, None] * c + np.searchsorted(dofs, source_dofs)[None, :]).ravel()
+            for rows_flat, source_dofs, _ in parts
+        ]
+    )
+    weights = np.concatenate([values.ravel() for _, _, values in parts])
+    return dofs, np.bincount(flat, weights=weights, minlength=n * c).reshape(n, c)
 
 
-def compute_column_batch(
-    assembler: ColumnAssembler,
-    source_indices: Sequence[int],
-    cost_hint: np.ndarray | None = None,
-) -> list[ColumnResult]:
-    """Compute a batch of columns in one vectorised pass, timing the batch.
+def _add_slab(matrix: np.ndarray, dofs: np.ndarray, slab: np.ndarray) -> None:
+    matrix[:, dofs] += slab
+    matrix[dofs, :] += slab.T
 
-    The batch wall time is split across the columns by their share of
-    ``cost_hint`` (per-column relative costs indexed by column, or ``None``
-    for uniform shares), so the per-column profile consumed by the schedule
-    simulator stays meaningful.
-    """
-    # Local import: repro.parallel imports repro.bem at package load time.
-    from repro.parallel.costs import timed_batch
 
-    indices = [int(i) for i in source_indices]
-    pairs, seconds = timed_batch(assembler.column_batch, indices, cost_hint)
-    return [
-        ColumnResult(
-            source_index=index,
-            targets=targets,
-            blocks=blocks,
-            elapsed_seconds=float(elapsed),
-        )
-        for index, (targets, blocks), elapsed in zip(indices, pairs, seconds)
-    ]
+def scatter_columns(
+    matrix: np.ndarray, dof_matrix: np.ndarray, columns: Iterable[ColumnResult]
+) -> None:
+    """Scatter-add a set of columns into the global matrix as one slab."""
+    _add_slab(matrix, *_column_slab(matrix.shape[0], dof_matrix, columns))
 
 
 def assemble_system(
@@ -231,12 +187,11 @@ def assemble_system(
     options: AssemblyOptions | None = None,
     kernel: LayeredKernel | None = None,
     collect_column_times: bool = False,
-    batch_size: int | None = None,
     pool=None,
     cluster_cache=None,
     tracer=None,
 ) -> LinearSystem:
-    """Assemble the dense Galerkin system sequentially (batched columns).
+    """Assemble the Galerkin system in the calling process.
 
     Parameters
     ----------
@@ -255,13 +210,8 @@ def assemble_system(
         When ``True`` the per-column wall-clock times are stored in the system
         metadata under ``"column_seconds"`` — this is the task-cost profile
         consumed by the scheduler simulator of :mod:`repro.parallel.simulator`.
-        Unless a ``batch_size`` is forced, the columns are then computed one at
-        a time so each timing is a genuine measurement.
-    batch_size:
-        Number of columns evaluated per vectorised batch.  Default: a
-        memory-bounded automatic size (see
-        :meth:`~repro.bem.influence.ColumnAssembler.max_batch_size`), or 1 when
-        ``collect_column_times`` is requested.
+        The columns are then computed one per call, so each timing is a
+        genuine measurement.
     pool:
         Optional persistent :class:`repro.parallel.pool.WorkerPool` shared
         across assemblies.  Requires the hierarchical engine (the pool's
@@ -296,7 +246,6 @@ def assemble_system(
             options=options,
             kernel=kernel,
             collect_column_times=collect_column_times,
-            batch_size=batch_size,
             pool=pool,
             cluster_cache=cluster_cache,
             tracer=tracer,
@@ -312,7 +261,6 @@ def assemble_system_steps(
     options: AssemblyOptions | None = None,
     kernel: LayeredKernel | None = None,
     collect_column_times: bool = False,
-    batch_size: int | None = None,
     pool=None,
     cluster_cache=None,
     tracer=None,
@@ -321,8 +269,9 @@ def assemble_system_steps(
 
     The hierarchical engine's pool dispatches surface as yielded
     :class:`~repro.parallel.pool.PoolJob` requests; the dense column
-    engine runs inline without yielding.  Returns the assembled
-    :class:`~repro.bem.system.LinearSystem`; drive with
+    engine runs inline without yielding, as the one-worker case of
+    :func:`repro.parallel.parallel_assembly.assemble_system_parallel`.
+    Returns the assembled :class:`~repro.bem.system.LinearSystem`; drive with
     :func:`~repro.parallel.pool.drive_pool_steps` or a multiplexing
     scheduler (the campaign runner).
     """
@@ -353,106 +302,59 @@ def assemble_system_steps(
             tracer=tracer,
         )
         return system
-    if kernel is None:
-        kernel = kernel_for_soil(soil, options.series_control)
-    dof_manager = DofManager(mesh, options.element_type)
-    assembler = ColumnAssembler(
-        mesh, kernel, dof_manager, options.n_gauss, adaptive=options.adaptive
+    # Imported lazily: repro.parallel imports repro.bem at package load time.
+    from repro.parallel.parallel_assembly import assemble_system_parallel
+
+    system = assemble_system_parallel(
+        mesh,
+        soil,
+        gpr=gpr,
+        options=options,
+        kernel=kernel,
+        collect_column_times=collect_column_times,
     )
-    dof_matrix = dof_manager.element_dof_matrix()
-
-    if batch_size is None:
-        batch_size = 1 if collect_column_times else assembler.max_batch_size()
-    batch_size = max(1, int(batch_size))
-
-    m = mesh.n_elements
-    n = dof_manager.n_dofs
-    matrix = np.zeros((n, n))
-    # The per-column cost shares only matter when the caller collects the
-    # per-column timing profile of multi-column batches; uniform shares do
-    # otherwise (the estimate costs a few percent of the assembly itself).
-    cost_hint = (
-        assembler.column_cost_estimate() if collect_column_times and batch_size > 1 else None
-    )
-
-    column_seconds = np.zeros(m)
-
-    def evaluated_columns() -> Iterable[ColumnResult]:
-        for batch_start in range(0, m, batch_size):
-            batch = range(batch_start, min(batch_start + batch_size, m))
-            for column in compute_column_batch(assembler, batch, cost_hint):
-                column_seconds[column.source_index] = column.elapsed_seconds
-                yield column
-
-    start = wall_clock()
-    # The fold groups are the assembler's, whatever the evaluation batch size.
-    scatter_columns(matrix, dof_matrix, evaluated_columns(), assembler.max_batch_size())
-    generation_seconds = wall_clock() - start
     if tracer is not None and tracer.enabled:
-        # batch_size is memory/host-derived (max_batch_size), hence volatile.
+        metadata = system.metadata
+        # The chunk count follows max_batch_size (memory-derived), hence volatile.
         tracer.record_span(
             "assemble.columns",
-            duration_seconds=generation_seconds,
-            volatile={"batch_size": batch_size},
+            duration_seconds=metadata["matrix_generation_seconds"],
+            volatile={"n_chunks": metadata["n_chunks"]},
             n_elements=mesh.n_elements,
-            n_dofs=n,
+            n_dofs=metadata["n_dofs"],
             element_type=options.element_type.value,
             n_gauss=options.n_gauss,
             soil_layers=soil.n_layers,
         )
-
-    rhs = assemble_rhs(dof_manager, gpr)
-
-    metadata: dict = {
-        "matrix_generation_seconds": generation_seconds,
-        "n_elements": mesh.n_elements,
-        "n_dofs": n,
-        "element_type": options.element_type.value,
-        "n_gauss": options.n_gauss,
-        "soil_layers": soil.n_layers,
-        "kernel_terms": {
-            f"k{b}{c}": kernel.series_length(b, c)
-            for b in range(1, soil.n_layers + 1)
-            for c in range(1, soil.n_layers + 1)
-        },
-        "backend": "sequential",
-        "batch_size": batch_size,
-        "adaptive": None
-        if options.adaptive is None
-        else {
-            "tolerance": options.adaptive.tolerance,
-            "safety": options.adaptive.safety,
-            "use_midpoint_tail": options.adaptive.use_midpoint_tail,
-            "merge_degenerate": options.adaptive.merge_degenerate,
-        },
-    }
-    if collect_column_times:
-        metadata["column_seconds"] = column_seconds
-
-    return LinearSystem(
-        matrix=matrix, rhs=rhs, dof_manager=dof_manager, gpr=float(gpr), metadata=metadata
-    )
+    return system
 
 
 def assemble_from_columns(
     columns: Iterable[ColumnResult],
     assembler: ColumnAssembler,
     gpr: float = DEFAULT_GPR,
-    metadata: dict | None = None,
 ) -> LinearSystem:
-    """Build a :class:`LinearSystem` from pre-computed column blocks.
+    """Fold a stream of columns into a :class:`LinearSystem`.
 
-    This is the sequential "assembly" stage that follows the (possibly
-    parallel) computation of the elemental matrices, mirroring the paper's
-    scheme of taking the assembly out of the parallel loop.  Columns ``0..M-1``
-    come once each, in any order, and are folded and let go group by group,
-    in the assembler's column groups, as :func:`assemble_system` folds them.
+    This is the sequential "assembly" stage of the paper's scheme, which takes
+    the assembly out of the (possibly parallel) column loop.  Columns
+    ``0..M-1`` come once each, in any order, and each is checked as it
+    arrives.  A column group is reduced to its slab as soon as its last column
+    has arrived, and the slabs are added in ascending group order, so the bits
+    do not depend on the arrival order.  An ascending stream therefore holds
+    one group at a time; any other order holds the groups still incomplete
+    (and the small slabs of complete groups waiting for an earlier one).
     """
     dof_manager = assembler.dof_manager
+    dof_matrix = dof_manager.element_dof_matrix()
     group_size = assembler.max_batch_size()
     m = dof_manager.n_elements
-    groups: list[list[ColumnResult]] = [[] for _ in range(-(-m // group_size))]
+    n = dof_manager.n_dofs
+    matrix = np.zeros((n, n))
     seen = np.zeros(m, dtype=bool)
+    pending: dict[int, list[ColumnResult]] = {}
+    slabs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    next_group = 0
     for column in columns:
         index = column.source_index
         if not 0 <= index < m:
@@ -460,25 +362,20 @@ def assemble_from_columns(
         if seen[index]:
             raise AssemblyError(f"column {index} provided twice")
         seen[index] = True
-        groups[index // group_size].append(column)
+        group = index // group_size
+        pending.setdefault(group, []).append(column)
+        del column  # the loop must not keep a folded group alive into the next one
+        if len(pending[group]) == min(group_size, m - group * group_size):
+            slabs[group] = _column_slab(n, dof_matrix, pending.pop(group))
+            while next_group in slabs:
+                _add_slab(matrix, *slabs.pop(next_group))
+                next_group += 1
     if not seen.all():
         missing = np.flatnonzero(~seen)[:10].tolist()
         raise AssemblyError(f"missing columns in assembly: {missing} ...")
-
-    def ascending() -> Iterable[ColumnResult]:
-        for g in range(len(groups)):
-            group, groups[g] = groups[g], []
-            group.sort(key=lambda column: column.source_index)
-            yield from group
-
-    n = dof_manager.n_dofs
-    matrix = np.zeros((n, n))
-    scatter_columns(matrix, dof_manager.element_dof_matrix(), ascending(), group_size)
-    rhs = assemble_rhs(dof_manager, gpr)
     return LinearSystem(
         matrix=matrix,
-        rhs=rhs,
+        rhs=assemble_rhs(dof_manager, gpr),
         dof_manager=dof_manager,
         gpr=float(gpr),
-        metadata=dict(metadata or {}),
     )

@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.bem.assembly import AssemblyOptions, assemble_system
+from repro.bem.assembly import AssemblyOptions
 from repro.bem.elements import DofManager, ElementType
 from repro.bem.results import AnalysisResults
 from repro.constants import DEFAULT_GPR
@@ -28,6 +28,7 @@ from repro.geometry.validation import validate_grid
 from repro.kernels.base import kernel_for_soil
 from repro.kernels.series import SeriesControl
 from repro.parallel.options import ParallelOptions
+from repro.parallel.parallel_assembly import assemble_system_parallel
 from repro.timing import PhaseTimer
 from repro.soil.base import SoilModel
 from repro.solvers import solve_system
@@ -142,26 +143,14 @@ class GroundingProject:
             )
 
         with timer.phase("matrix_generation"):
-            if self.parallel is None:
-                system = assemble_system(
-                    mesh,
-                    self.soil,
-                    gpr=self.gpr,
-                    options=options,
-                    kernel=kernel,
-                    collect_column_times=True,
-                )
-            else:
-                from repro.parallel.parallel_assembly import assemble_system_parallel
-
-                system = assemble_system_parallel(
-                    mesh,
-                    self.soil,
-                    gpr=self.gpr,
-                    options=options,
-                    kernel=kernel,
-                    parallel=self.parallel,
-                )
+            system = assemble_system_parallel(
+                mesh,
+                self.soil,
+                gpr=self.gpr,
+                options=options,
+                kernel=kernel,
+                parallel=self.parallel,
+            )
 
         with timer.phase("linear_system_solving"):
             solve_result = solve_system(system.matrix, system.rhs, method=self.solver)

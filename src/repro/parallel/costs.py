@@ -72,9 +72,9 @@ def timed_batch(
     """Call ``fn(indices)`` once and split its wall time by cost share.
 
     Returns ``(fn's result, per-task seconds)``: the batch wall time
-    apportioned to the tasks with :func:`cost_shares`.  The sequential
-    column driver and the scheduled executor's chunk tasks both time their
-    batches through here.
+    apportioned to the tasks with :func:`cost_shares`.  The dense column
+    driver's in-process chunks and the scheduled executor's chunk tasks both
+    time their batches through here.
     """
     indices = [int(i) for i in indices]
     start = wall_clock()

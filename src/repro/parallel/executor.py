@@ -15,7 +15,7 @@ Chunks, not single tasks, are the unit of dispatch: the executor is bound to
 one *chunk function* ``fn(task_ids) -> [result, ...]`` that evaluates a whole
 schedule chunk in one call — for the BEM assembly one vectorised
 :meth:`~repro.bem.influence.ColumnAssembler.column_batch` evaluation per
-chunk.  The chunk wall time is measured in the worker and apportioned to the
+run of the chunk's columns that share a fold group.  The chunk wall time is measured in the worker and apportioned to the
 individual tasks by their share of the (analytic) ``cost_hint``
 (:func:`~repro.parallel.costs.timed_batch`), so the per-task profile consumed
 by the schedule simulator stays meaningful.
@@ -34,7 +34,10 @@ With ``n_workers > 1`` the pool has that many forked worker processes (its
 ``backend`` is ``"process"``); a single worker runs all tasks as one chunk
 in the calling process on an in-process pool (``"serial"``).  The run's
 :attr:`~repro.parallel.pool.TaskRunResult.backend` is the backend of the pool
-it used.
+it used.  The dense column driver
+(:func:`~repro.parallel.parallel_assembly.assemble_system_parallel`) does not
+send one worker here: it streams that case in process, one fold group per
+call, so its columns are never all stored at once.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import Any, Callable, Sequence
 from repro.exceptions import ParallelExecutionError
 from repro.parallel.costs import timed_batch
 from repro.parallel.pool import TaskRunResult, WorkerPool, collect_chunk_results
-from repro.parallel.schedule import Schedule, ScheduleKind
+from repro.parallel.schedule import Schedule, ScheduleKind, whole_number
 from repro.timing import wall_clock
 
 __all__ = ["ScheduledExecutor", "run_scheduled_tasks"]
@@ -101,11 +104,14 @@ class ScheduledExecutor:
         n_workers: int,
         cost_hint: Any = None,
     ) -> None:
-        if n_workers < 1:
-            raise ParallelExecutionError(f"n_workers must be >= 1, got {n_workers}")
+        count = whole_number(n_workers)
+        if count is None or count < 1:
+            raise ParallelExecutionError(
+                f"n_workers must be a whole number >= 1, got {n_workers!r}"
+            )
         self.fn = fn
         self.cost_hint = cost_hint
-        self.n_workers = int(n_workers)
+        self.n_workers = count
         self.pool: WorkerPool | None = None
 
     @property

@@ -6,7 +6,7 @@ import os
 from dataclasses import dataclass, field
 
 from repro.exceptions import ScheduleError
-from repro.parallel.schedule import Schedule
+from repro.parallel.schedule import Schedule, whole_number
 
 __all__ = ["ParallelOptions"]
 
@@ -24,7 +24,8 @@ class ParallelOptions:
     Parameters
     ----------
     n_workers:
-        Number of workers (processors); defaults to the machine's CPU count.
+        Number of workers (processors), a whole number; ``0`` (the default)
+        means the machine's CPU count.
     schedule:
         Loop schedule (default ``Dynamic,1`` — the best performer in the
         paper's Table 6.2).
@@ -34,9 +35,11 @@ class ParallelOptions:
     schedule: Schedule = field(default_factory=Schedule)
 
     def __post_init__(self) -> None:
-        workers = int(self.n_workers) if self.n_workers else (os.cpu_count() or 1)
-        if workers < 1:
-            raise ScheduleError(f"n_workers must be >= 1, got {self.n_workers!r}")
-        object.__setattr__(self, "n_workers", workers)
+        workers = whole_number(self.n_workers)
+        if workers is None or workers < 0:
+            raise ScheduleError(
+                f"n_workers must be a whole number >= 1 (0: every core), got {self.n_workers!r}"
+            )
+        object.__setattr__(self, "n_workers", workers or os.cpu_count() or 1)
         if not isinstance(self.schedule, Schedule):
             object.__setattr__(self, "schedule", Schedule.parse(str(self.schedule)))

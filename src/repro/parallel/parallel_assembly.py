@@ -1,46 +1,48 @@
-"""Parallel generation of the BEM matrix (the paper's Section 6.2).
+"""The dense column driver: matrix generation as in the paper's Section 6.2.
 
 The sequential assembly couples the computation of each elemental matrix with
 its immediate scatter into the global matrix; that scatter creates a dependency
 between loop cycles.  The paper removes it by *first* computing and storing all
 elemental matrices (in parallel) and *then* assembling them sequentially —
 "this scheme requires approximately twice the memory space than the original
-one, but in any case this memory space is not very large".  This module follows
-exactly that structure:
+one, but in any case this memory space is not very large".
+:func:`assemble_system_parallel` follows exactly that structure, and it is the
+only driver of the dense loop (:func:`repro.bem.assembly.assemble_system` is
+its one-worker case):
 
-1. the column tasks of :class:`repro.bem.influence.ColumnAssembler` are
-   distributed over the workers according to the requested
-   :class:`~repro.parallel.schedule.Schedule` (outer-loop parallelisation);
-2. the master folds the stored blocks into the global matrix in the
-   sequential driver's column groups and order
-   (:func:`repro.bem.assembly.assemble_from_columns`), so the exact engine
-   gives the same bits for every worker count and schedule.  On top of the
-   stored columns (3.3 MB on the full Barberá mesh) the fold costs a quarter
-   of their bytes, where one pass over all of them cost 3.5 times.
+1. the columns of :class:`repro.bem.influence.ColumnAssembler` come from one
+   of two sources.  One worker evaluates them in the calling process and
+   streams them, one fold group per call (one column per call when column
+   times are collected, so each time is a measurement).  More workers
+   distribute them over a :class:`~repro.parallel.executor.ScheduledExecutor`
+   according to the requested :class:`~repro.parallel.schedule.Schedule`
+   (outer-loop parallelisation), which stores them all;
+2. the master folds the columns into the global matrix group by group, in
+   ascending group order (:func:`repro.bem.assembly.assemble_from_columns`),
+   so the exact engine gives the same bits for every worker count and
+   schedule.
+
+The chunk function of both sources is :class:`_ColumnChunk`: one
+:meth:`~repro.bem.influence.ColumnAssembler.column_batch` call per run of a
+chunk's columns that share a fold group.  On the executor the chunk wall
+times are apportioned to the individual columns with the deterministic cost
+model of :meth:`~repro.bem.influence.ColumnAssembler.column_cost_estimate`,
+computed only when column times are asked for.
 
 The paper's inner-loop alternative (the rows of each column distributed while
 the column loop stays sequential, Fig. 6.1) is not executed for real: its
 curve comes from replaying the column costs in the schedule simulator
 (:meth:`~repro.parallel.simulator.ScheduleSimulator.run_inner_loop`).
-
-The executor's chunk function is :class:`_ColumnChunk`: every schedule chunk
-is **one batched evaluation** — a single
-:meth:`~repro.bem.influence.ColumnAssembler.column_batch` call, the same
-kernel entry the sequential driver uses — whether the pool runs in the calling
-process (one worker) or on forked workers.  Chunk wall times are apportioned to the individual columns with the
-deterministic cost model of
-:meth:`~repro.bem.influence.ColumnAssembler.column_cost_estimate`.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+from typing import Iterator
+
 import numpy as np
 
-from repro.bem.assembly import (
-    AssemblyOptions,
-    ColumnResult,
-    assemble_from_columns,
-)
+from repro.bem.assembly import AssemblyOptions, ColumnResult, assemble_from_columns
 from repro.bem.elements import DofManager
 from repro.bem.influence import ColumnAssembler
 from repro.bem.system import LinearSystem
@@ -48,62 +50,42 @@ from repro.constants import DEFAULT_GPR
 from repro.exceptions import ParallelExecutionError
 from repro.geometry.discretize import Mesh
 from repro.kernels.base import LayeredKernel, kernel_for_soil
+from repro.parallel.costs import timed_batch
 from repro.parallel.executor import ScheduledExecutor
 from repro.parallel.options import ParallelOptions
 from repro.soil.base import SoilModel
 from repro.timing import wall_clock
 
-__all__ = ["assemble_system_parallel", "generate_columns_parallel"]
-
-
-def generate_columns_parallel(
-    assembler: ColumnAssembler,
-    parallel: ParallelOptions,
-) -> tuple[list[ColumnResult], dict]:
-    """Compute every assembly column under the requested parallel options.
-
-    Returns the column results (in column order) plus run metadata:
-    ``backend`` (of the pool the loop ran on), ``parallel_wall_seconds`` (the
-    wall-clock time of the scheduled loop) and ``column_seconds`` (per-column execution times measured inside the
-    workers — the task-cost profile consumed by the schedule simulator; with
-    batched chunks each column carries its cost-model share of the chunk
-    time).
-    """
-    n_columns = assembler.n_elements
-    with ScheduledExecutor(
-        _ColumnChunk(assembler),
-        n_workers=parallel.n_workers,
-        cost_hint=assembler.column_cost_estimate(),
-    ) as executor:
-        outcome = executor.run(range(n_columns), parallel.schedule)
-    columns = []
-    for index in range(n_columns):
-        targets, blocks = outcome.results[index]
-        columns.append(
-            ColumnResult(
-                source_index=index,
-                targets=targets,
-                blocks=blocks,
-                elapsed_seconds=float(outcome.task_seconds[index]),
-            )
-        )
-    metadata = {
-        "backend": outcome.backend,
-        "parallel_wall_seconds": outcome.wall_seconds,
-        "column_seconds": outcome.task_seconds.copy(),
-        "n_chunks": outcome.n_chunks,
-    }
-    return columns, metadata
+__all__ = ["assemble_system_parallel"]
 
 
 class _ColumnChunk:
-    """Chunk function: the triangle columns of one schedule chunk, one batch."""
+    """Chunk function: one ``column_batch`` call per run of one fold group's columns."""
 
     def __init__(self, assembler: ColumnAssembler) -> None:
         self.assembler = assembler
+        self.group_size = assembler.max_batch_size()
 
     def __call__(self, column_indices: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-        return self.assembler.column_batch(column_indices)
+        results: list[tuple[np.ndarray, np.ndarray]] = []
+        for _, run in groupby(column_indices, key=lambda index: index // self.group_size):
+            results.extend(self.assembler.column_batch(list(run)))
+        return results
+
+
+def _in_process(
+    chunk_fn: _ColumnChunk, chunks: list[list[int]], column_seconds: np.ndarray
+) -> Iterator[ColumnResult]:
+    """Evaluate ``chunks`` one after the other here, streaming their columns.
+
+    Each column is handed over, not kept: once the fold has a chunk's last
+    column, nothing here holds the chunk while the next one is evaluated.
+    """
+    for chunk in chunks:
+        pairs, seconds = timed_batch(chunk_fn, chunk)
+        column_seconds[chunk] = seconds
+        for index, elapsed in zip(chunk, seconds.tolist()):
+            yield ColumnResult(index, *pairs.pop(0), elapsed)
 
 
 def assemble_system_parallel(
@@ -115,12 +97,17 @@ def assemble_system_parallel(
     parallel: ParallelOptions | None = None,
     collect_column_times: bool = True,
 ) -> LinearSystem:
-    """Assemble the Galerkin system with parallel matrix generation.
+    """Assemble the dense Galerkin system with the paper's column loop.
 
-    Drop-in replacement for :func:`repro.bem.assembly.assemble_system`; the
-    returned system carries the parallel-execution metadata
-    (``backend``, ``parallel_wall_seconds``, ``schedule``, ``n_workers``,
-    ...).  ``parallel=None`` runs one worker in the calling process.
+    Same arguments as :func:`repro.bem.assembly.assemble_system` for the
+    dense engine, plus ``parallel`` (``None``: one worker, in the calling
+    process).  The returned system carries the assembly metadata, among it
+    ``backend`` (``"sequential"`` for one worker, else that of the pool the
+    loop ran on), ``schedule``, ``n_workers``, ``n_chunks`` (``column_batch``
+    chunks evaluated in process, or schedule chunks dispatched) and
+    ``parallel_wall_seconds`` (the column loop's wall time); with
+    ``collect_column_times`` also ``column_seconds``, the per-column times
+    consumed by the schedule simulator.
     """
     if parallel is None:
         parallel = ParallelOptions(n_workers=1)
@@ -139,25 +126,66 @@ def assemble_system_parallel(
     assembler = ColumnAssembler(
         mesh, kernel, dof_manager, options.n_gauss, adaptive=options.adaptive
     )
+    chunk_fn = _ColumnChunk(assembler)
+    m = mesh.n_elements
 
     start = wall_clock()
-    columns, parallel_metadata = generate_columns_parallel(assembler, parallel)
+    if parallel.n_workers == 1:
+        size = 1 if collect_column_times else chunk_fn.group_size
+        chunks = [list(range(first, min(first + size, m))) for first in range(0, m, size)]
+        column_seconds = np.zeros(m)
+        system = assemble_from_columns(
+            _in_process(chunk_fn, chunks, column_seconds), assembler, gpr=gpr
+        )
+        backend, n_chunks = "sequential", len(chunks)
+        loop_seconds = wall_clock() - start
+    else:
+        cost_hint = assembler.column_cost_estimate() if collect_column_times else None
+        with ScheduledExecutor(
+            chunk_fn, n_workers=parallel.n_workers, cost_hint=cost_hint
+        ) as executor:
+            outcome = executor.run(range(m), parallel.schedule)
+        results, column_seconds = outcome.results, outcome.task_seconds
+        system = assemble_from_columns(
+            (
+                ColumnResult(index, *results.pop(index), float(column_seconds[index]))
+                for index in range(m)
+            ),
+            assembler,
+            gpr=gpr,
+        )
+        backend, n_chunks = outcome.backend, outcome.n_chunks
+        loop_seconds = outcome.wall_seconds
     generation_seconds = wall_clock() - start
 
-    metadata = {
-        "matrix_generation_seconds": generation_seconds,
-        "n_elements": mesh.n_elements,
-        "n_dofs": dof_manager.n_dofs,
-        "element_type": options.element_type.value,
-        "n_gauss": options.n_gauss,
-        "soil_layers": soil.n_layers,
-        "backend": parallel_metadata["backend"],
-        "schedule": parallel.schedule.label(),
-        "n_workers": parallel.n_workers,
-        "parallel_wall_seconds": parallel_metadata["parallel_wall_seconds"],
-        "n_chunks": parallel_metadata["n_chunks"],
-    }
+    system.metadata.update(
+        {
+            "matrix_generation_seconds": generation_seconds,
+            "n_elements": m,
+            "n_dofs": dof_manager.n_dofs,
+            "element_type": options.element_type.value,
+            "n_gauss": options.n_gauss,
+            "soil_layers": soil.n_layers,
+            "kernel_terms": {
+                f"k{b}{c}": kernel.series_length(b, c)
+                for b in range(1, soil.n_layers + 1)
+                for c in range(1, soil.n_layers + 1)
+            },
+            "adaptive": None
+            if options.adaptive is None
+            else {
+                "tolerance": options.adaptive.tolerance,
+                "safety": options.adaptive.safety,
+                "use_midpoint_tail": options.adaptive.use_midpoint_tail,
+                "merge_degenerate": options.adaptive.merge_degenerate,
+            },
+            "backend": backend,
+            "schedule": parallel.schedule.label(),
+            "n_workers": parallel.n_workers,
+            "parallel_wall_seconds": loop_seconds,
+            "n_chunks": n_chunks,
+        }
+    )
     if collect_column_times:
-        metadata["column_seconds"] = parallel_metadata["column_seconds"]
-
-    return assemble_from_columns(columns, assembler, gpr=gpr, metadata=metadata)
+        system.metadata["column_seconds"] = column_seconds
+    return system

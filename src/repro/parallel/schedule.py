@@ -40,7 +40,22 @@ from dataclasses import dataclass
 
 from repro.exceptions import ScheduleError
 
-__all__ = ["ScheduleKind", "Schedule"]
+__all__ = ["ScheduleKind", "Schedule", "whole_number"]
+
+
+def whole_number(value: object) -> int | None:
+    """``value`` as an ``int`` if it is a finite whole number, else ``None``.
+
+    ``2.0`` and ``"3"`` pass; ``2.5``, NaN, infinities and bools do not (a
+    bool is an ``int`` to Python, never a count to a caller).
+    """
+    if isinstance(value, bool):
+        return None
+    try:
+        number = float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return int(number) if number.is_integer() else None
 
 
 class ScheduleKind(str, enum.Enum):
@@ -71,13 +86,9 @@ class Schedule:
         if not isinstance(self.kind, ScheduleKind):
             object.__setattr__(self, "kind", ScheduleKind(str(self.kind).lower()))
         if self.chunk is not None:
-            try:
-                integral = float(self.chunk).is_integer()
-            except (TypeError, ValueError):
-                integral = False
-            if not integral:
+            chunk = whole_number(self.chunk)
+            if chunk is None:
                 raise ScheduleError(f"chunk size must be an integer, got {self.chunk!r}")
-            chunk = int(float(self.chunk))
             if chunk < 1:
                 raise ScheduleError(f"chunk size must be >= 1, got {self.chunk!r}")
             object.__setattr__(self, "chunk", chunk)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from repro.bem.assembly import (
     assemble_from_columns,
     assemble_rhs,
     assemble_system,
-    compute_column_batch,
 )
 from repro.bem.elements import DofManager, ElementType
 from repro.bem.influence import ColumnAssembler
@@ -24,8 +24,8 @@ from repro.kernels.series import SeriesControl
 
 
 def _column(assembler, index):
-    [column] = compute_column_batch(assembler, [index])
-    return column
+    [(targets, blocks)] = assembler.column_batch([index])
+    return ColumnResult(index, targets, blocks)
 
 
 class TestAssemblyOptions:
@@ -142,7 +142,7 @@ class TestAssembleFromColumns:
         assert np.array_equal(self._fold(shuffled, assembler).matrix, forward.matrix)
         assert np.array_equal(self._fold(columns[::-1], assembler).matrix, forward.matrix)
         exact = AssemblyOptions(adaptive=None)
-        serial = assemble_system(mesh, soil, gpr=gpr, options=exact, batch_size=1)
+        serial = assemble_system(mesh, soil, gpr=gpr, options=exact, collect_column_times=True)
         assert np.array_equal(forward.matrix, serial.matrix)
 
     def test_rejects_duplicate_columns(self, small_mesh, assembler):
@@ -205,16 +205,25 @@ class TestColumnOrder:
 
 class TestBatchedAssembly:
     def test_batched_matches_per_column_system(self, small_mesh, uniform_soil):
-        per_column = assemble_system(small_mesh, uniform_soil, gpr=1000.0, batch_size=1)
+        # Timed runs evaluate one column per call, default runs one fold group.
+        per_column = assemble_system(
+            small_mesh, uniform_soil, gpr=1000.0, collect_column_times=True
+        )
         batched = assemble_system(small_mesh, uniform_soil, gpr=1000.0)
-        assert batched.metadata["batch_size"] > 1
+        assert per_column.metadata["n_chunks"] == small_mesh.n_elements
+        assert batched.metadata["n_chunks"] < small_mesh.n_elements
         assert np.allclose(batched.matrix, per_column.matrix, rtol=0.0, atol=1e-10)
         assert np.allclose(batched.rhs, per_column.rhs)
 
     def test_two_layer_batched_matches_per_column_system(self, rodded_mesh, two_layer_soil):
-        per_column = assemble_system(rodded_mesh, two_layer_soil, gpr=500.0, batch_size=1)
-        batched = assemble_system(rodded_mesh, two_layer_soil, gpr=500.0, batch_size=7)
-        assert np.allclose(batched.matrix, per_column.matrix, rtol=0.0, atol=1e-10)
+        per_column = assemble_system(
+            rodded_mesh, two_layer_soil, gpr=500.0, collect_column_times=True
+        )
+        batched = assemble_system(rodded_mesh, two_layer_soil, gpr=500.0)
+        # One 20-column batch against 20 single columns: the adaptive engine's
+        # float32 tail sums differ at round-off (9.3e-13 max|A| measured).
+        scale = np.abs(batched.matrix).max()
+        assert np.allclose(batched.matrix, per_column.matrix, rtol=0.0, atol=1e-12 * scale)
 
     def test_batched_matches_pairwise_reference(self, small_mesh, uniform_soil):
         """Full batched system equals a matrix built purely from the reference
@@ -255,19 +264,7 @@ class TestBatchedAssembly:
         system = assemble_system(
             small_mesh, uniform_soil, gpr=1000.0, collect_column_times=True
         )
-        assert system.metadata["batch_size"] == 1
-
-    def test_forced_batch_size_with_column_times_apportions(self, small_mesh, uniform_soil):
-        system = assemble_system(
-            small_mesh,
-            uniform_soil,
-            gpr=1000.0,
-            collect_column_times=True,
-            batch_size=8,
-        )
-        times = np.asarray(system.metadata["column_seconds"])
-        assert times.shape == (small_mesh.n_elements,)
-        assert np.all(times > 0.0)
+        assert system.metadata["n_chunks"] == small_mesh.n_elements
 
     def test_scatter_columns_matches_scatter_column(self, small_mesh, uniform_soil):
         """Scattering a batch equals scattering its columns one at a time."""
@@ -279,30 +276,46 @@ class TestBatchedAssembly:
         columns = [_column(assembler, i) for i in range(4)]
         dof_matrix = dofs.element_dof_matrix()
         n = dofs.n_dofs
-        group_size = assembler.max_batch_size()
         one_by_one = np.zeros((n, n))
         for column in columns:
-            scatter_columns(one_by_one, dof_matrix, [column], group_size)
+            scatter_columns(one_by_one, dof_matrix, [column])
         all_at_once = np.zeros((n, n))
-        scatter_columns(all_at_once, dof_matrix, columns, group_size)
+        scatter_columns(all_at_once, dof_matrix, columns)
         assert np.allclose(all_at_once, one_by_one, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("batch_size", [1, 7, 24, 50])
     def test_exact_batch_size_does_not_change_bits(self, coarse_barbera, batch_size):
-        """Exact engine: every batch size folds the same column groups, bit for bit."""
+        """Exact engine: the dense driver's chunk function, fed chunks of any
+        length, folds to the driver's bits."""
+        from repro.parallel.parallel_assembly import _ColumnChunk
+
         mesh, soil, gpr = coarse_barbera
         exact = AssemblyOptions(adaptive=None)
-        batched = assemble_system(mesh, soil, gpr=gpr, options=exact)
-        assert batched.metadata["batch_size"] < mesh.n_elements  # several groups
-        other = assemble_system(mesh, soil, gpr=gpr, options=exact, batch_size=batch_size)
-        assert np.array_equal(other.matrix, batched.matrix)
+        reference = assemble_system(mesh, soil, gpr=gpr, options=exact)
+        assert 1 < reference.metadata["n_chunks"] < mesh.n_elements  # several groups
+        assembler = ColumnAssembler(
+            mesh,
+            kernel_for_soil(soil, exact.series_control),
+            DofManager(mesh, exact.element_type),
+            exact.n_gauss,
+            adaptive=None,
+        )
+        chunk_fn = _ColumnChunk(assembler)
+        m = mesh.n_elements
+        columns = []
+        for first in range(0, m, batch_size):
+            chunk = list(range(first, min(first + batch_size, m)))
+            columns += [ColumnResult(i, *pair) for i, pair in zip(chunk, chunk_fn(chunk))]
+        other = assemble_from_columns(columns, assembler, gpr=gpr)
+        assert np.array_equal(other.matrix, reference.matrix)
+        assert np.array_equal(other.rhs, reference.rhs)
 
     def test_exact_column_times_do_not_change_bits(self, coarse_barbera):
         mesh, soil, gpr = coarse_barbera
         exact = AssemblyOptions(adaptive=None)
         timed = assemble_system(mesh, soil, gpr=gpr, options=exact, collect_column_times=True)
         batched = assemble_system(mesh, soil, gpr=gpr, options=exact)
-        assert timed.metadata["batch_size"] == 1
+        assert timed.metadata["n_chunks"] == mesh.n_elements
         assert np.array_equal(timed.matrix, batched.matrix)
 
     def test_collect_column_times_matches_batched_matrix(self, rodded_mesh, two_layer_soil):
@@ -331,10 +344,11 @@ class TestFoldMemory:
         group_size = assembler.max_batch_size()
         m = mesh.n_elements
         columns = [
-            column
+            ColumnResult(index, *pair)
             for start in range(0, m, group_size)
-            for column in compute_column_batch(
-                assembler, range(start, min(start + group_size, m))
+            for index, pair in zip(
+                range(start, min(start + group_size, m)),
+                assembler.column_batch(list(range(start, min(start + group_size, m)))),
             )
         ]
         stored = sum(c.blocks.nbytes + c.targets.nbytes for c in columns)
@@ -346,6 +360,34 @@ class TestFoldMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 0.5 * stored, (peak / 1e6, stored / 1e6)
+
+    def test_ascending_stream_frees_each_group_before_the_next(self, coarse_barbera):
+        """Fed an ascending stream, the fold holds one column group at a time:
+        group g's blocks are gone by the time group g+1's first column is made."""
+        mesh, soil, gpr = coarse_barbera
+        dofs = DofManager(mesh, ElementType.LINEAR)
+        assembler = ColumnAssembler(mesh, kernel_for_soil(soil), dofs, n_gauss=4)
+        group_size = assembler.max_batch_size()
+        m = mesh.n_elements
+        alive_at_next_group: list[int] = []
+
+        def ascending():
+            previous: list[weakref.ref] = []
+            for start in range(0, m, group_size):
+                chunk = list(range(start, min(start + group_size, m)))
+                pairs = assembler.column_batch(chunk)
+                alive_at_next_group.append(sum(ref() is not None for ref in previous))
+                previous = [weakref.ref(blocks) for _, blocks in pairs]
+                for index in chunk:
+                    yield ColumnResult(index, *pairs.pop(0))
+
+        system = assemble_from_columns(ascending(), assembler, gpr=gpr)
+        assert len(alive_at_next_group) == -(-m // group_size) > 2
+        assert alive_at_next_group == [0] * len(alive_at_next_group)
+        reference = assemble_from_columns(
+            [_column(assembler, i) for i in range(m)], assembler, gpr=gpr
+        )
+        assert np.array_equal(system.matrix, reference.matrix)
 
 
 class TestRefinementConvergence:

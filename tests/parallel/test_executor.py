@@ -77,6 +77,19 @@ class TestCorrectness:
         with pytest.raises(ParallelExecutionError):
             ScheduledExecutor(square, n_workers=0)
 
+    @pytest.mark.parametrize(
+        "n_workers",
+        [
+            pytest.param(2.5, id="non_integral"),
+            pytest.param(float("nan"), id="nan"),
+            pytest.param(float("inf"), id="inf"),
+            pytest.param(True, id="bool"),
+        ],
+    )
+    def test_non_whole_worker_count(self, n_workers):
+        with pytest.raises(ParallelExecutionError, match="whole number"):
+            ScheduledExecutor(square, n_workers=n_workers)
+
 
 class TestChunkAccounting:
     def test_dynamic_chunk_count(self):

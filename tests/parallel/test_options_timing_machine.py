@@ -35,6 +35,23 @@ class TestParallelOptions:
         with pytest.raises(ScheduleError):
             ParallelOptions(n_workers=-2)
 
+    @pytest.mark.parametrize(
+        "n_workers",
+        [
+            pytest.param(2.5, id="non_integral"),
+            pytest.param(float("nan"), id="nan"),
+            pytest.param(float("inf"), id="inf"),
+            pytest.param(True, id="bool"),
+        ],
+    )
+    def test_rejects_non_whole_workers(self, n_workers):
+        with pytest.raises(ScheduleError, match="whole number"):
+            ParallelOptions(n_workers=n_workers)
+
+    def test_zero_and_integral_float_workers(self):
+        assert ParallelOptions(n_workers=0).n_workers == (os.cpu_count() or 1)
+        assert ParallelOptions(n_workers=2.0).n_workers == 2
+
 
 class TestTimer:
     def test_context_manager_accumulates(self):
