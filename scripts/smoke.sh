@@ -52,15 +52,20 @@ echo "== hierarchical scaling benchmark (quick mode) =="
 BENCH_QUICK=1 python -m pytest -q -p no:randomly \
   benchmarks/bench_hierarchical_scaling.py::test_hierarchical_scaling
 
-echo "== sharded hierarchical benchmark + compact near field + one thread per process (quick mode, workers 0+1+2) =="
+echo "== sharded hierarchical benchmark + compact near and far payloads + one thread per process (quick mode, workers 0+1+2) =="
 # Asserts that workers 1 and 2 reproduce the in-process workers=0 solution
 # bit for bit (solution_rel_error == 0.0, identical PCG iterate counts)
 # alongside the flagged-oversubscription rows, that every near block
-# ships its worker-summed unique upper-triangle dof pairs, and that pooled
-# assembly, matvec, PCG and a concurrent-group campaign start no thread.
+# ships its worker-summed unique upper-triangle dof pairs, that every far
+# block ships its factors summed per dof (the master's one summer call is
+# the near field's; the ACA sample count comes from the block shape), that
+# the master's pooled 32x32 peak stays within 2.75x the operator, and that
+# pooled assembly, matvec, PCG and a concurrent-group campaign start no thread.
 BENCH_QUICK=1 python -m pytest -q -p no:randomly \
   benchmarks/bench_hierarchical_scaling.py::test_sharded_hierarchical \
   tests/parallel/test_block_backend.py::TestCompactNearField \
+  tests/parallel/test_block_backend.py::TestFarPayload \
+  tests/parallel/test_pool_streaming.py::TestMasterPeak \
   tests/parallel/test_block_backend.py::TestOneThreadPerProcess
 
 echo "== dense column fold (bitwise across workers and schedules, bounded fold transient) =="
@@ -151,8 +156,9 @@ echo "== streamed pool results (frame digests, stale frames dropped, bounded mas
 # Workers stream one digest-headed frame per finished task: a damaged first
 # frame must be rejected once and retried with the rest of its dispatch
 # dropped as stale (bitwise equal to a fault-free run), a pooled 32x32
-# hierarchical assembly must keep the master's traced peak within 3.75x the
-# operator, and RES001 must flag a bare recv_bytes() in repro.parallel.
+# hierarchical assembly must keep the master's traced peak within 3.75x (and
+# 2.75x) the operator, and RES001 must flag a bare recv_bytes() in
+# repro.parallel.
 python -m pytest -q -p no:randomly tests/parallel/test_pool_streaming.py \
   tests/contracts/test_rules.py -k "CorruptFrame or MasterPeak or RES001"
 

@@ -15,9 +15,11 @@ The hierarchical engine decomposes the Galerkin matrix into the blocks of a
   kernel of the dense engine;
 * :func:`upper_triangle_scatter` — the dense engine's symmetric scatter of
   one evaluated column, keeping only the upper triangle;
-* :func:`sum_duplicate_pairs` — the per-dof-pair sum of COO entries, run on
-  one near block in the worker and, in the master, on the whole near field
-  and on each half of every far block.
+* :func:`far_dof_halves` — one far block's ACA factors summed per dof, the
+  form the worker ships;
+* :func:`sum_duplicate_pairs` — the per-dof-pair sum of COO entries, run in
+  the worker on one near block and on both halves of one far block, and in
+  the master on the whole near field.
 
 Determinism contract: every routine evaluates **one block at a time** with a
 batch composition that depends only on the block itself (never on which shard
@@ -49,6 +51,7 @@ __all__ = [
     "compress_far_block",
     "emit_block_plan_span",
     "emit_far_block_spans",
+    "far_dof_halves",
     "near_block_pair_columns",
     "near_block_triplets",
     "sum_duplicate_pairs",
@@ -475,10 +478,10 @@ def sum_duplicate_pairs(
     pair's values in input order, so the sums are a function of the entries
     and their order alone.  Returns ``(rows, cols, vals)``: int32 pairs, each
     once, sorted by ``(row, col)``, and their float64 sums.  ``n_cols``
-    bounds the column indices.  Runs on one near block in the worker and, in
-    the master, on the near field and on each half of every far block
-    (:class:`~repro.cluster.operator.NearField`,
-    :class:`~repro.cluster.operator.FarField`).
+    bounds the column indices.  Runs in the worker on one near block
+    (:func:`near_block_triplets`) and on both halves of one far block
+    (:func:`far_dof_halves`), and in the master once, on the whole near field
+    (:class:`~repro.cluster.operator.NearField`).
     """
     if not len(rows):
         empty = np.zeros(0, dtype=np.int32)
@@ -499,3 +502,35 @@ def sum_duplicate_pairs(
     del order, ranks
     sums = np.bincount(inverse, weights=np.concatenate(vals), minlength=keys.size)
     return (keys // n_cols).astype(np.int32), (keys % n_cols).astype(np.int32), sums
+
+
+def far_dof_halves(
+    row_dofs: np.ndarray, u: np.ndarray, col_dofs: np.ndarray, v: np.ndarray, n_dofs: int
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """A far block's ``U`` and ``V`` rows summed per dof, in one summer call.
+
+    ``row_dofs``/``col_dofs`` give the dof of every factor row (element basis
+    rows sharing a node repeat it); ``u``/``v`` are the block's ``(rows, k)``
+    ACA factors.  Returns ``(R, U^T)`` and ``(C, V^T)``: each half's sorted
+    unique int32 dofs and its ``(k, dofs)`` term-major values.  Terms
+    ``0..k-1`` key ``U``'s entries and ``k..2k-1`` ``V``'s, so the sums come
+    out half by half.  A rank-0 block has no entries, hence no dofs.
+    """
+    rank = u.shape[1]
+    if rank == 0:
+        empty = np.zeros(0, dtype=np.int32)
+        return (empty, np.zeros((0, 0))), (empty.copy(), np.zeros((0, 0)))
+    terms = np.arange(2 * rank, dtype=np.int32)
+    summed_terms, dofs, values = sum_duplicate_pairs(
+        [np.repeat(terms[:rank], row_dofs.size), np.repeat(terms[rank:], col_dofs.size)],
+        [np.tile(row_dofs, rank), np.tile(col_dofs, rank)],
+        [u.T.ravel(), v.T.ravel()],
+        n_dofs,
+    )
+    split = int(np.searchsorted(summed_terms, rank))
+    # Copies of the dofs: a view would keep all ``2k`` terms' keys alive.
+    u_half, v_half = (
+        (dofs[half][: dofs[half].size // rank].copy(), values[half].reshape(rank, -1))
+        for half in (slice(0, split), slice(split, None))
+    )
+    return u_half, v_half

@@ -236,31 +236,6 @@ class NearField:
         return int(sum(array.nbytes for array in arrays))
 
 
-def _dof_halves(
-    row_dofs: np.ndarray, u: np.ndarray, col_dofs: np.ndarray, v: np.ndarray, n_dofs: int
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """A far block's ``U`` and ``V`` rows summed per dof, in one summer call.
-
-    Returns ``(R, U^T)`` and ``(C, V^T)``: each half's sorted unique dofs and
-    its ``(k, dofs)`` term-major values.  Terms ``0..k-1`` key ``U``'s
-    entries and ``k..2k-1`` ``V``'s, so the sums come out half by half.
-    """
-    rank = u.shape[1]
-    terms = np.arange(2 * rank, dtype=np.int32)
-    summed_terms, dofs, values = sum_duplicate_pairs(
-        [np.repeat(terms[:rank], row_dofs.size), np.repeat(terms[rank:], col_dofs.size)],
-        [np.tile(row_dofs, rank), np.tile(col_dofs, rank)],
-        [u.T.ravel(), v.T.ravel()],
-        n_dofs,
-    )
-    split = int(np.searchsorted(summed_terms, rank))
-    halves = []
-    for half in (slice(0, split), slice(split, None)):
-        n_rows = dofs[half].size // rank
-        halves.append((dofs[half][:n_rows].astype(np.intp), values[half].reshape(rank, n_rows)))
-    return tuple(halves)
-
-
 @dataclass(frozen=True)
 class _BlockRun:
     """Consecutive far blocks of one rank ``k``, stored side by side.
@@ -282,17 +257,18 @@ class FarField:
 
     A far block couples row dofs ``R`` and column dofs ``C`` through ``U``
     (``|R| x k``) and ``V`` (``|C| x k``) and applies ``U V^T x + V U^T x``.
-    Its halves ``(R, U)`` and ``(C, V)`` are summed per dof by
-    :func:`~repro.cluster.block_assembly.sum_duplicate_pairs`; blocks of
-    equal rank are packed, in canonical order, into :class:`_BlockRun`
-    arrays of about :data:`_RUN_VALUES` values.  A matvec costs a handful of
-    whole-array operations per run: a multiply with the gathered operand,
-    one ``np.add.reduceat`` giving every half's term sums, a swap of each
-    block's two sums, an ``np.repeat`` back over the rows, a multiply and a
-    column sum — no per-entry index.  ``rows`` lists the dof of every stored
-    row, run after run, and ``keys`` its ``segment * n_dofs + row``: one
-    ``np.bincount`` over ``keys`` adds the row sums into one partial per
-    canonical matvec segment, in fixed order.
+    Its halves ``(R, U)`` and ``(C, V)`` arrive summed per dof
+    (:func:`~repro.cluster.block_assembly.far_dof_halves`, run where the
+    block was compressed); blocks of equal rank are packed, in canonical
+    order, into :class:`_BlockRun` arrays of about :data:`_RUN_VALUES`
+    values.  A matvec costs a handful of whole-array operations per run: a
+    multiply with the gathered operand, one ``np.add.reduceat`` giving every
+    half's term sums, a swap of each block's two sums, an ``np.repeat`` back
+    over the rows, a multiply and a column sum — no per-entry index.
+    ``rows`` lists the dof of every stored row, run after run, and ``keys``
+    its ``segment * n_dofs + row``: one ``np.bincount`` over ``keys`` adds
+    the row sums into one partial per canonical matvec segment, in fixed
+    order.
     """
 
     def __init__(
@@ -301,13 +277,14 @@ class FarField:
         n_dofs: int,
         n_segments: int,
     ) -> None:
-        """``blocks`` lists ``(segment, row_dofs, u, col_dofs, v)`` in canonical order.
+        """``blocks`` lists ``(segment, R, U^T, C, V^T)`` in canonical order.
 
-        ``row_dofs``/``col_dofs`` give the dof of every factor row (element
-        basis rows sharing a node repeat it); ``u``/``v`` are the block's
-        ``(rows, k)`` ACA factors.  Each entry is set to ``None`` once its
-        block is folded, so no block's raw factors outlive its fold and at
-        most one run's folded blocks are held apart from the runs.
+        Each block's halves are already summed per dof, as
+        :func:`~repro.cluster.block_assembly.far_dof_halves` returns them:
+        ``R``/``C`` its sorted unique row and column dofs, ``U^T``/``V^T``
+        the ``(k, |R|)`` and ``(k, |C|)`` term-major values, ``k >= 1``.
+        Each entry is set to ``None`` once its block is packed, so at most
+        one run's blocks are held apart from the runs.
         """
         self.n_dofs = int(n_dofs)
         self.n_segments = int(n_segments)
@@ -316,22 +293,22 @@ class FarField:
         segments: list[np.ndarray] = []
         by_rank: dict[int, list[int]] = {}
         for index, block in enumerate(blocks):
-            by_rank.setdefault(int(block[2].shape[1]), []).append(index)
+            by_rank.setdefault(int(block[2].shape[0]), []).append(index)
         for rank in sorted(by_rank):
             run: list[tuple[int, tuple, tuple]] = []
             width = 0
             for index in by_rank[rank]:
-                segment, row_dofs, u, col_dofs, v = blocks[index]
+                segment, row_dofs, u_t, col_dofs, v_t = blocks[index]
                 blocks[index] = None
-                member = (segment, *_dof_halves(row_dofs, u, col_dofs, v, n_dofs))
-                member_width = member[1][0].size + member[2][0].size
+                member = (segment, (row_dofs, u_t), (col_dofs, v_t))
+                member_width = row_dofs.size + col_dofs.size
                 if run and rank * (width + member_width) > _RUN_VALUES:
                     self._append_run(run, rows, segments)
                     run, width = [], 0
                 run.append(member)
                 width += member_width
             self._append_run(run, rows, segments)
-        self.rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.intp)
+        self.rows = np.concatenate(rows or [np.zeros(0, dtype=np.intp)], dtype=np.intp)
         self.keys = (
             np.concatenate(segments).astype(np.intp) * self.n_dofs + self.rows
             if segments

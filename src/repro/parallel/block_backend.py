@@ -9,8 +9,8 @@ blocks and ACA far-field blocks are assembled by a
 :class:`~repro.parallel.pool.WorkerPool` — the caller's persistent pool, or a
 transient one that runs in this process for ``workers == 0`` and forks
 ``workers`` processes otherwise — and only the block results (each near
-block's dof entries, summed in the worker, and low-rank factors) travel back
-to the master, which regroups them into a
+block's dof entries and each far block's low-rank factors, both summed per
+dof in the worker) travel back to the master, which packs them into a
 :class:`~repro.cluster.operator.HierarchicalOperator`.  The protocol is pure
 message passing: workers share nothing mutable, every task is a
 self-contained block.
@@ -30,14 +30,16 @@ reproducible across machines with different core counts:
   compact per-block entries, concatenated in ascending block order, into one
   upper triangle (:class:`~repro.cluster.operator.NearField`), so every dof
   pair is stored once;
-* the far blocks are tagged with one of :data:`MATVEC_SEGMENTS` *canonical
+* each far block's ``U`` and ``V`` rows are summed per dof in the worker
+  that compressed it (:func:`~repro.cluster.block_assembly.far_dof_halves`);
+  the blocks are tagged with one of :data:`MATVEC_SEGMENTS` *canonical
   segments* (an LPT split of the same cost profile by a fixed segment count,
   independent of the worker count) and handed to
-  :class:`~repro.cluster.operator.FarField` segment by segment, each in
-  ascending block order;
-* every duplicate sum — worker and master — runs
-  :func:`~repro.cluster.block_assembly.sum_duplicate_pairs`, and the operator
-  holds plain NumPy arrays;
+  :class:`~repro.cluster.operator.FarField`, which only packs them, segment
+  by segment, each in ascending block order;
+* every duplicate sum — per block in the worker, the near field in the
+  master — runs :func:`~repro.cluster.block_assembly.sum_duplicate_pairs`,
+  and the operator holds plain NumPy arrays;
 * the operator reduces the near-field partial and the per-segment partials
   with :func:`~repro.cluster.operator.pairwise_tree_sum` in fixed order.
 
@@ -59,6 +61,7 @@ from repro.cluster.block_assembly import (
     compress_far_block,
     emit_block_plan_span,
     emit_far_block_spans,
+    far_dof_halves,
     near_block_triplets,
 )
 from repro.cluster.operator import FarField, HierarchicalOperator, NearField
@@ -87,14 +90,18 @@ MATVEC_SEGMENTS: int = 8
 class BlockOutcome:
     """Result of assembling one cluster block inside a shard worker.
 
-    ``kind`` is ``"far"`` (low-rank factors ``u``/``v`` over the block's
-    element basis functions), ``"near"`` (an inadmissible block) or
-    ``"fallback"`` (an admissible block that was not worth factorising,
-    assembled densely like a near block).  A near or fallback outcome carries
-    unique upper-triangle dof pairs — int32 ``rows``/``cols`` with
-    ``rows <= cols``, sorted — and their float64 ``vals``, already summed in
-    the worker (:func:`~repro.cluster.block_assembly.near_block_triplets`).
-    Only NumPy arrays cross the process boundary.
+    ``kind`` is ``"far"`` (low-rank factors), ``"near"`` (an inadmissible
+    block) or ``"fallback"`` (an admissible block that was not worth
+    factorising, assembled densely like a near block).  A far outcome carries
+    the block's row and column dofs — sorted unique int32 ``rows``/``cols`` —
+    and its ACA factors summed over them in the worker
+    (:func:`~repro.cluster.block_assembly.far_dof_halves`): ``u`` of shape
+    ``(rows.size, rank)`` and ``v`` of shape ``(cols.size, rank)``.  A near
+    or fallback outcome carries unique upper-triangle dof pairs — int32
+    ``rows``/``cols`` with ``rows <= cols``, sorted — and their float64
+    ``vals``, also summed in the worker
+    (:func:`~repro.cluster.block_assembly.near_block_triplets`).  Only NumPy
+    arrays cross the process boundary.
     """
 
     block_index: int
@@ -118,13 +125,16 @@ class _BlockShardTask:
     workers once per run; only :class:`BlockOutcome` payloads travel back.
     """
 
-    def __init__(self, assembler, tree, blocks, control, stopping, dof_matrix) -> None:
+    def __init__(
+        self, assembler, tree, blocks, control, stopping, dof_matrix, n_dofs
+    ) -> None:
         self.assembler = assembler
         self.tree = tree
         self.blocks = blocks
         self.control = control
         self.stopping = float(stopping)
         self.dof_matrix = dof_matrix
+        self.n_dofs = int(n_dofs)
 
     def _near_outcome(self, block_index: int, block, kind: str) -> BlockOutcome:
         rows_e = self.tree.elements_of(block.row)
@@ -143,8 +153,15 @@ class _BlockShardTask:
         )
         if factors is None:
             return self._near_outcome(int(block_index), block, "fallback")
+        (rows, u_t), (cols, v_t) = far_dof_halves(
+            self.dof_matrix[self.tree.elements_of(block.row)].ravel(),
+            factors.u,
+            self.dof_matrix[self.tree.elements_of(block.col)].ravel(),
+            factors.v,
+            self.n_dofs,
+        )
         return BlockOutcome(
-            block_index=int(block_index), kind="far", u=factors.u, v=factors.v
+            block_index=int(block_index), kind="far", rows=rows, cols=cols, u=u_t.T, v=v_t.T
         )
 
 
@@ -200,7 +217,7 @@ def sharded_operator_steps(
     ]
 
     task = _BlockShardTask(
-        assembler, tree, partition.blocks, control, profile.stopping, dof_matrix
+        assembler, tree, partition.blocks, control, profile.stopping, dof_matrix, n_dofs
     )
     # One block per task call, timed per block: a block's kernel batch
     # composition depends only on the block itself, never on its shard.
@@ -222,6 +239,7 @@ def sharded_operator_steps(
     }
     far_entries: list[tuple[int, int, int, int, float]] = []
     ranks: list[int] = []
+    sampled_entries = 0
     near_pairs = 0
     n_near = 0
     n_fallback = 0
@@ -234,6 +252,8 @@ def sharded_operator_steps(
         seconds = seconds_of.get(int(block_index), 0.0)
         if result.kind == "far":
             ranks.append(result.rank)
+            # One sampled row and column of the block's basis rows per ACA step.
+            sampled_entries += result.rank * (rows_n * nb + cols_n * nb)
             far_entries.append(
                 (int(block_index), rows_n * nb, cols_n * nb, result.rank, seconds)
             )
@@ -249,37 +269,10 @@ def sharded_operator_steps(
         n_near += 1
         near_trace_seconds += seconds
 
-    # ---- the far field, folded first ----
-    # Summed per dof, the far factors shrink about threefold, so the near
-    # fold's transients meet the smaller far field, not the raw payload.
-    far_segments: list[list[int]] = []
-    for block_ids in segment_blocks:
-        far_ids = [
-            b for b in map(int, block_ids) if outcomes[b].kind == "far" and outcomes[b].rank
-        ]
-        if far_ids:
-            far_segments.append(far_ids)
-    total_rank = sum(outcomes[b].rank for block_ids in far_segments for b in block_ids)
-
-    far_blocks: list[Any] = []
-    for segment, block_ids in enumerate(far_segments):
-        for block_index in block_ids:
-            result, block = outcomes[block_index], partition.blocks[block_index]
-            far_blocks.append(
-                (
-                    segment,
-                    dof_matrix[tree.elements_of(block.row)].ravel(),
-                    result.u,
-                    dof_matrix[tree.elements_of(block.col)].ravel(),
-                    result.v,
-                )
-            )
-            # `far_blocks` is the factors' last holder: FarField drops each
-            # block once it is folded.
-            result.u = result.v = None
-    far = FarField(far_blocks, n_dofs, len(far_segments))
-
-    # ---- the near field, stored once: per-block sums added in ascending block order ----
+    # ---- the near field, folded first: per-block sums added in ascending block order ----
+    # The far blocks arrive summed per dof, so the near fold's transients
+    # meet that compact payload; folding far first would leave the finished
+    # far field standing next to them instead.
     near_blocks = [
         result
         for _, result in sorted(outcomes.items())
@@ -294,6 +287,26 @@ def sharded_operator_steps(
     for result in near_blocks:
         result.rows = result.cols = result.vals = None  # folded into `near`
     del near_blocks
+
+    # ---- the far field: the workers' per-dof halves, packed segment by segment ----
+    far_segments: list[list[int]] = []
+    for block_ids in segment_blocks:
+        far_ids = [
+            b for b in map(int, block_ids) if outcomes[b].kind == "far" and outcomes[b].rank
+        ]
+        if far_ids:
+            far_segments.append(far_ids)
+    total_rank = sum(outcomes[b].rank for block_ids in far_segments for b in block_ids)
+
+    far_blocks: list[Any] = []
+    for segment, block_ids in enumerate(far_segments):
+        for block_index in block_ids:
+            result = outcomes[block_index]
+            far_blocks.append((segment, result.rows, result.u.T, result.cols, result.v.T))
+            # `far_blocks` is the halves' last holder: FarField drops each
+            # block once it is packed.
+            result.rows = result.cols = result.u = result.v = None
+    far = FarField(far_blocks, n_dofs, len(far_segments))
 
     if tracer.enabled:
         # The worker-measured task seconds become the span durations — the
@@ -329,6 +342,7 @@ def sharded_operator_steps(
         "rank_mean": float(rank_array.mean()) if rank_array.size else 0.0,
         "near_nnz": near.nnz,
         "near_pairs": int(near_pairs),
+        "aca_sampled_entries": int(sampled_entries),
         "block_cost_units_total": float(costs.sum()),
         "workers": n_workers,
         "backend": outcome.backend,

@@ -20,7 +20,12 @@ import pytest
 
 from repro.bem.assembly import AssemblyOptions, assemble_system
 from repro.cluster import HierarchicalControl, HierarchicalOperator
-from repro.cluster.block_assembly import near_block_pair_columns, upper_triangle_scatter
+from repro.cluster.block_assembly import (
+    compress_far_block,
+    far_dof_halves,
+    near_block_pair_columns,
+    upper_triangle_scatter,
+)
 from repro.cluster.operator import pairwise_tree_sum
 from repro.exceptions import ParallelExecutionError
 from repro.parallel.pool import WorkerPool
@@ -258,45 +263,56 @@ class TestPlainNumpyStorage:
         )
 
 
+def _block_outcomes(mesh, soil, leaf_size: int) -> dict:
+    """Every block outcome of one mesh, computed in process by the worker task."""
+    from repro.bem.elements import DofManager
+    from repro.bem.influence import ColumnAssembler
+    from repro.cluster.block_assembly import build_block_profile
+    from repro.kernels.base import kernel_for_soil
+    from repro.parallel.block_backend import _BlockShardTask
+
+    options = AssemblyOptions(hierarchical=_control(leaf_size=leaf_size))
+    assembler = ColumnAssembler(
+        mesh,
+        kernel_for_soil(soil, options.series_control),
+        DofManager(mesh, options.element_type),
+        options.n_gauss,
+        adaptive=options.adaptive,
+    )
+    profile = build_block_profile(assembler, options.hierarchical)
+    task = _BlockShardTask(
+        assembler,
+        profile.tree,
+        profile.partition.blocks,
+        options.hierarchical,
+        profile.stopping,
+        profile.dof_matrix,
+        profile.n_dofs,
+    )
+    return {
+        "assembler": assembler,
+        "profile": profile,
+        "control": options.hierarchical,
+        "outcomes": [task(index) for index in range(len(profile.partition.blocks))],
+    }
+
+
 class TestCompactNearField:
     """Near and fallback blocks are summed in the worker before they ship."""
 
     @pytest.fixture(scope="class", params=["flat", "rodded"])
     def near_case(self, request, small_mesh, uniform_soil, rodded_mesh, two_layer_soil):
         """Every block outcome of one golden mesh, its raw scatter and operator."""
-        from repro.bem.elements import DofManager
-        from repro.bem.influence import ColumnAssembler
-        from repro.cluster.block_assembly import build_block_profile
-        from repro.kernels.base import kernel_for_soil
-        from repro.parallel.block_backend import _BlockShardTask
-
         mesh, soil = {
             "flat": (small_mesh, uniform_soil),
             "rodded": (rodded_mesh, two_layer_soil),
         }[request.param]
-        options = AssemblyOptions(hierarchical=_control())
-        assembler = ColumnAssembler(
-            mesh,
-            kernel_for_soil(soil, options.series_control),
-            DofManager(mesh, options.element_type),
-            options.n_gauss,
-            adaptive=options.adaptive,
-        )
-        profile = build_block_profile(assembler, options.hierarchical)
-        task = _BlockShardTask(
-            assembler,
-            profile.tree,
-            profile.partition.blocks,
-            options.hierarchical,
-            profile.stopping,
-            profile.dof_matrix,
-        )
-        outcomes = [task(index) for index in range(len(profile.partition.blocks))]
-        near = [outcome for outcome in outcomes if outcome.kind != "far"]
+        case = _block_outcomes(mesh, soil, LEAF_SIZE)
+        near = [outcome for outcome in case["outcomes"] if outcome.kind != "far"]
         assert near
         return {
-            "assembler": assembler,
-            "profile": profile,
+            "assembler": case["assembler"],
+            "profile": case["profile"],
             "near": near,
             "operator": _assemble(mesh, soil, _control()).matrix,
         }
@@ -351,6 +367,125 @@ class TestCompactNearField:
         near = near_case["operator"].near.upper_todense()
         scale = np.abs(reference).max()
         assert np.abs(near - reference).max() <= 1e-14 * scale
+
+
+class TestFarPayload:
+    """Far blocks ship their factors summed per dof; the master only packs them."""
+
+    @pytest.fixture(scope="class", params=["flat", "rodded", "far-field"])
+    def far_case(
+        self, request, small_mesh, uniform_soil, rodded_mesh, two_layer_soil, far_field_mesh
+    ):
+        mesh, soil, leaf_size = {
+            "flat": (small_mesh, uniform_soil, LEAF_SIZE),
+            "rodded": (rodded_mesh, two_layer_soil, LEAF_SIZE),
+            "far-field": (far_field_mesh, two_layer_soil, FAR_LEAF_SIZE),
+        }[request.param]
+        case = _block_outcomes(mesh, soil, leaf_size)
+        far = [outcome for outcome in case["outcomes"] if outcome.kind == "far"]
+        if request.param == "far-field":
+            assert far
+        return {**case, "mesh": mesh, "soil": soil, "leaf_size": leaf_size, "far": far}
+
+    def test_helper_sums_factor_rows_per_dof(self):
+        rng = np.random.default_rng(24)
+        row_dofs, col_dofs = np.array([3, 1, 3, 5, 1, 1]), np.array([0, 2, 2])
+        u, v = rng.standard_normal((6, 3)), rng.standard_normal((3, 3))
+        halves = far_dof_halves(row_dofs, u, col_dofs, v, 8)
+        for (dofs, values_t), raw_dofs, raw in zip(halves, (row_dofs, col_dofs), (u, v)):
+            expected = np.zeros((8, 3))
+            np.add.at(expected, raw_dofs, raw)
+            assert dofs.dtype == np.int32
+            assert np.array_equal(dofs, np.unique(raw_dofs))
+            assert np.allclose(values_t.T, expected[dofs], rtol=0.0, atol=1e-15)
+        # ACA converges at rank 0 on a block below its pivot floor.
+        for dofs, values_t in far_dof_halves(row_dofs, u[:, :0], col_dofs, v[:, :0], 8):
+            assert dofs.size == 0 and values_t.T.shape == (0, 0)
+
+    def test_far_outcomes_ship_sorted_unique_int32_dofs(self, far_case):
+        n_dofs = far_case["profile"].n_dofs
+        for outcome in far_case["far"]:
+            for dofs in (outcome.rows, outcome.cols):
+                assert dofs.dtype == np.int32
+                assert np.all(np.diff(dofs) > 0)
+                assert dofs.size == 0 or 0 <= dofs[0] <= dofs[-1] < n_dofs
+            assert outcome.u.shape == (outcome.rows.size, outcome.rank)
+            assert outcome.v.shape == (outcome.cols.size, outcome.rank)
+
+    def test_far_halves_equal_helper_on_raw_factors(self, far_case):
+        profile, tree = far_case["profile"], far_case["profile"].tree
+        for outcome in far_case["far"]:
+            block = profile.partition.blocks[outcome.block_index]
+            factors = compress_far_block(
+                far_case["assembler"], tree, block, far_case["control"], profile.stopping
+            )
+            (rows, u_t), (cols, v_t) = far_dof_halves(
+                profile.dof_matrix[tree.elements_of(block.row)].ravel(),
+                factors.u,
+                profile.dof_matrix[tree.elements_of(block.col)].ravel(),
+                factors.v,
+                profile.n_dofs,
+            )
+            for shipped, expected in ((outcome.rows, rows), (outcome.cols, cols)):
+                assert shipped.dtype == expected.dtype
+                assert shipped.tobytes() == expected.tobytes()
+            for shipped, expected in ((outcome.u, u_t.T), (outcome.v, v_t.T)):
+                assert shipped.shape == expected.shape
+                assert np.ascontiguousarray(shipped).tobytes() == (
+                    np.ascontiguousarray(expected).tobytes()
+                )
+
+    def test_pooled_master_sums_only_the_near_field(self, far_case, monkeypatch):
+        from repro.cluster import block_assembly, operator
+
+        calls = []
+        summer = block_assembly.sum_duplicate_pairs
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return summer(*args, **kwargs)
+
+        control = _control(leaf_size=far_case["leaf_size"])
+        with WorkerPool(2) as pool:
+            # Patched after the fork: only the master's calls are counted.
+            monkeypatch.setattr(block_assembly, "sum_duplicate_pairs", counting)
+            monkeypatch.setattr(operator, "sum_duplicate_pairs", counting)
+            system = _assemble(far_case["mesh"], far_case["soil"], control, pool=pool)
+        assert system.metadata["hierarchical"]["backend"] == "pool-process"
+        near_blocks = sum(
+            1 for outcome in far_case["outcomes"] if outcome.kind != "far" and outcome.rows.size
+        )
+        # One call, NearField's, over every near block's entries at once.
+        assert calls == [near_blocks]
+
+    def test_aca_sampled_entries_match_far_block_spans(self, far_case):
+        from repro.observe import Tracer
+
+        tracer = Tracer()
+        system = assemble_system(
+            far_case["mesh"],
+            far_case["soil"],
+            gpr=1000.0,
+            options=AssemblyOptions(hierarchical=_control(leaf_size=far_case["leaf_size"])),
+            tracer=tracer,
+        )
+        spans = [
+            span
+            for root in tracer.roots
+            for span in root.walk()
+            if span.name == "block" and span.attributes.get("kind") == "far"
+        ]
+        expected = sum(int(span.attributes["sampled_entries"]) for span in spans)
+        assert system.matrix.stats["aca_sampled_entries"] == expected
+        # ACA samples element basis rows; the shipped dof rows are fewer, so
+        # a count taken from the payload's shape would read low.
+        shipped = sum(
+            outcome.rank * (outcome.rows.size + outcome.cols.size)
+            for outcome in far_case["far"]
+        )
+        assert shipped <= expected
+        if far_case["far"]:
+            assert shipped < expected
 
 
 class TestBackendEquivalence:
