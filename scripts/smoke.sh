@@ -83,6 +83,19 @@ python -m pytest -q -p no:randomly \
   tests/parallel/test_parallel_assembly.py tests/bem/test_assembly.py \
   -k "Golden or Fold or FromColumns or exact or OneWorkerMemory"
 
+echo "== one Table 6.1 pipeline (CLI analyze, persistence, traced dense assembly at every worker count) =="
+# GroundingAnalysis is the one five-phase pipeline: the CLI's analyze runs it
+# and stores its files through save_results (full Barbera dof values bitwise
+# equal to a direct run); a traced dense analysis records assemble.columns
+# under phase.matrix_generation for parallel=None and 1 or 2 workers, with
+# byte-identical canonical traces; the Table 6.1 bench finds matrix
+# generation dominant (> 80 % of the pipeline).
+python -m pytest -q -p no:randomly \
+  tests/cad/ tests/integration/test_end_to_end.py \
+  tests/bem/test_formulation.py::TestTracedAssembly
+python -m pytest -q -p no:randomly tests/test_cli.py -k analyze
+python -m pytest -q -p no:randomly benchmarks/bench_table_6_1_phase_times.py::test_table_6_1_phase_times
+
 echo "== surface-potential maps (bounded working set, typed input errors) =="
 # A 61x61 Barbera map must peak at most 1.5x a 21x21 one (tracemalloc), the
 # pair-block size must move results only at float32 rounding, and bad points,

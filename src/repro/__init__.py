@@ -110,9 +110,6 @@ from repro.observe import (
 # Hierarchical (H-matrix) engine
 from repro.cluster import HierarchicalControl, HierarchicalOperator
 
-# CAD layer
-from repro.cad import GroundingProject
-
 # Design-support layer
 from repro.design import (
     FaultScenario,
@@ -185,8 +182,6 @@ __all__ = [
     # hierarchical engine
     "HierarchicalControl",
     "HierarchicalOperator",
-    # cad
-    "GroundingProject",
     # design
     "FaultScenario",
     "ground_potential_rise",

@@ -11,8 +11,9 @@ calling process for one worker, on a process pool otherwise — and
 :func:`assemble_from_columns` folds them into the global matrix afterwards
 (computation of elemental matrices first, assembly after: the scheme the
 paper adopts to break the assembly dependency between threads).
-:func:`assemble_system` is that driver's one-worker case, and the entry of
-the hierarchical engine.
+:func:`assemble_system` hands the dense engine to that driver (one worker
+unless ``parallel`` says otherwise), and is the entry of the hierarchical
+engine.
 
 The fold works in fixed column groups ``[gG, (g+1)G)``, ``G =``
 :meth:`~repro.bem.influence.ColumnAssembler.max_batch_size` (set by the mesh
@@ -44,6 +45,7 @@ from repro.soil.base import SoilModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.cluster.operator import HierarchicalControl
+    from repro.parallel.options import ParallelOptions
 
 __all__ = [
     "AssemblyOptions",
@@ -190,8 +192,9 @@ def assemble_system(
     pool=None,
     cluster_cache=None,
     tracer=None,
+    parallel: "ParallelOptions | None" = None,
 ) -> LinearSystem:
-    """Assemble the Galerkin system in the calling process.
+    """Assemble the Galerkin system.
 
     Parameters
     ----------
@@ -227,6 +230,13 @@ def assemble_system(
         tree (dense column phase, or the hierarchical plan/far/near tree).
         Defaults to the no-op tracer: the disabled cost is one attribute
         check.
+    parallel:
+        Optional :class:`repro.parallel.ParallelOptions` of the dense column
+        loop, handed to
+        :func:`repro.parallel.parallel_assembly.assemble_system_parallel`.
+        ``None`` (the default) is one worker, in the calling process.  The
+        hierarchical engine shards through ``HierarchicalControl(workers=...)``
+        instead, so passing both raises :class:`AssemblyError`.
 
     Returns
     -------
@@ -249,6 +259,7 @@ def assemble_system(
             pool=pool,
             cluster_cache=cluster_cache,
             tracer=tracer,
+            parallel=parallel,
         ),
         pool,
     )
@@ -264,13 +275,15 @@ def assemble_system_steps(
     pool=None,
     cluster_cache=None,
     tracer=None,
+    parallel: "ParallelOptions | None" = None,
 ):
     """Generator form of :func:`assemble_system`.
 
     The hierarchical engine's pool dispatches surface as yielded
     :class:`~repro.parallel.pool.PoolJob` requests; the dense column
-    engine runs inline without yielding, as the one-worker case of
-    :func:`repro.parallel.parallel_assembly.assemble_system_parallel`.
+    engine runs inline without yielding, as
+    :func:`repro.parallel.parallel_assembly.assemble_system_parallel` with
+    ``parallel`` (one worker when ``None``).
     Returns the assembled :class:`~repro.bem.system.LinearSystem`; drive with
     :func:`~repro.parallel.pool.drive_pool_steps` or a multiplexing
     scheduler (the campaign runner).
@@ -283,6 +296,11 @@ def assemble_system_steps(
             "engine does not consume pools)"
         )
     if options.hierarchical is not None:
+        if parallel is not None:
+            raise AssemblyError(
+                "the hierarchical engine decomposes work into cluster blocks, not "
+                "columns; pass parallel=None and use HierarchicalControl(workers=...)"
+            )
         if collect_column_times:
             raise AssemblyError(
                 "the hierarchical engine decomposes work into cluster blocks, not "
@@ -305,28 +323,16 @@ def assemble_system_steps(
     # Imported lazily: repro.parallel imports repro.bem at package load time.
     from repro.parallel.parallel_assembly import assemble_system_parallel
 
-    system = assemble_system_parallel(
+    return assemble_system_parallel(
         mesh,
         soil,
         gpr=gpr,
         options=options,
         kernel=kernel,
+        parallel=parallel,
         collect_column_times=collect_column_times,
+        tracer=tracer,
     )
-    if tracer is not None and tracer.enabled:
-        metadata = system.metadata
-        # The chunk count follows max_batch_size (memory-derived), hence volatile.
-        tracer.record_span(
-            "assemble.columns",
-            duration_seconds=metadata["matrix_generation_seconds"],
-            volatile={"n_chunks": metadata["n_chunks"]},
-            n_elements=mesh.n_elements,
-            n_dofs=metadata["n_dofs"],
-            element_type=options.element_type.value,
-            n_gauss=options.n_gauss,
-            soil_layers=soil.n_layers,
-        )
-    return system
 
 
 def assemble_from_columns(

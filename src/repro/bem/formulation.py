@@ -6,9 +6,14 @@ paper's CAD program uses (Table 6.1): data input, data pre-processing
 and results storage.  Every phase is timed individually so the pipeline-cost
 table of the paper can be reproduced.
 
-Matrix generation — by far the dominant phase — can be executed sequentially or
-handed to one of the parallel backends of :mod:`repro.parallel` by passing a
-:class:`repro.parallel.ParallelOptions` instance.
+It is the one five-phase pipeline of the package: the CLI's ``analyze``, the
+Table 6.1 benchmark, the case studies and the campaign's standalone baseline
+all run it.  Matrix generation — by far the dominant phase — is one
+:func:`repro.bem.assembly.assemble_system` call whatever the settings: the
+dense column loop on one worker or on the workers of a
+:class:`repro.parallel.ParallelOptions`, or the hierarchical engine.  A traced
+dense run records its ``assemble.columns`` span under
+``phase.matrix_generation`` for every worker count.
 """
 
 from __future__ import annotations
@@ -72,8 +77,11 @@ class GroundingAnalysis:
     max_element_length:
         Optional subdivision of long conductors for refinement studies [m].
     parallel:
-        Optional :class:`repro.parallel.ParallelOptions`; ``None`` runs the
-        matrix generation sequentially.
+        Optional :class:`repro.parallel.ParallelOptions` of the dense column
+        loop, passed through the one matrix-generation call
+        (:func:`repro.bem.assembly.assemble_system`); ``None`` runs it on one
+        worker in the calling process.  Every worker count records the same
+        ``assemble.columns`` span in a traced run.
     validate:
         Whether to run the geometric validation rules before analysing.
     collect_column_times:
@@ -208,40 +216,18 @@ class GroundingAnalysis:
             with phases.phase("matrix_generation"), tracer.span(
                 "phase.matrix_generation"
             ):
-                if self.parallel is None:
-                    system = assemble_system(
-                        mesh,
-                        self.soil,
-                        gpr=self.gpr,
-                        options=options,
-                        kernel=kernel,
-                        collect_column_times=self.collect_column_times,
-                        pool=self.pool,
-                        tracer=tracer,
-                    )
-                else:
-                    # Imported lazily so the bem package has no hard dependency
-                    # on the parallel machinery (and to avoid an import cycle).
-                    from repro.parallel.parallel_assembly import assemble_system_parallel
-
-                    system = assemble_system_parallel(
-                        mesh,
-                        self.soil,
-                        gpr=self.gpr,
-                        options=options,
-                        kernel=kernel,
-                        parallel=self.parallel,
-                        collect_column_times=self.collect_column_times,
-                    )
-            metadata.update(
-                {
-                    key: value
-                    for key, value in system.metadata.items()
-                    if key not in ("column_seconds",)
-                }
-            )
-            if "column_seconds" in system.metadata:
-                metadata["column_seconds"] = system.metadata["column_seconds"]
+                system = assemble_system(
+                    mesh,
+                    self.soil,
+                    gpr=self.gpr,
+                    options=options,
+                    kernel=kernel,
+                    collect_column_times=self.collect_column_times,
+                    pool=self.pool,
+                    tracer=tracer,
+                    parallel=self.parallel,
+                )
+            metadata.update(system.metadata)
 
             with phases.phase("linear_system_solving"), tracer.span(
                 "solve", method=self.solver, n_unknowns=system.dof_manager.n_dofs

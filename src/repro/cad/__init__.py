@@ -3,11 +3,14 @@
 The paper integrates its boundary-element formulation "in a Computer Aided
 Design system for grounding analysis" whose phases are listed in Table 6.1:
 data input, data preprocessing, matrix generation, linear system solving and
-results storage.  This sub-package provides that workflow:
+results storage.  Those five timed phases run in
+:class:`repro.bem.GroundingAnalysis`; this sub-package provides what a
+designer does with its results:
 
-* :class:`~repro.cad.project.GroundingProject` — a project object that runs the
-  five phases with individual timing, persists its inputs/outputs and produces
-  the per-phase cost table;
+* :mod:`repro.cad.project` — persistence:
+  :func:`~repro.cad.project.save_results` writes the analysed grid and its
+  results to disk, :func:`~repro.cad.project.load_results_json` reads the
+  results back;
 * :mod:`repro.cad.contours` — earth-surface potential maps and iso-potential
   contour extraction (the paper's Figs. 5.2 and 5.4);
 * :mod:`repro.cad.profiles` — potential / touch-voltage profiles along
@@ -16,14 +19,11 @@ results storage.  This sub-package provides that workflow:
   assessment.
 """
 
-from repro.cad.project import GroundingProject, PhaseReport
 from repro.cad.contours import extract_contours, ContourSet, potential_map
 from repro.cad.profiles import surface_profile, touch_voltage_profile, ProfileResult
 from repro.cad.report import design_report, phase_table, comparison_table
 
 __all__ = [
-    "GroundingProject",
-    "PhaseReport",
     "extract_contours",
     "ContourSet",
     "potential_map",

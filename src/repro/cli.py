@@ -13,7 +13,9 @@ Five sub-commands cover the common workflows::
 
 ``analyze`` reads a grid saved with :func:`repro.geometry.io.save_grid`,
 builds a uniform or two-layer soil from the resistivity options, runs the BEM
-analysis (optionally in parallel) and prints the design report.  The
+analysis (:class:`repro.bem.GroundingAnalysis`, optionally in parallel),
+stores the grid and results in ``--workdir`` if given
+(:func:`repro.cad.project.save_results`) and prints the design report.  The
 ``barbera`` / ``balaidos`` commands run the paper's case studies, and
 ``scaling`` reproduces the parallel study on the local machine —
 ``--hierarchical`` switches it to the hierarchical block builder
@@ -247,20 +249,24 @@ def _make_parallel(workers: int, schedule: str):
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.cad.project import GroundingProject
+    from pathlib import Path
+
+    from repro.bem.formulation import GroundingAnalysis
+    from repro.cad.project import save_results
     from repro.cad.report import design_report
+    from repro.geometry.io import load_grid
 
     soil = _make_soil(args.rho1, args.rho2, args.h)
-    project = GroundingProject(
-        args.grid,
+    results = GroundingAnalysis(
+        load_grid(args.grid),
         soil,
         gpr=args.gpr,
         element_type=args.element_type,
         solver=args.solver,
         parallel=_make_parallel(args.workers, args.schedule),
-        workdir=args.workdir,
-    )
-    results = project.run()
+    ).run()
+    if args.workdir is not None:
+        save_results(results, args.workdir, name=Path(args.grid).stem)
     print(design_report(results))
     return 0
 

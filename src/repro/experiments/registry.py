@@ -91,7 +91,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             title="CPU time of every pipeline phase (Barberá, two-layer)",
             section="6.1",
             workload="Timed run of the five CAD phases; matrix generation dominates.",
-            modules=("repro.cad.project", "repro.timing"),
+            modules=("repro.bem.formulation", "repro.timing"),
             benchmark="benchmarks/bench_table_6_1_phase_times.py",
             examples=("examples/quickstart.py",),
         ),

@@ -7,8 +7,8 @@ elemental matrices (in parallel) and *then* assembling them sequentially —
 "this scheme requires approximately twice the memory space than the original
 one, but in any case this memory space is not very large".
 :func:`assemble_system_parallel` follows exactly that structure, and it is the
-only driver of the dense loop (:func:`repro.bem.assembly.assemble_system` is
-its one-worker case):
+only driver of the dense loop (:func:`repro.bem.assembly.assemble_system`
+hands it the dense engine, one worker by default):
 
 1. the columns of :class:`repro.bem.influence.ColumnAssembler` come from one
    of two sources.  One worker evaluates them in the calling process and
@@ -95,19 +95,21 @@ def assemble_system_parallel(
     options: AssemblyOptions | None = None,
     kernel: LayeredKernel | None = None,
     parallel: ParallelOptions | None = None,
-    collect_column_times: bool = True,
+    collect_column_times: bool = False,
+    tracer=None,
 ) -> LinearSystem:
     """Assemble the dense Galerkin system with the paper's column loop.
 
     Same arguments as :func:`repro.bem.assembly.assemble_system` for the
-    dense engine, plus ``parallel`` (``None``: one worker, in the calling
-    process).  The returned system carries the assembly metadata, among it
+    dense engine (``parallel=None``: one worker, in the calling process).
+    The returned system carries the assembly metadata, among it
     ``backend`` (``"sequential"`` for one worker, else that of the pool the
     loop ran on), ``schedule``, ``n_workers``, ``n_chunks`` (``column_batch``
     chunks evaluated in process, or schedule chunks dispatched) and
     ``parallel_wall_seconds`` (the column loop's wall time); with
     ``collect_column_times`` also ``column_seconds``, the per-column times
-    consumed by the schedule simulator.
+    consumed by the schedule simulator.  An enabled ``tracer`` records one
+    ``assemble.columns`` span for every worker count.
     """
     if parallel is None:
         parallel = ParallelOptions(n_workers=1)
@@ -188,4 +190,17 @@ def assemble_system_parallel(
     )
     if collect_column_times:
         system.metadata["column_seconds"] = column_seconds
+    if tracer is not None and tracer.enabled:
+        # The chunk count follows the worker count and schedule, or
+        # max_batch_size (memory-derived) for one worker, hence volatile.
+        tracer.record_span(
+            "assemble.columns",
+            duration_seconds=generation_seconds,
+            volatile={"n_chunks": n_chunks},
+            n_elements=m,
+            n_dofs=dof_manager.n_dofs,
+            element_type=options.element_type.value,
+            n_gauss=options.n_gauss,
+            soil_layers=soil.n_layers,
+        )
     return system

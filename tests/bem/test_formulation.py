@@ -8,9 +8,12 @@ import pytest
 from repro.bem.elements import ElementType
 from repro.bem.formulation import GroundingAnalysis
 from repro.exceptions import ReproError, ValidationError
+from repro.experiments.barbera import barbera_case
 from repro.geometry.conductors import Conductor
 from repro.geometry.grid import GroundingGrid
 from repro.kernels.series import SeriesControl
+from repro.observe import Tracer, canonical_trace_lines
+from repro.parallel.options import ParallelOptions
 from repro.soil.two_layer import TwoLayerSoil
 from repro.soil.uniform import UniformSoil
 
@@ -99,6 +102,26 @@ class TestRunResults:
             tight.equivalent_resistance, rel=0.02
         )
         assert loose.kernel.series_length(1, 1) < tight.kernel.series_length(1, 1)
+
+
+class TestTracedAssembly:
+    def test_every_worker_count_records_its_assembly(self):
+        """One matrix-generation call: a traced dense analysis records its
+        ``assemble.columns`` span under ``phase.matrix_generation`` for every
+        worker count, and the canonical traces are byte-identical."""
+        grid, soil, gpr = barbera_case("two_layer", coarse=True)
+        canonical = []
+        for parallel in (None, ParallelOptions(n_workers=1), ParallelOptions(n_workers=2)):
+            tracer = Tracer()
+            GroundingAnalysis(grid, soil, gpr=gpr, parallel=parallel, tracer=tracer).run()
+            roots = tracer.finalize()
+            (phase,) = [span for span in roots[0].children if span.name == "phase.matrix_generation"]
+            assert [span.name for span in phase.children if span.kind == "span"] == [
+                "assemble.columns"
+            ]
+            canonical.append(canonical_trace_lines(roots))
+        assert canonical[1] == canonical[0]
+        assert canonical[2] == canonical[0]
 
 
 class TestPhysicalTrends:

@@ -7,10 +7,10 @@ import pytest
 
 from repro.bem.formulation import GroundingAnalysis
 from repro.bem.safety import SafetyAssessment
-from repro.cad.project import GroundingProject, load_results_json
+from repro.cad.project import load_results_json, save_results
 from repro.cad.report import design_report
 from repro.geometry.builder import GridBuilder
-from repro.geometry.io import save_grid
+from repro.geometry.io import load_grid, save_grid
 from repro.parallel.options import ParallelOptions
 from repro.soil.two_layer import TwoLayerSoil
 from repro.soil.uniform import UniformSoil
@@ -20,17 +20,15 @@ from repro.soil.wenner import WennerSurvey
 
 class TestFileToReportWorkflow:
     def test_full_workflow_from_grid_file(self, tmp_path, small_grid, two_layer_soil):
-        """Grid file -> project -> results file -> safety report."""
+        """Grid file -> analysis -> results file -> safety report."""
         grid_path = save_grid(small_grid, tmp_path / "substation.json")
-        project = GroundingProject(
-            grid_path,
+        results = GroundingAnalysis(
+            load_grid(grid_path),
             two_layer_soil,
             gpr=10_000.0,
-            workdir=tmp_path / "out",
-            name="substation",
             parallel=ParallelOptions(n_workers=2),
-        )
-        results = project.run()
+        ).run()
+        save_results(results, tmp_path / "out", name="substation")
 
         stored = load_results_json(tmp_path / "out" / "substation_results.json")
         assert stored["equivalent_resistance_ohm"] == pytest.approx(

@@ -76,7 +76,7 @@ class TestOuterLoopParallelAssembly:
     def test_metadata_contains_timings(self, small_mesh, uniform_soil):
         parallel = ParallelOptions(n_workers=2)
         system = assemble_system_parallel(
-            small_mesh, uniform_soil, gpr=1000.0, parallel=parallel
+            small_mesh, uniform_soil, gpr=1000.0, parallel=parallel, collect_column_times=True
         )
         assert system.metadata["parallel_wall_seconds"] > 0.0
         assert len(system.metadata["column_seconds"]) == small_mesh.n_elements
@@ -146,7 +146,9 @@ class TestGoldenDeterminism:
         }
         for n_workers in (1, 2):
             parallel = ParallelOptions(n_workers=n_workers, schedule=dynamic)
-            system = assemble_system_parallel(mesh, soil, gpr=gpr, parallel=parallel)
+            system = assemble_system_parallel(
+                mesh, soil, gpr=gpr, parallel=parallel, collect_column_times=True
+            )
             hashes[n_workers] = _sha256(system)
         assert len(set(hashes.values())) == 1, hashes
 

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bem.formulation import GroundingAnalysis
+from repro.cad.project import load_results_json
 from repro.cli import build_parser, main
 from repro.exceptions import ReproError
-from repro.geometry.io import save_grid
+from repro.experiments.barbera import barbera_case
+from repro.geometry.io import load_grid, save_grid
+from repro.soil.two_layer import TwoLayerSoil
 
 
 class TestParser:
@@ -87,7 +91,42 @@ class TestAnalyzeCommand:
         )
         assert exit_code == 0
         assert (tmp_path / "out" / "grid_results.json").exists()
+        assert load_grid(tmp_path / "out" / "grid_grid.json").n_conductors == (
+            small_grid.n_conductors
+        )
         assert "layer 2" in capsys.readouterr().out
+
+    def test_stored_dof_values_equal_the_analysis_bitwise(self, tmp_path, capsys):
+        """``analyze`` runs the one analysis pipeline: on the full Barberá
+        two-layer grid its stored dof values are ``GroundingAnalysis``'s, bit
+        for bit (JSON floats round-trip exactly)."""
+        grid, _, gpr = barbera_case("two_layer")
+        grid_path = save_grid(grid, tmp_path / "barbera.json")
+        rho1, rho2, h = 200.0, 62.5, 1.0
+        exit_code = main(
+            [
+                "analyze",
+                "--grid",
+                str(grid_path),
+                "--rho1",
+                str(rho1),
+                "--rho2",
+                str(rho2),
+                "--h",
+                str(h),
+                "--gpr",
+                str(gpr),
+                "--workdir",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert exit_code == 0
+        capsys.readouterr()
+        stored = load_results_json(tmp_path / "out" / "barbera_results.json")
+        reference = GroundingAnalysis(
+            load_grid(grid_path), TwoLayerSoil.from_resistivities(rho1, rho2, h), gpr
+        ).run()
+        assert stored["dof_values"] == reference.dof_values.tolist()
 
     def test_two_layer_requires_thickness(self, tmp_path, small_grid):
         grid_path = save_grid(small_grid, tmp_path / "grid.json")
