@@ -7,19 +7,15 @@ injection variants — is executed two ways on the same host:
 * **campaign engine** — :func:`repro.campaign.run_campaign` on a persistent
   :class:`~repro.parallel.pool.WorkerPool` (worker counts 1 and 2): one
   sharded hierarchical assembly per structure group, derived scenarios by
-  exact scalar algebra, shared geometry/cluster caches;
+  exact scalar algebra, shared cluster-plan cache;
 * **cold baseline** — every scenario as an independent
   :class:`repro.GroundingAnalysis` call with the same hierarchical control
   (one worker forked per call — the cost the pool amortises) plus the same
-  safety raster, with the process-wide geometry cache cleared before every
-  call.
+  safety raster.
 
-Cold/warm fairness: the process-wide ``GeometryCache`` is cleared between the
-campaign runs and the baseline sweep (and before every baseline call), so
-neither side inherits the other's warm cache.  Set
-``BENCH_CAMPAIGN_KEEP_CACHE=1`` to deliberately keep it warm instead (the
-"shared service" regime); the choice and the observed cache-hit counts are
-recorded in the snapshot.
+Cold/warm fairness: no library path keeps pair geometry between assemblies,
+so neither side can inherit the other's work; the campaign's geometry-cache
+counts, recorded in the snapshot, stay zero.
 
 Acceptance (asserted in the full run, recorded in ``BENCH_campaign.json``):
 
@@ -46,29 +42,15 @@ import time
 
 import numpy as np
 
-from repro.bem.geometry_cache import default_geometry_cache
 from repro.cad.report import format_table
 from repro.campaign import demo_campaign, run_campaign, standalone_scenario_run
 from repro.parallel.pool import WorkerPool
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
-KEEP_CACHE = os.environ.get("BENCH_CAMPAIGN_KEEP_CACHE", "") not in ("", "0")
 
 #: (scenario count, meshes per side, pool worker counts, assert 2x throughput).
 FULL_CONFIG = (12, 22, (1, 2), True)
 QUICK_CONFIG = (6, 10, (1, 2), False)
-
-
-def _reset_cache() -> None:
-    """Clear the process-wide geometry cache (unless deliberately kept)."""
-    if not KEEP_CACHE:
-        default_geometry_cache().clear()
-
-
-def _standalone_cold_run(campaign, spec) -> tuple[np.ndarray, float]:
-    """One scenario as an independent cold analysis (the pre-campaign workflow)."""
-    _reset_cache()  # every cold call pays its own cache misses
-    return standalone_scenario_run(campaign, spec, workers=1)
 
 
 def test_campaign_batch(record_table, record_snapshot):
@@ -88,7 +70,6 @@ def test_campaign_batch(record_table, record_snapshot):
         "quick": QUICK,
         "n_scenarios": n_scenarios,
         "nx": nx,
-        "keep_cache": KEEP_CACHE,
         "worker_counts": list(worker_counts),
         "cpu_count": available,
     }
@@ -97,7 +78,6 @@ def test_campaign_batch(record_table, record_snapshot):
     campaign_runs: dict[int, dict] = {}
     solutions: dict[int, dict[str, np.ndarray]] = {}
     for workers in worker_counts:
-        _reset_cache()
         # Pool spawn is inside the timed window: the acceptance is an
         # *end-to-end* comparison, and the baseline's per-call forks are
         # fully timed too.
@@ -149,7 +129,6 @@ def test_campaign_batch(record_table, record_snapshot):
     group_runs: dict[int, dict] = {}
     gc_solutions: dict[int, dict[str, np.ndarray]] = {}
     for concurrency in (1, 2):
-        _reset_cache()
         start = time.perf_counter()
         with WorkerPool(gc_workers) as pool:
             gc_result = run_campaign(
@@ -181,12 +160,11 @@ def test_campaign_batch(record_table, record_snapshot):
     multicore = available >= 2
 
     # ---- cold baseline: independent per-scenario analyses ----
-    _reset_cache()
     baseline_rows = []
     baseline_solutions: dict[str, np.ndarray] = {}
     start = time.perf_counter()
     for spec in campaign.scenarios:
-        dof_values, seconds = _standalone_cold_run(campaign, spec)
+        dof_values, seconds = standalone_scenario_run(campaign, spec, workers=1)
         baseline_solutions[spec.name] = dof_values
         baseline_rows.append({"scenario": spec.name, "seconds": seconds})
     baseline_wall = time.perf_counter() - start

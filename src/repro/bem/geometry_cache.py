@@ -1,23 +1,19 @@
-"""Byte-budgeted LRU cache for the in-plane geometry of assembly columns.
+"""Byte-budgeted LRU cache of geometry arrays, keyed by content fingerprints.
 
-The image transforms of a layered-soil kernel only move the *z* coordinate of
-a source segment, so the in-plane part of a matrix column's pair geometry —
-the axial projection of every Gauss point of the mesh on the source axis and
-its squared in-plane distance to it — is identical for every image term *and*
-for every re-assembly of the same mesh.  Sweeps that re-assemble the same
-mesh (soil-model comparisons such as the Balaídos A/B/C study, repeated
-GPR/fault-scenario analyses in the design optimiser, or benchmark rounds)
-would otherwise recompute arrays that never change.  Only the column
-assembler (:class:`~repro.bem.influence.ColumnAssembler`) stores entries;
-surface-potential maps compute their pair geometry block by block and cache
-nothing.
+No library path stores entries.  The column assembler computes each column's
+in-plane pair geometry for the batch that needs it and drops it: kept per
+column it would cost ``32·M²`` bytes per mesh at four Gauss points, and no
+assembly evaluates a column twice.  The module stays for
+:func:`array_fingerprint`, which the cluster-plan cache and campaign
+checkpoints key on, and for the process-wide instance, which
+``benchmarks/perf`` clears and whose counters (all zero) the campaign reports
+as ``cache_stats["geometry_cache"]``.
 
-:class:`GeometryCache` stores those arrays keyed by content fingerprints.  It
-is a plain LRU with a byte budget: entries are evicted oldest-first once the
-budget is exceeded, so the cache can be left enabled for arbitrarily long
-sweeps.  The cache is process-local; forked workers inherit a copy-on-write
-snapshot, and their later entries stay private to each worker.  Cached arrays
-are returned as read-only views and must not be mutated by callers.
+:class:`GeometryCache` is a plain LRU with a byte budget: entries are evicted
+oldest-first once the budget is exceeded.  The cache is process-local; forked
+workers inherit a copy-on-write snapshot, and their later entries stay private
+to each worker.  Cached arrays are returned as read-only views and must not be
+mutated by callers.
 """
 
 from __future__ import annotations

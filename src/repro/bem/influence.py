@@ -34,7 +34,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.bem.elements import DofManager, ElementType
-from repro.bem.geometry_cache import GeometryCache, array_fingerprint, default_geometry_cache
 from repro.bem.quadrature import gauss_legendre_rule
 from repro.bem.segment_integrals import (
     adaptive_segment_sums,
@@ -118,8 +117,10 @@ class ColumnAssembler:
     The assembler pre-computes, once per mesh, every per-element array needed by
     the hot loop (Gauss points, lengths, layers, radii) so that each batch
     evaluation is a handful of NumPy calls.  It pickles cleanly for
-    process-based parallel assembly; each worker process then evaluates with
-    its own geometry cache.
+    process-based parallel assembly.  Pair geometry is computed per batch and
+    never retained: kept for every triangle column it would cost ``32·M²``
+    bytes per mesh at four Gauss points, and no assembly path evaluates the
+    same column twice.
     """
 
     def __init__(
@@ -130,7 +131,6 @@ class ColumnAssembler:
         n_gauss: int = DEFAULT_GAUSS_POINTS,
         batch_element_budget: int = BATCH_ELEMENT_BUDGET,
         adaptive: AdaptiveControl | None = None,
-        geometry_cache: GeometryCache | None = None,
     ) -> None:
         if n_gauss < 1:
             raise AssemblyError("the outer quadrature needs at least one Gauss point")
@@ -157,7 +157,6 @@ class ColumnAssembler:
         # Test function values at the Gauss nodes, shape (G, nb).
         self._test_values = dof_manager.shape_values(nodes)
 
-        self._geometry_cache = geometry_cache
         if adaptive is not None:
             self._init_adaptive()
 
@@ -170,10 +169,7 @@ class ColumnAssembler:
         how callers batch the columns — so adaptive results are identical for
         any batch size and for every parallel backend.
         """
-        if self._geometry_cache is None:
-            self._geometry_cache = default_geometry_cache()
         p0, p1 = self._p0, self._p1
-        self._mesh_fp = array_fingerprint(p0, p1, self._radii)
         mid = 0.5 * (p0 + p1)
         self._mid_xy = mid[:, :2]
         self._half_lengths = 0.5 * self._lengths
@@ -202,18 +198,6 @@ class ColumnAssembler:
         self._r_max = max_pair_distance(p0, p1, offset_max)
         self._plans: dict[tuple, TruncationPlan] = {}
         self._adaptive_costs: np.ndarray | None = None
-
-    # -- pickling (the geometry cache stays process-local, never shipped) -----------
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_geometry_cache"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if self.adaptive is not None and self._geometry_cache is None:
-            self._geometry_cache = default_geometry_cache()
 
     # -- properties ------------------------------------------------------------------
 
@@ -506,43 +490,15 @@ class ColumnAssembler:
     ) -> tuple[np.ndarray, np.ndarray]:
         """In-plane pair geometry of one source against selected target rows.
 
-        For column-sized target sets this delegates to the cached full-mesh
-        arrays of :meth:`_inplane_geometry`; for small target sets (the
-        hierarchical near-field rectangles) it computes only the requested
-        rows, avoiding the ``O(M)`` full-mesh pass per source.  Both paths are
-        elementwise-identical, so results do not depend on the route taken.
+        Returns ``(p_axis, q_norm)`` of shape ``(len(rows), G)`` — the axial
+        projection of every target Gauss point on the source axis and its
+        squared in-plane displacement norm, shared by every image term.  Only
+        the requested rows are computed, and nothing is kept afterwards.
         """
-        key = (self._mesh_fp, "col", self.n_gauss, int(source_index))
-        cached = self._geometry_cache.get(key)
-        if cached is not None:
-            p_axis, q_norm = cached
-            return p_axis[rows], q_norm[rows]
-        if 2 * rows.size >= self.n_elements:
-            p_axis, q_norm = self._inplane_geometry(source_index)
-            return p_axis[rows], q_norm[rows]
         length = self._lengths[source_index]
         u_xy = (self._p1[source_index, :2] - self._p0[source_index, :2]) / length
         disp = self._gauss_points[rows][..., :2] - self._p0[source_index, :2]  # (T, G, 2)
         return disp @ u_xy, np.einsum("tgk,tgk->tg", disp, disp)
-
-    def _inplane_geometry(self, source_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """In-plane pair geometry of one source column against every element.
-
-        Returns ``(p_axis, q_norm)`` of shape ``(M, G)`` — the axial
-        projection of every Gauss point on the source axis and its squared
-        in-plane displacement norm.  Shared by every image term and cached
-        across repeated assemblies of the same mesh.
-        """
-        key = (self._mesh_fp, "col", self.n_gauss, int(source_index))
-        cached = self._geometry_cache.get(key)
-        if cached is not None:
-            return cached  # type: ignore[return-value]
-        length = self._lengths[source_index]
-        u_xy = (self._p1[source_index, :2] - self._p0[source_index, :2]) / length
-        disp = self._gauss_points[..., :2] - self._p0[source_index, :2]  # (M, G, 2)
-        p_axis = disp @ u_xy
-        q_norm = np.einsum("mgk,mgk->mg", disp, disp)
-        return self._geometry_cache.put(key, (p_axis, q_norm))
 
     def _adaptive_batch(
         self, sources: np.ndarray, column_targets: list[np.ndarray]
@@ -626,7 +582,7 @@ class ColumnAssembler:
             w0 = np.empty((order.size, n_gauss))
             w1 = np.empty((order.size, n_gauss))
             x_z = self._gauss_points[..., 2]
-            # In-plane geometry rows gathered per source (cached across runs).
+            # In-plane geometry rows gathered per source.
             p_axis_pairs = np.empty((order.size, n_gauss))
             q_norm_pairs = np.empty((order.size, n_gauss))
             pos_of_pair = np.empty(n_pairs, dtype=int)

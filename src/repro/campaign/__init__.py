@@ -10,9 +10,7 @@ same hardware.  This package turns such a study into a first-class object:
 * :mod:`repro.campaign.planner` — groups scenarios by shared structure so the
   expensive artefacts are built once per group: the mesh per geometry
   variant, the cluster tree/block partition per geometry
-  (:class:`~repro.cluster.block_assembly.ClusterPlanCache`), the in-plane pair
-  geometry per mesh (the process-wide
-  :class:`~repro.bem.geometry_cache.GeometryCache`), and — when only the
+  (:class:`~repro.cluster.block_assembly.ClusterPlanCache`), and — when only the
   injection current or a common soil scale factor changes — the assembled
   operator *and its solve* (solutions are exactly linear in the GPR and in
   the soil resistivity scale);

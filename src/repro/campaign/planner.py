@@ -3,8 +3,7 @@
 The planner decides *what is actually built* for a campaign:
 
 * scenarios sharing a :class:`~repro.campaign.spec.GeometryVariant` share one
-  mesh discretisation, one cluster tree/block partition and the cached
-  in-plane pair geometry;
+  mesh discretisation and one cluster tree/block partition;
 * scenarios sharing a full *structure key* — geometry, base soil and
   tolerance — share one assembled operator and one solve: within such a group
   only the soil scale factor and the injection GPR differ, and the solution

@@ -118,7 +118,8 @@ class CampaignResult:
     ``scenarios`` is ordered like the campaign's scenario list (not the
     cost-ordered execution sequence).  ``cache_stats`` aggregates the
     cross-scenario reuse counters: the process-wide geometry cache's hit/miss
-    delta over the run, the cluster-plan cache, and — when a persistent
+    delta over the run (zero: no library path stores geometry), the
+    cluster-plan cache, and — when a persistent
     worker pool executed the assemblies — the pool's dispatch/respawn
     statistics.
     """

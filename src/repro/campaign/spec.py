@@ -64,7 +64,7 @@ class GeometryVariant:
     The variant is declarative — :meth:`build_grid` materialises the
     :class:`~repro.geometry.grid.GroundingGrid` on demand — and hashable, so
     scenarios sharing a geometry are grouped exactly (same mesh, same cluster
-    tree, same cached pair geometry).
+    tree).
 
     Parameters
     ----------

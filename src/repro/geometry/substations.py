@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.constants import MM_TO_M
 from repro.geometry.builder import GridBuilder
-from repro.geometry.conductors import Conductor, ConductorKind
 from repro.geometry.grid import GroundingGrid
 
 __all__ = [
@@ -198,27 +197,3 @@ def balaidos_grid(
     )
     return grid
 
-
-def _demo_rod_bed(
-    n_rods: int = 4,
-    spacing: float = 3.0,
-    rod_length: float = 2.0,
-    depth: float = 0.6,
-) -> GroundingGrid:
-    """A tiny rod-bed grid used by examples and tests (not from the paper)."""
-    builder = GridBuilder(depth=depth, conductor_radius=5e-3, rod_radius=7e-3, name="rod-bed")
-    grid = GroundingGrid(name="rod-bed")
-    xs = np.arange(n_rods) * spacing
-    # A single horizontal bus bar connecting the rod tops.
-    for x0, x1 in zip(xs[:-1], xs[1:]):
-        grid.add(
-            Conductor(
-                start=np.array([x0, 0.0, depth]),
-                end=np.array([x1, 0.0, depth]),
-                radius=5e-3,
-                kind=ConductorKind.GRID,
-                label="bus",
-            )
-        )
-    builder.add_rods(grid, [(x, 0.0) for x in xs], length=rod_length, top_depth=depth)
-    return grid

@@ -63,11 +63,6 @@ threads, no signal-handler side channels — mirroring the event-driven
 single-loop handling of asynchronous process events in non-threaded CCP
 interpreters: one deterministic place observes deaths, deadlines and
 payloads, and decides recovery.
-
-Worker-side caches (the process-wide
-:class:`~repro.bem.geometry_cache.GeometryCache`) stay warm across the
-assemblies of a campaign, which is where the cross-scenario reuse of in-plane
-pair geometry pays off a second time inside the workers.
 """
 
 from __future__ import annotations

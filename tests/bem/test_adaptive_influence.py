@@ -9,7 +9,7 @@ import pytest
 
 from repro.bem.assembly import AssemblyOptions, assemble_system
 from repro.bem.elements import DofManager, ElementType
-from repro.bem.geometry_cache import GeometryCache, array_fingerprint
+from repro.bem.geometry_cache import GeometryCache, array_fingerprint, default_geometry_cache
 from repro.bem.influence import ColumnAssembler
 from repro.geometry.discretize import discretize_grid
 from repro.kernels.base import kernel_for_soil
@@ -26,10 +26,10 @@ def rodded_mesh(rodded_grid, two_layer_soil):
     return discretize_grid(rodded_grid, soil=two_layer_soil)
 
 
-def _assembler(mesh, soil, adaptive=None, cache=None):
+def _assembler(mesh, soil, adaptive=None):
     kernel = kernel_for_soil(soil)
     dofs = DofManager(mesh, ElementType.LINEAR)
-    return ColumnAssembler(mesh, kernel, dofs, adaptive=adaptive, geometry_cache=cache)
+    return ColumnAssembler(mesh, kernel, dofs, adaptive=adaptive)
 
 
 class TestAdaptiveColumns:
@@ -205,17 +205,19 @@ class TestGeometryCache:
         assert array_fingerprint(a) != array_fingerprint(a.T)
         assert array_fingerprint(a) != array_fingerprint(a + 1e-12)
 
-    def test_warm_cache_reuses_inplane_geometry(self, flat_mesh, barbera_like_soil):
-        cache = GeometryCache()
-        first = _assembler(flat_mesh, barbera_like_soil, AdaptiveControl(), cache)
-        first.column_batch(list(range(flat_mesh.n_elements)))
-        misses = cache.stats()["misses"]
-        second = _assembler(flat_mesh, barbera_like_soil, AdaptiveControl(), cache)
-        [(_, cold)] = first.column_batch([0])
-        [(_, warm)] = second.column_batch([0])
-        assert cache.stats()["misses"] == misses  # no new geometry computed
-        assert cache.stats()["hits"] > 0
-        assert np.array_equal(cold, warm)
+    def test_dense_assembly_stores_no_geometry(self, flat_mesh, barbera_like_soil):
+        """Column geometry is computed per batch: no assembly path touches the cache."""
+        cache = default_geometry_cache()
+        cache.clear()
+        before = cache.stats()
+        assemble_system(flat_mesh, barbera_like_soil, gpr=1000.0)
+        assert cache.n_entries == 0
+        assert cache.stats() == before  # not even a lookup
+        first = _assembler(flat_mesh, barbera_like_soil, AdaptiveControl())
+        second = _assembler(flat_mesh, barbera_like_soil, AdaptiveControl())
+        every = list(range(flat_mesh.n_elements))
+        for (_, a), (_, b) in zip(first.column_batch(every), second.column_batch(every)):
+            assert np.array_equal(a, b)
 
     def test_put_does_not_freeze_caller_array(self):
         """Regression: caller-owned arrays must stay writable after put()."""

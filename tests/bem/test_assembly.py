@@ -389,6 +389,34 @@ class TestFoldMemory:
         )
         assert np.array_equal(system.matrix, reference.matrix)
 
+    def test_dense_assembly_retains_nothing_per_column(self, coarse_barbera):
+        """Once the system is dropped, a dense assembly leaves almost nothing behind.
+
+        A warm-up on a translated copy of the mesh grows the grow-only scratch
+        workspaces and runs the lazy imports, but shares no geometry with the
+        traced mesh.  Measured: 3.3 kB retained; keeping every column's
+        in-plane geometry left 504 kB (61 entries of 7.7 kB on this
+        120-element mesh), so the 32 KiB bound is ~10x the measurement and
+        trips at four retained columns.
+        """
+        from repro.experiments.barbera import barbera_case
+        from repro.geometry.discretize import discretize_grid
+
+        mesh, soil, gpr = coarse_barbera
+        grid, _, _ = barbera_case("two_layer", coarse=True)
+        warm = discretize_grid(grid.translated((1000.0, 0.0, 0.0)), soil=soil)
+        assemble_system(warm, soil, gpr=gpr)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            system = assemble_system(mesh, soil, gpr=gpr)
+            del system
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained <= 32 * 1024, retained
+
 
 class TestRefinementConvergence:
     def test_resistance_converges_under_refinement(self, small_grid, uniform_soil):

@@ -128,6 +128,43 @@ class TestAnalyzeCommand:
         ).run()
         assert stored["dof_values"] == reference.dof_values.tolist()
 
+    def test_results_storage_row_times_the_file_writes(
+        self, tmp_path, small_grid, capsys, monkeypatch
+    ):
+        """The writes happen after the analysis returns; their time still lands
+        in the "Results Storage" row of the printed phase table."""
+        import time
+
+        import repro.cad.project
+
+        delay = 0.2
+        real_save = repro.cad.project.save_results
+
+        def slow_save(*args, **kwargs):
+            time.sleep(delay)
+            return real_save(*args, **kwargs)
+
+        monkeypatch.setattr(repro.cad.project, "save_results", slow_save)
+        grid_path = save_grid(small_grid, tmp_path / "grid.json")
+        exit_code = main(
+            [
+                "analyze",
+                "--grid",
+                str(grid_path),
+                "--rho1",
+                "100",
+                "--workdir",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert exit_code == 0
+        assert (tmp_path / "out" / "grid_results.json").exists()
+        [row] = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("Results Storage")
+        ]
+        assert float(row.split()[-1]) >= delay
+
     def test_two_layer_requires_thickness(self, tmp_path, small_grid):
         grid_path = save_grid(small_grid, tmp_path / "grid.json")
         with pytest.raises(ReproError):
