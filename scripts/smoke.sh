@@ -78,10 +78,16 @@ echo "== dense column fold (bitwise across workers and schedules, bounded fold t
 # serial run and every one-worker schedule one sha256, and the
 # one-column-per-call runs another.  The fold's traced peak must stay under
 # half the stored columns, an ascending stream must free each group before
-# the next, and a one-worker run must peak within 1.5x the serial one.
+# the next, a one-worker run must peak within 1.5x the serial one, and a
+# two-worker Dynamic,1 master, folding each chunk as it arrives, within 1.25x
+# the bytes of every column's blocks.  The adaptive kernels' scratch
+# workspace must stay within one 40k-element pass per slot after several
+# meshes.
 python -m pytest -q -p no:randomly \
   tests/parallel/test_parallel_assembly.py tests/bem/test_assembly.py \
-  -k "Golden or Fold or FromColumns or exact or OneWorkerMemory"
+  -k "Golden or Fold or FromColumns or exact or OneWorkerMemory or TwoWorkerMemory"
+python -m pytest -q -p no:randomly \
+  tests/bem/test_segment_integrals.py::TestWorkspaceBound
 
 echo "== one Table 6.1 pipeline (CLI analyze, persistence, traced dense assembly at every worker count) =="
 # GroundingAnalysis is the one five-phase pipeline: the CLI's analyze runs it
@@ -171,8 +177,9 @@ echo "== streamed pool results (frame digests, stale frames dropped, bounded mas
 # dropped as stale (bitwise equal to a fault-free run), a pooled 32x32
 # hierarchical assembly must keep the master's traced peak within 3.75x (and
 # 2.75x) the operator, and RES001 must flag a bare recv_bytes() in
-# repro.parallel.
+# repro.parallel.  A caller taking a run's finished chunks in flight must get
+# every value once, also when a crashed or corrupted chunk is retried.
 python -m pytest -q -p no:randomly tests/parallel/test_pool_streaming.py \
-  tests/contracts/test_rules.py -k "CorruptFrame or MasterPeak or RES001"
+  tests/contracts/test_rules.py -k "CorruptFrame or MasterPeak or RES001 or Take"
 
 echo "smoke: OK (zero flaky reruns)"

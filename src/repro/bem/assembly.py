@@ -7,10 +7,11 @@ columns*: the column of source element α couples it with every element
 :func:`repro.parallel.parallel_assembly.assemble_system_parallel`: it computes
 the elemental blocks with the vectorised
 :meth:`~repro.bem.influence.ColumnAssembler.column_batch` engine — in the
-calling process for one worker, on a process pool otherwise — and
-:func:`assemble_from_columns` folds them into the global matrix afterwards
-(computation of elemental matrices first, assembly after: the scheme the
-paper adopts to break the assembly dependency between threads).
+calling process for one worker, on a process pool otherwise — and a
+:class:`ColumnFold` (:func:`assemble_from_columns` over a stream) folds them
+into the global matrix in the master as they arrive (computation of
+elemental matrices apart from their assembly: the scheme the paper adopts to
+break the assembly dependency between threads, without storing them all).
 :func:`assemble_system` hands the dense engine to that driver (one worker
 unless ``parallel`` says otherwise), and is the entry of the hierarchical
 engine.
@@ -52,7 +53,6 @@ __all__ = [
     "assemble_rhs",
     "assemble_system",
     "assemble_system_steps",
-    "scatter_columns",
     "ColumnResult",
 ]
 
@@ -173,13 +173,6 @@ def _column_slab(
 def _add_slab(matrix: np.ndarray, dofs: np.ndarray, slab: np.ndarray) -> None:
     matrix[:, dofs] += slab
     matrix[dofs, :] += slab.T
-
-
-def scatter_columns(
-    matrix: np.ndarray, dof_matrix: np.ndarray, columns: Iterable[ColumnResult]
-) -> None:
-    """Scatter-add a set of columns into the global matrix as one slab."""
-    _add_slab(matrix, *_column_slab(matrix.shape[0], dof_matrix, columns))
 
 
 def assemble_system(
@@ -335,6 +328,60 @@ def assemble_system_steps(
     )
 
 
+class ColumnFold:
+    """The fold of :func:`assemble_from_columns` in push form.
+
+    :meth:`add` takes columns ``0..M-1`` once each, in any order, and checks
+    each as it arrives.  A column group is reduced to its slab as soon as its
+    last column has arrived, and the slabs are added in ascending group order,
+    so the bits do not depend on the arrival order.  An ascending stream
+    therefore holds one group at a time; any other order holds the groups
+    still incomplete (and the small slabs of complete groups waiting for an
+    earlier one).  :meth:`system` returns the folded system.
+    """
+
+    def __init__(self, assembler: ColumnAssembler) -> None:
+        self.dof_manager = assembler.dof_manager
+        self.dof_matrix = self.dof_manager.element_dof_matrix()
+        self.group_size = assembler.max_batch_size()
+        self.m = self.dof_manager.n_elements
+        self.n = self.dof_manager.n_dofs
+        self.matrix = np.zeros((self.n, self.n))
+        self.seen = np.zeros(self.m, dtype=bool)
+        self.pending: dict[int, list[ColumnResult]] = {}
+        self.slabs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.next_group = 0
+
+    def add(self, column: ColumnResult) -> None:
+        """Fold one column (its group's slab once the group is complete)."""
+        index = column.source_index
+        if not 0 <= index < self.m:
+            raise AssemblyError(f"column {index} is out of range 0..{self.m - 1}")
+        if self.seen[index]:
+            raise AssemblyError(f"column {index} provided twice")
+        self.seen[index] = True
+        group = index // self.group_size
+        pending = self.pending.setdefault(group, [])
+        pending.append(column)
+        if len(pending) == min(self.group_size, self.m - group * self.group_size):
+            self.slabs[group] = _column_slab(self.n, self.dof_matrix, self.pending.pop(group))
+            while self.next_group in self.slabs:
+                _add_slab(self.matrix, *self.slabs.pop(self.next_group))
+                self.next_group += 1
+
+    def system(self, gpr: float = DEFAULT_GPR) -> LinearSystem:
+        """The folded system; every column must have been added."""
+        if not self.seen.all():
+            missing = np.flatnonzero(~self.seen)[:10].tolist()
+            raise AssemblyError(f"missing columns in assembly: {missing} ...")
+        return LinearSystem(
+            matrix=self.matrix,
+            rhs=assemble_rhs(self.dof_manager, gpr),
+            dof_manager=self.dof_manager,
+            gpr=float(gpr),
+        )
+
+
 def assemble_from_columns(
     columns: Iterable[ColumnResult],
     assembler: ColumnAssembler,
@@ -343,45 +390,11 @@ def assemble_from_columns(
     """Fold a stream of columns into a :class:`LinearSystem`.
 
     This is the sequential "assembly" stage of the paper's scheme, which takes
-    the assembly out of the (possibly parallel) column loop.  Columns
-    ``0..M-1`` come once each, in any order, and each is checked as it
-    arrives.  A column group is reduced to its slab as soon as its last column
-    has arrived, and the slabs are added in ascending group order, so the bits
-    do not depend on the arrival order.  An ascending stream therefore holds
-    one group at a time; any other order holds the groups still incomplete
-    (and the small slabs of complete groups waiting for an earlier one).
+    the assembly out of the (possibly parallel) column loop: a
+    :class:`ColumnFold` fed from the stream.
     """
-    dof_manager = assembler.dof_manager
-    dof_matrix = dof_manager.element_dof_matrix()
-    group_size = assembler.max_batch_size()
-    m = dof_manager.n_elements
-    n = dof_manager.n_dofs
-    matrix = np.zeros((n, n))
-    seen = np.zeros(m, dtype=bool)
-    pending: dict[int, list[ColumnResult]] = {}
-    slabs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    next_group = 0
+    fold = ColumnFold(assembler)
     for column in columns:
-        index = column.source_index
-        if not 0 <= index < m:
-            raise AssemblyError(f"column {index} is out of range 0..{m - 1}")
-        if seen[index]:
-            raise AssemblyError(f"column {index} provided twice")
-        seen[index] = True
-        group = index // group_size
-        pending.setdefault(group, []).append(column)
+        fold.add(column)
         del column  # the loop must not keep a folded group alive into the next one
-        if len(pending[group]) == min(group_size, m - group * group_size):
-            slabs[group] = _column_slab(n, dof_matrix, pending.pop(group))
-            while next_group in slabs:
-                _add_slab(matrix, *slabs.pop(next_group))
-                next_group += 1
-    if not seen.all():
-        missing = np.flatnonzero(~seen)[:10].tolist()
-        raise AssemblyError(f"missing columns in assembly: {missing} ...")
-    return LinearSystem(
-        matrix=matrix,
-        rhs=assemble_rhs(dof_manager, gpr),
-        dof_manager=dof_manager,
-        gpr=float(gpr),
-    )
+    return fold.system(gpr)

@@ -34,10 +34,13 @@ With ``n_workers > 1`` the pool has that many forked worker processes (its
 ``backend`` is ``"process"``); a single worker runs all tasks as one chunk
 in the calling process on an in-process pool (``"serial"``).  The run's
 :attr:`~repro.parallel.pool.TaskRunResult.backend` is the backend of the pool
-it used.  The dense column driver
-(:func:`~repro.parallel.parallel_assembly.assemble_system_parallel`) does not
-send one worker here: it streams that case in process, one fold group per
-call, so its columns are never all stored at once.
+it used.  :meth:`ScheduledExecutor.run` hands every task's result to a
+consumer as soon as its chunk arrives (:meth:`~repro.parallel.pool.WorkerPool.take`
+after each event-loop step), and keeps only the task times: the dense column
+driver (:func:`~repro.parallel.parallel_assembly.assemble_system_parallel`)
+folds each chunk's columns into the matrix then, so the master never holds
+every column.  That driver does not send one worker here: it streams that
+case in process, one fold group per call.
 """
 
 from __future__ import annotations
@@ -77,13 +80,31 @@ class _ChunkTask:
         return list(zip(chunk, results, seconds.tolist()))
 
 
+def _hand_over(
+    taken: list[list[tuple[int, Any, float]]], consume: Callable[[int, Any, float], None]
+) -> list[list[tuple[int, float]]]:
+    """Pass every task result of the taken pool chunks to ``consume``.
+
+    Pool task ``k``'s value is schedule chunk ``k``'s ``[(task, result,
+    seconds)]``.  Returns each schedule chunk's ``[(task, seconds)]``; once
+    this returns, nothing here holds a result.
+    """
+    timed = []
+    for chunk_output in taken:
+        for _, outputs, _ in chunk_output:
+            for task_id, value, seconds in outputs:
+                consume(task_id, value, seconds)
+            timed.append([(task_id, seconds) for task_id, _, seconds in outputs])
+    return timed
+
+
 class ScheduledExecutor:
     """Reusable scheduled-loop executor bound to one chunk function.
 
     Use as a context manager so the worker pool is reliably torn down::
 
         with ScheduledExecutor(chunk_fn, n_workers=8) as ex:
-            outcome = ex.run(range(n_tasks), Schedule.parse("Dynamic,1"))
+            outcome = ex.run(range(n_tasks), Schedule.parse("Dynamic,1"), consume)
 
     Parameters
     ----------
@@ -137,8 +158,19 @@ class ScheduledExecutor:
 
     # -- execution ------------------------------------------------------------------
 
-    def run(self, task_indices: Sequence[int], schedule: Schedule) -> TaskRunResult:
-        """Execute the given tasks under the schedule and collect the results."""
+    def run(
+        self,
+        task_indices: Sequence[int],
+        schedule: Schedule,
+        consume: Callable[[int, Any, float], None],
+    ) -> TaskRunResult:
+        """Execute the given tasks under the schedule, handing each result over.
+
+        ``consume(task_id, result, seconds)`` is called once per task, in the
+        master, as soon as the task's chunk has arrived; the returned
+        :class:`TaskRunResult` keeps the task times and chunk count, not the
+        results.
+        """
         if self.pool is None or self.pool.closed:
             raise ParallelExecutionError(
                 "ScheduledExecutor must be used as a context manager (with ... as ex:)"
@@ -153,11 +185,15 @@ class ScheduledExecutor:
             label=schedule.label(),
             pull=schedule.kind is not ScheduleKind.STATIC,
         )
-        while not run.done:
+        timed: list[list[tuple[int, float]]] = []
+        while True:
+            timed += _hand_over(self.pool.take(run), consume)
+            if run.done:
+                break
             self.pool.service()
-        outcome = self.pool.result(run)
+        self.pool.result(run)  # a run is in flight from submit() to result()
         return collect_chunk_results(
-            [outcome.results[position] for position in range(len(chunks))],
+            timed,
             indices,
             wall_clock() - start,
             len(chunks),
@@ -183,8 +219,16 @@ def run_scheduled_tasks(
     n_workers: int,
     cost_hint: Any = None,
 ) -> TaskRunResult:
-    """One-shot convenience wrapper around :class:`ScheduledExecutor`."""
+    """One-shot convenience wrapper around :class:`ScheduledExecutor`.
+
+    Collects every task's result into the returned ``results``.
+    """
     if n_tasks < 0:
         raise ParallelExecutionError("n_tasks cannot be negative")
+    results: dict[int, Any] = {}
     with ScheduledExecutor(fn, n_workers=n_workers, cost_hint=cost_hint) as executor:
-        return executor.run(range(n_tasks), schedule)
+        outcome = executor.run(
+            range(n_tasks), schedule, lambda task_id, value, _: results.__setitem__(task_id, value)
+        )
+    outcome.results = results
+    return outcome

@@ -6,9 +6,11 @@ between loop cycles.  The paper removes it by *first* computing and storing all
 elemental matrices (in parallel) and *then* assembling them sequentially —
 "this scheme requires approximately twice the memory space than the original
 one, but in any case this memory space is not very large".
-:func:`assemble_system_parallel` follows exactly that structure, and it is the
-only driver of the dense loop (:func:`repro.bem.assembly.assemble_system`
-hands it the dense engine, one worker by default):
+:func:`assemble_system_parallel` keeps that structure — the columns are
+computed apart from their assembly — but folds each column as soon as it
+arrives instead of storing them all.  It is the only driver of the dense loop
+(:func:`repro.bem.assembly.assemble_system` hands it the dense engine, one
+worker by default):
 
 1. the columns of :class:`repro.bem.influence.ColumnAssembler` come from one
    of two sources.  One worker evaluates them in the calling process and
@@ -16,11 +18,15 @@ hands it the dense engine, one worker by default):
    times are collected, so each time is a measurement).  More workers
    distribute them over a :class:`~repro.parallel.executor.ScheduledExecutor`
    according to the requested :class:`~repro.parallel.schedule.Schedule`
-   (outer-loop parallelisation), which stores them all;
+   (outer-loop parallelisation), which hands each schedule chunk's columns
+   to the fold as soon as the chunk arrives;
 2. the master folds the columns into the global matrix group by group, in
-   ascending group order (:func:`repro.bem.assembly.assemble_from_columns`),
-   so the exact engine gives the same bits for every worker count and
-   schedule.
+   ascending group order (:class:`repro.bem.assembly.ColumnFold`, fed by
+   :func:`~repro.bem.assembly.assemble_from_columns` for one worker and by
+   the executor's consumer for more), so the exact engine gives the same
+   bits for every worker count and schedule.  Neither source ever holds
+   every column: the master keeps the matrix, the groups still incomplete
+   and the chunks just arrived, not the paper's "twice the memory".
 
 The chunk function of both sources is :class:`_ColumnChunk`: one
 :meth:`~repro.bem.influence.ColumnAssembler.column_batch` call per run of a
@@ -42,7 +48,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.bem.assembly import AssemblyOptions, ColumnResult, assemble_from_columns
+from repro.bem.assembly import AssemblyOptions, ColumnFold, ColumnResult, assemble_from_columns
 from repro.bem.elements import DofManager
 from repro.bem.influence import ColumnAssembler
 from repro.bem.system import LinearSystem
@@ -143,19 +149,17 @@ def assemble_system_parallel(
         loop_seconds = wall_clock() - start
     else:
         cost_hint = assembler.column_cost_estimate() if collect_column_times else None
+        fold = ColumnFold(assembler)
         with ScheduledExecutor(
             chunk_fn, n_workers=parallel.n_workers, cost_hint=cost_hint
         ) as executor:
-            outcome = executor.run(range(m), parallel.schedule)
-        results, column_seconds = outcome.results, outcome.task_seconds
-        system = assemble_from_columns(
-            (
-                ColumnResult(index, *results.pop(index), float(column_seconds[index]))
-                for index in range(m)
-            ),
-            assembler,
-            gpr=gpr,
-        )
+            outcome = executor.run(
+                range(m),
+                parallel.schedule,
+                lambda index, pair, seconds: fold.add(ColumnResult(index, *pair, seconds)),
+            )
+        system = fold.system(gpr)
+        column_seconds = outcome.task_seconds
         backend, n_chunks = outcome.backend, outcome.n_chunks
         loop_seconds = outcome.wall_seconds
     generation_seconds = wall_clock() - start

@@ -28,7 +28,10 @@ would amortise the fork+IPC cost of repeated sweeps".
 * **multi-run multiplexing** — :meth:`submit` registers a run and returns a
   handle without blocking; :meth:`service` advances one step of the event
   loop (dispatch queued shards, collect replies for *any* in-flight run);
-  :meth:`result` folds a finished run.  Job ids are unique over the pool's
+  :meth:`result` folds a finished run.  A caller can also :meth:`take` a
+  run's finished chunks while it is in flight (the paper's column loop folds
+  them as they arrive); the run then keeps only each taken task's time.
+  Job ids are unique over the pool's
   lifetime and every reply names its job, so shards of interleaved runs
   (concurrent campaign structure groups) route to the right run.  Workers
   hold one task context *per live run* (installed lazily, dropped when the
@@ -146,21 +149,28 @@ def collect_chunk_results(
 ) -> "TaskRunResult":
     """Fold executed-chunk outputs into a :class:`TaskRunResult`.
 
-    Per-task results and timings are indexed back to the submission order,
-    and a missing (or duplicated) task id fails loudly.
+    Each entry is ``(task, value, seconds)``, or ``(task, seconds)`` for a
+    task whose value was handed over already (:meth:`WorkerPool.take`): its
+    time is kept, its value is not among the results.  Per-task results and
+    timings are indexed back to the submission order, and a missing (or
+    duplicated) task id fails loudly.
     """
     indices = [int(i) for i in indices]
     n_tasks = len(indices)
     results: dict[int, Any] = {}
     task_seconds = np.zeros(n_tasks)
     position = {task: k for k, task in enumerate(indices)}
+    timed: set[int] = set()
     for chunk_output in raw:
-        for task_id, value, elapsed in chunk_output:
-            results[task_id] = value
-            task_seconds[position[task_id]] = elapsed
-    if len(results) != n_tasks:
+        for entry in chunk_output:
+            task_id = entry[0]
+            if len(entry) == 3:
+                results[task_id] = entry[1]
+            timed.add(task_id)
+            task_seconds[position[task_id]] = entry[-1]
+    if len(timed) != n_tasks:
         raise ParallelExecutionError(
-            f"scheduled run returned {len(results)} results for {n_tasks} tasks"
+            f"scheduled run returned {len(timed)} results for {n_tasks} tasks"
         )
     return TaskRunResult(
         results=results,
@@ -415,7 +425,8 @@ class _PoolRun:
     """One in-flight :meth:`WorkerPool.submit` run.
 
     Callers treat it as an opaque handle: poll :attr:`done` between
-    :meth:`WorkerPool.service` steps, then fold with
+    :meth:`WorkerPool.service` steps (taking finished chunks with
+    :meth:`WorkerPool.take` if they like), then fold with
     :meth:`WorkerPool.result`.
     """
 
@@ -428,6 +439,7 @@ class _PoolRun:
         "job_ids",
         "chunk_of",
         "raw",
+        "untaken",
         "error",
         "done",
         "started",
@@ -442,7 +454,10 @@ class _PoolRun:
         self.indices = indices
         self.job_ids: list[int] = []
         self.chunk_of: dict[int, list[int]] = {}
-        self.raw: dict[int, list[tuple[int, Any, float]]] = {}
+        #: Finished chunk outputs by job id; a taken chunk keeps ``(task, seconds)``.
+        self.raw: dict[int, list[tuple]] = {}
+        #: Job ids of finished chunks not yet taken, in finishing order.
+        self.untaken: list[int] = []
         self.error: BaseException | None = None
         self.done = False
         self.started = 0.0
@@ -771,6 +786,7 @@ class WorkerPool:
         if self.backend == "serial" or not chunks:
             for job_id, chunk in zip(run.job_ids, run.chunks):
                 run.raw[job_id] = _execute_chunk(task, chunk)
+            run.untaken = list(run.job_ids)
             run.done = True
             run.wall = wall_clock() - run.started
             return run
@@ -826,6 +842,25 @@ class WorkerPool:
             # must be replaced before the error propagates — see _fail_run.
             self._abort_all()
             raise
+
+    def take(self, run: _PoolRun) -> list[list[tuple[int, Any, float]]]:
+        """Hand over the run's chunk outputs finished since the last take.
+
+        Each chunk comes whole and once, in finishing order, as soon as its
+        last frame is recorded: a retried chunk's superseded frames are never
+        part of it.  The run keeps only ``(task, seconds)`` of a taken chunk,
+        so :meth:`result` still times every task but lists only the values
+        nobody took.  Raises the run's error when it failed.
+        """
+        if run.error is not None:
+            raise run.error
+        taken = []
+        for job_id in run.untaken:
+            output = run.raw[job_id]
+            run.raw[job_id] = [(task_id, elapsed) for task_id, _, elapsed in output]
+            taken.append(output)
+        run.untaken = []
+        return taken
 
     def result(self, run: _PoolRun) -> TaskRunResult:
         """Fold a finished run into a :class:`TaskRunResult`.
@@ -1018,6 +1053,7 @@ class WorkerPool:
     def _record_result(self, run: _PoolRun, job_id: int, output) -> None:
         """Fold one shard's payload; finish the run when it was the last."""
         run.raw[job_id] = output
+        run.untaken.append(job_id)
         if len(run.raw) == len(run.job_ids):
             run.done = True
             run.wall = wall_clock() - run.started

@@ -266,22 +266,25 @@ class TestBatchedAssembly:
         )
         assert system.metadata["n_chunks"] == small_mesh.n_elements
 
-    def test_scatter_columns_matches_scatter_column(self, small_mesh, uniform_soil):
-        """Scattering a batch equals scattering its columns one at a time."""
-        from repro.bem.assembly import scatter_columns
-
+    def test_fold_matches_column_by_column_scatter(self, small_mesh, uniform_soil):
+        """Folding a column group as one slab equals scattering its element
+        pairs one at a time (diagonal pairs halved, mirrored transposed)."""
         kernel = kernel_for_soil(uniform_soil)
         dofs = DofManager(small_mesh, ElementType.LINEAR)
         assembler = ColumnAssembler(small_mesh, kernel, dofs, n_gauss=4)
-        columns = [_column(assembler, i) for i in range(4)]
+        m = small_mesh.n_elements
+        columns = [_column(assembler, i) for i in range(m)]
         dof_matrix = dofs.element_dof_matrix()
-        n = dofs.n_dofs
-        one_by_one = np.zeros((n, n))
+        one_by_one = np.zeros((dofs.n_dofs, dofs.n_dofs))
         for column in columns:
-            scatter_columns(one_by_one, dof_matrix, [column])
-        all_at_once = np.zeros((n, n))
-        scatter_columns(all_at_once, dof_matrix, columns)
-        assert np.allclose(all_at_once, one_by_one, rtol=0.0, atol=1e-12)
+            alpha = column.source_index
+            for beta, block in zip(column.targets, column.blocks):
+                half = 0.5 if beta == alpha else 1.0
+                one_by_one[np.ix_(dof_matrix[beta], dof_matrix[alpha])] += half * block
+                one_by_one[np.ix_(dof_matrix[alpha], dof_matrix[beta])] += half * block.T
+        folded = assemble_from_columns(columns, assembler, gpr=1000.0)
+        assert assembler.max_batch_size() > 1  # the fold's slabs hold several columns
+        assert np.allclose(folded.matrix, one_by_one, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("batch_size", [1, 7, 24, 50])
     def test_exact_batch_size_does_not_change_bits(self, coarse_barbera, batch_size):
@@ -392,7 +395,7 @@ class TestFoldMemory:
     def test_dense_assembly_retains_nothing_per_column(self, coarse_barbera):
         """Once the system is dropped, a dense assembly leaves almost nothing behind.
 
-        A warm-up on a translated copy of the mesh grows the grow-only scratch
+        A warm-up on a translated copy of the mesh sizes the bounded scratch
         workspaces and runs the lazy imports, but shares no geometry with the
         traced mesh.  Measured: 3.3 kB retained; keeping every column's
         in-plane geometry left 504 kB (61 entries of 7.7 kB on this

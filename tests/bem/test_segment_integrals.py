@@ -144,3 +144,37 @@ class TestValidation:
         i0_rev, i1_rev = line_integrals(field, q1, q0)
         assert i0_rev == pytest.approx(i0, rel=1e-12)
         assert i1_rev == pytest.approx(i0 - i1, rel=1e-10)
+
+
+class TestWorkspaceBound:
+    def test_every_slot_stays_within_one_chunk(self, full_barbera, coarse_barbera):
+        """The adaptive kernels' scratch workspace is bounded, not leaking.
+
+        After assembling full and coarse Barberá in two-layer and uniform
+        soil and mapping each one's surface potential, no slot holds more
+        than one pass of ``_ADAPTIVE_CHUNK_ELEMENTS`` elements (the full
+        meshes reach it), and the workspace stays within its 17 slots.
+        Measured: 14 slots, 3.0 MB.
+        """
+        from repro.bem.assembly import assemble_system
+        from repro.bem.elements import DofManager, ElementType
+        from repro.bem.potential import PotentialEvaluator
+        from repro.bem.segment_integrals import _ADAPTIVE_CHUNK_ELEMENTS, _WORKSPACE
+        from repro.experiments.barbera import barbera_case
+        from repro.geometry.discretize import discretize_grid
+        from repro.kernels.base import kernel_for_soil
+
+        cases = [full_barbera, coarse_barbera]
+        for coarse in (False, True):
+            grid, soil, gpr = barbera_case("uniform", coarse=coarse)
+            cases.append((discretize_grid(grid, soil=soil), soil, gpr))
+        for mesh, soil, gpr in cases:
+            assemble_system(mesh, soil, gpr=gpr)
+            dofs = DofManager(mesh, ElementType.LINEAR)
+            PotentialEvaluator(
+                mesh, soil, kernel_for_soil(soil), dofs, np.ones(dofs.n_dofs), gpr=gpr
+            ).surface_potential_over_grid(n_x=21, n_y=21)
+        buffers = list(_WORKSPACE._buffers.values())
+        assert max(buffer.size for buffer in buffers) == _ADAPTIVE_CHUNK_ELEMENTS
+        assert len(buffers) <= 17
+        assert sum(buffer.nbytes for buffer in buffers) <= 3.7e6

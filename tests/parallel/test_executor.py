@@ -35,6 +35,14 @@ def short_by_one(indices: list[int]) -> list[int]:
     return list(indices)[:-1]
 
 
+class Collect(dict):
+    """Consumer of :meth:`ScheduledExecutor.run` keeping every result by task id."""
+
+    def __call__(self, task_id, value, seconds) -> None:
+        assert task_id not in self, f"task {task_id} handed over twice"
+        self[task_id] = value
+
+
 def schedule_chunk_count(schedule: Schedule, n_tasks: int, n_workers: int) -> int:
     if schedule.kind is ScheduleKind.STATIC:
         return sum(1 for tasks in schedule.static_assignment(n_tasks, n_workers) if tasks)
@@ -122,16 +130,17 @@ class TestChunkAccounting:
 
 class TestReuse:
     def test_executor_can_run_multiple_batches(self):
+        first, second = Collect(), Collect()
         with ScheduledExecutor(square, n_workers=2) as executor:
-            first = executor.run(range(5), Schedule.parse("Dynamic,1"))
-            second = executor.run(range(5, 9), Schedule.parse("Static"))
-        assert sorted(first.results) == [0, 1, 2, 3, 4]
-        assert sorted(second.results) == [5, 6, 7, 8]
+            executor.run(range(5), Schedule.parse("Dynamic,1"), first)
+            executor.run(range(5, 9), Schedule.parse("Static"), second)
+        assert sorted(first) == [0, 1, 2, 3, 4]
+        assert sorted(second) == [5, 6, 7, 8]
 
     def test_process_backend_requires_context_manager(self):
         executor = ScheduledExecutor(square, n_workers=2)
         with pytest.raises(ParallelExecutionError):
-            executor.run(range(4), Schedule.parse("Dynamic,1"))
+            executor.run(range(4), Schedule.parse("Dynamic,1"), Collect())
 
     @pytest.mark.parametrize("n_workers", WORKER_COUNTS)
     def test_close_shuts_pools_down_deterministically(self, n_workers):
@@ -139,13 +148,14 @@ class TestReuse:
         pool-backed executors never rely on interpreter atexit ordering."""
         executor = ScheduledExecutor(square, n_workers=n_workers)
         executor.__enter__()
-        outcome = executor.run(range(4), Schedule.parse("Dynamic,1"))
-        assert sorted(outcome.results) == [0, 1, 2, 3]
+        results = Collect()
+        executor.run(range(4), Schedule.parse("Dynamic,1"), results)
+        assert sorted(results) == [0, 1, 2, 3]
         executor.close()
         assert executor.pool.closed and executor.pool.alive_workers() == 0
         executor.close()  # idempotent
         with pytest.raises(ParallelExecutionError):
-            executor.run(range(4), Schedule.parse("Dynamic,1"))
+            executor.run(range(4), Schedule.parse("Dynamic,1"), Collect())
 
 
 class TestBatchedChunks:
@@ -159,12 +169,13 @@ class TestBatchedChunks:
     def test_one_pool_task_per_schedule_chunk(self, label):
         schedule = Schedule.parse(label)
         expected = schedule_chunk_count(schedule, 23, 2)
+        results = Collect()
         with ScheduledExecutor(square, n_workers=2) as executor:
-            outcome = executor.run(range(23), schedule)
+            outcome = executor.run(range(23), schedule, results)
         assert outcome.n_chunks == expected
         assert executor.pool.stats["chunks_dispatched"] == expected
         assert executor.pool.stats["tasks_executed"] == expected
-        assert outcome.ordered_results() == square(list(range(23)))
+        assert [results[i] for i in range(23)] == square(list(range(23)))
 
     def test_chunk_time_apportioned_by_cost_hint(self):
         def slow_chunk(indices):
@@ -218,7 +229,7 @@ class TestProcessBackend:
         executor = ScheduledExecutor(with_closure, n_workers=2)
         with pytest.raises((AttributeError, pickle.PicklingError)):
             with executor:
-                executor.run(range(6), Schedule.parse("Dynamic,1"))
+                executor.run(range(6), Schedule.parse("Dynamic,1"), Collect())
         assert not marker.exists()
         assert executor.pool.closed and executor.pool.alive_workers() == 0
 

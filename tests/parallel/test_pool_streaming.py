@@ -90,6 +90,66 @@ class TestCorruptFrameRetry:
         assert damaged == [0]
 
 
+class TestTake:
+    """``WorkerPool.take`` hands a run's finished chunks over while it is in flight."""
+
+    #: Worker 0's first chunk holds four tasks, worker 1's two.
+    PARTITION = [[0, 2, 4, 6], [1, 3]]
+
+    def drain(self, pool, run):
+        """Take chunks until the run is done; each value must come once."""
+        values: dict[int, np.ndarray] = {}
+        taken_in_flight = 0
+        while True:
+            for chunk_output in pool.take(run):
+                taken_in_flight += not run.done
+                for task_id, value, seconds in chunk_output:
+                    assert task_id not in values, f"task {task_id} handed over twice"
+                    assert seconds > 0.0
+                    values[task_id] = value
+            if run.done:
+                break
+            pool.service()
+        assert pool.take(run) == []  # nothing is handed over twice
+        return values, taken_in_flight
+
+    def reference(self):
+        with WorkerPool(2) as pool:
+            return pool.run_partition(SlowSquareTask(0.05), self.PARTITION).results
+
+    def test_pulled_run_hands_every_value_over_once(self):
+        reference = self.reference()
+        with WorkerPool(2) as pool:
+            run = pool.submit(SlowSquareTask(0.05), self.PARTITION, pull=True)
+            values, taken_in_flight = self.drain(pool, run)
+            outcome = pool.result(run)
+        assert taken_in_flight >= 1  # the short chunk came before the run ended
+        assert sorted(values) == sorted(reference) == [0, 1, 2, 3, 4, 6]
+        for key, value in reference.items():
+            assert values[key].tobytes() == value.tobytes()
+        # The run kept every task's time and none of the values it handed over.
+        assert outcome.results == {}
+        assert outcome.task_seconds.shape == (6,)
+        assert np.all(outcome.task_seconds > 0.0)
+
+    @pytest.mark.parametrize("kind", ["crash", "corrupt"])
+    def test_retried_chunk_is_handed_over_once(self, kind):
+        """A fault on worker 0's four-task chunk retries it; the consumer
+        still sees each of its values once, equal to the undisturbed run."""
+        reference = self.reference()
+        retry = RetryPolicy(backoff_base=0.0)
+        with WorkerPool(2, retry=retry, fault_plan=FaultPlan.single(0, 0, kind)) as pool:
+            run = pool.submit(SlowSquareTask(0.05), self.PARTITION)
+            values, _ = self.drain(pool, run)
+            outcome = pool.result(run)
+            assert pool.health.retries == 1
+        assert sorted(values) == sorted(reference)
+        for key, value in reference.items():
+            assert values[key].tobytes() == value.tobytes()
+        assert outcome.results == {}
+        assert np.all(outcome.task_seconds > 0.0)
+
+
 def _grid_case():
     """The pooled 32 x 32 grid of the ``hier-grid`` workload: mesh, soil, options."""
     soil = TwoLayerSoil(0.005, 0.016, 1.0)
